@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -33,14 +34,7 @@ func TestCLIWorkflow(t *testing.T) {
 	site := filepath.Join(t.TempDir(), "site")
 	ncFile := filepath.Join(t.TempDir(), "conventions.txt")
 
-	build := func(name string) string {
-		out := filepath.Join(bin, name)
-		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
-		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, msg)
-		}
-		return out
-	}
+	build := func(name string) string { return buildBinary(t, bin, name) }
 	run := func(path string, args ...string) string {
 		cmd := exec.Command(path, args...)
 		out, err := cmd.CombinedOutput()
@@ -142,11 +136,12 @@ func TestCLIWorkflow(t *testing.T) {
 	if host != "" {
 		geodns := build("geodns")
 		geoserve := build("geoserve")
-		dnsAddr, adminAddr, stopDNS := startDaemon(t, geodns,
+		dns := startDaemon(t, geodns,
 			"-snapshot", snapFile, "-addr", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0")
-		defer stopDNS()
-		httpAddr, _, stopHTTP := startDaemon(t, geoserve, "-snapshot", snapFile, "-addr", "127.0.0.1:0")
-		defer stopHTTP()
+		defer dns.stop()
+		web := startDaemon(t, geoserve, "-snapshot", snapFile, "-addr", "127.0.0.1:0")
+		defer web.stop()
+		dnsAddr, adminAddr, httpAddr := dns.addr, dns.admin, web.addr
 		if adminAddr == "" {
 			t.Fatal("geodns never logged its admin-plane address")
 		}
@@ -287,11 +282,160 @@ func TestCLIWorkflow(t *testing.T) {
 	}
 }
 
-// startDaemon launches a server binary, waits for its "listening on"
-// line, and returns the bound address, the admin-plane address (empty
-// unless the daemon logged one before declaring readiness), plus a
-// stop function that SIGTERMs the process and waits for a clean exit.
-func startDaemon(t *testing.T, path string, args ...string) (string, string, func()) {
+// TestDaemonCountersSurviveReload scrapes both daemons' /metrics/prom,
+// reloads them with SIGHUP, and scrapes again: no *_index_*_total
+// sample, per-suffix and per-class series included, may go down.
+func TestDaemonCountersSurviveReload(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binaries")
+	}
+	bin := t.TempDir()
+	nc := filepath.Join("testdata", "golden", "conventions.txt")
+	dns := startDaemon(t, buildBinary(t, bin, "geodns"),
+		"-nc", nc, "-addr", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0")
+	defer dns.stop()
+	web := startDaemon(t, buildBinary(t, bin, "geoserve"), "-nc", nc, "-addr", "127.0.0.1:0")
+	defer web.stop()
+
+	hosts := goldenHostnames(t, 40)
+	body, err := json.Marshal(map[string][]string{"hostnames": hosts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post("http://"+web.addr+"/v1/geolocate", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resp.Body.Close(); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch lookup: status %d, %v", resp.StatusCode, err)
+	}
+	for _, host := range hosts {
+		dnsExchangeUDP(t, dns.addr, packQuery(t, host+".", dnswire.TypeTXT))
+	}
+
+	for _, d := range []struct {
+		name, http string
+		proc       daemonProc
+	}{{"geoserve", web.addr, web}, {"geodns", dns.admin, dns}} {
+		before := indexCounters(t, d.http)
+		if before[d.name+"_index_matched_total"] == 0 {
+			t.Fatalf("%s located none of the golden hostnames", d.name)
+		}
+		if err := d.proc.cmd.Process.Signal(syscall.SIGHUP); err != nil {
+			t.Fatal(err)
+		}
+		waitGeneration(t, d.http, 2)
+		after := indexCounters(t, d.http)
+		for series, n := range before {
+			if after[series] < n {
+				t.Errorf("%s: %s went from %g to %g across a reload", d.name, series, n, after[series])
+			}
+		}
+	}
+}
+
+// goldenHostnames returns the first n hostnames of the golden corpus.
+func goldenHostnames(t *testing.T, n int) []string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "golden", "corpus.names"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hosts []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && len(hosts) < n {
+			hosts = append(hosts, f[len(f)-1])
+		}
+	}
+	return hosts
+}
+
+// indexCounters scrapes /metrics/prom at addr and returns every
+// *_index_*_total sample, keyed by series (name and labels).
+func indexCounters(t *testing.T, addr string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics/prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		series := line[:i]
+		name, _, _ := strings.Cut(series, "{")
+		if !strings.Contains(name, "_index_") || !strings.HasSuffix(name, "_total") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		out[series] = v
+	}
+	return out
+}
+
+// waitGeneration polls /healthz at addr until it reports generation gen.
+func waitGeneration(t *testing.T, addr string, gen uint64) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var h struct {
+			Generation uint64 `json:"generation"`
+		}
+		resp, err := http.Get("http://" + addr + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		if cerr := resp.Body.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Generation == gen {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s still at generation %d, want %d", addr, h.Generation, gen)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// buildBinary builds ./cmd/<name> into dir and returns its path.
+func buildBinary(t *testing.T, dir, name string) string {
+	t.Helper()
+	out := filepath.Join(dir, name)
+	cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
+	if msg, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("build %s: %v\n%s", name, err, msg)
+	}
+	return out
+}
+
+// daemonProc is a server binary started by startDaemon.
+type daemonProc struct {
+	addr  string // the address it reported listening on
+	admin string // its admin-plane address; empty unless logged before readiness
+	cmd   *exec.Cmd
+	stop  func() // SIGTERM, then wait for a clean exit
+}
+
+// startDaemon launches a server binary and returns it once it has
+// logged its "listening on" line.
+func startDaemon(t *testing.T, path string, args ...string) daemonProc {
 	t.Helper()
 	cmd := exec.Command(path, args...)
 	stderr, err := cmd.StderrPipe()
@@ -350,11 +494,11 @@ func startDaemon(t *testing.T, path string, args ...string) (string, string, fun
 		case admin = <-adminCh:
 		default:
 		}
-		return addr, admin, stop
+		return daemonProc{addr: addr, admin: admin, cmd: cmd, stop: stop}
 	case <-time.After(30 * time.Second):
 		stop()
 		t.Fatalf("%s never reported its listen address", filepath.Base(path))
-		return "", "", nil
+		return daemonProc{}
 	}
 }
 

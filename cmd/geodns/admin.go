@@ -1,72 +1,39 @@
 // The geodns admin plane: a plain-HTTP sidecar listener (-admin-addr)
 // carrying the operational surface that does not belong on the DNS
 // port — Prometheus text exposition, a liveness document, and pprof.
-// The exposition renders through the shared internal/promexp registry,
-// the same layer geoserve serves from, so both daemons speak one
-// dialect under one conformance test.
+// Everything but the DNS-specific query, limiter and EDNS families is
+// internal/daemon's, shared with geoserve.
 package main
 
 import (
-	"encoding/json"
 	"net/http"
-	"net/http/pprof"
-	"time"
 
-	"hoiho/internal/buildinfo"
+	"hoiho/internal/daemon"
 	"hoiho/internal/dnsserve"
 	"hoiho/internal/promexp"
-	"hoiho/internal/qlog"
 )
 
-// admin serves /metrics/prom, /healthz, and /debug/pprof/ for a
+// newAdmin wires /metrics/prom, /healthz, and /debug/pprof/ for a
 // running dnsserve.Server.
-type admin struct {
-	s     *dnsserve.Server
-	qlog  *qlog.Logger
-	start time.Time
-	prom  *promexp.Registry
-	mux   *http.ServeMux
+func newAdmin(s *dnsserve.Server, p *daemon.Plane) http.Handler {
+	m := dnsMetrics{s}
+	reg := promexp.NewRegistry()
+	reg.Register(m.queries, m.limiter, m.edns, p.IndexMetrics, p.ReloadMetrics, p.QlogMetrics)
+	mux := http.NewServeMux()
+	mux.Handle("GET /metrics/prom", reg)
+	mux.HandleFunc("GET /healthz", p.Healthz)
+	daemon.RegisterPprof(mux)
+	return mux
 }
 
-// newAdmin wires the admin surface. ql may be nil (query log off).
-func newAdmin(s *dnsserve.Server, ql *qlog.Logger) *admin {
-	a := &admin{s: s, qlog: ql, start: time.Now(), mux: http.NewServeMux()}
-	a.prom = promexp.NewRegistry()
-	a.prom.Register(a.promQueries, a.promLimiter, a.promEDNS, a.promIndex,
-		a.promReload, a.promQlog)
-	a.mux.HandleFunc("GET /metrics/prom", a.prom.ServeHTTP)
-	a.mux.HandleFunc("GET /healthz", a.handleHealthz)
-	a.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	a.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	a.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	a.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	a.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	return a
-}
+// dnsMetrics renders the DNS-specific families of a running server.
+type dnsMetrics struct{ s *dnsserve.Server }
 
-func (a *admin) ServeHTTP(w http.ResponseWriter, r *http.Request) { a.mux.ServeHTTP(w, r) }
-
-func (a *admin) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	info := buildinfo.Read()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	//lint:ignore droppederr a 200 header is already on the wire; an Encode failure means the client hung up
-	enc.Encode(map[string]any{
-		"status":     "ok",
-		"suffixes":   a.s.Suffixes(),
-		"generation": a.s.Generation(),
-		"uptime_s":   int64(time.Since(a.start).Seconds()),
-		"commit":     info.Commit,
-		"go_version": info.GoVersion,
-	})
-}
-
-// promQueries renders the per-query counter taxonomy: total queries,
+// queries renders the per-query counter taxonomy: total queries,
 // per-outcome response counts (the same names the query log and the
 // shutdown stats line use), and TCP close errors.
-func (a *admin) promQueries(pw *promexp.Writer) {
-	st := a.s.Stats()
+func (m dnsMetrics) queries(pw *promexp.Writer) {
+	st := m.s.Stats()
 	pw.Counter("geodns_queries_total", "DNS queries received, UDP and TCP.",
 		float64(st["queries"]))
 	pw.Family("geodns_responses_total", "Responses per outcome (rcode taxonomy).", "counter")
@@ -80,73 +47,19 @@ func (a *admin) promQueries(pw *promexp.Writer) {
 		float64(st["close_errors"]))
 }
 
-// promLimiter renders the rate limiter's refusals and capacity-sweep
+// limiter renders the rate limiter's refusals and capacity-sweep
 // evictions.
-func (a *admin) promLimiter(pw *promexp.Writer) {
+func (m dnsMetrics) limiter(pw *promexp.Writer) {
 	pw.Counter("geodns_limiter_refused_total", "Queries refused by the per-source rate limit.",
-		float64(a.s.Stats()["refused"]))
+		float64(m.s.Stats()["refused"]))
 	pw.Counter("geodns_limiter_evictions_total", "Limiter buckets dropped by capacity sweeps.",
-		float64(a.s.LimiterEvictions()))
+		float64(m.s.LimiterEvictions()))
 }
 
-// promEDNS renders the negotiated UDP response-size histogram.
-func (a *admin) promEDNS(pw *promexp.Writer) {
-	bounds, counts, sum := a.s.EDNSSizes()
+// edns renders the negotiated UDP response-size histogram.
+func (m dnsMetrics) edns(pw *promexp.Writer) {
+	bounds, counts, sum := m.s.EDNSSizes()
 	pw.Histogram("geodns_edns_udp_size_bytes",
 		"Negotiated UDP response size limit per query (EDNS).",
 		bounds, counts, float64(sum))
-}
-
-// promIndex renders the live index's lookup counters, mirroring
-// geoserve's families under the geodns prefix.
-func (a *admin) promIndex(pw *promexp.Writer) {
-	st := a.s.IndexStats()
-	for _, c := range []struct {
-		name, help string
-		v          uint64
-	}{
-		{"geodns_index_lookups_total", "Hostname lookups against the index.", st.Lookups},
-		{"geodns_index_cache_hits_total", "Lookups answered from the LRU cache.", st.CacheHits},
-		{"geodns_index_cache_misses_total", "Lookups that missed the LRU cache.", st.CacheMisses},
-		{"geodns_index_matched_total", "Lookups that matched a convention.", st.Matched},
-		{"geodns_index_unmatched_total", "Lookups no convention matched.", st.Unmatched},
-	} {
-		pw.Counter(c.name, c.help, float64(c.v))
-	}
-	pw.Family("geodns_index_suffix_matches_total", "Matches per convention suffix.", "counter")
-	for _, k := range promexp.SortedKeys(st.BySuffix) {
-		pw.Sample("geodns_index_suffix_matches_total", promexp.Labels("suffix", k), float64(st.BySuffix[k]))
-	}
-	pw.Family("geodns_index_class_matches_total", "Matches per convention classification.", "counter")
-	for _, k := range promexp.SortedKeys(st.ByClass) {
-		pw.Sample("geodns_index_class_matches_total", promexp.Labels("class", k), float64(st.ByClass[k]))
-	}
-}
-
-// promReload renders the hot-reload lifecycle: serving generation,
-// outcome counters, and the latest build/swap latencies.
-func (a *admin) promReload(pw *promexp.Writer) {
-	rs := a.s.ReloadStats()
-	pw.Gauge("geodns_index_generation", "Serving index generation (1 = boot index, +1 per swap).",
-		float64(rs.Generation))
-	pw.Counter("geodns_reloads_total", "Successful index reloads (SIGHUP).",
-		float64(rs.Reloads))
-	pw.Counter("geodns_reload_failures_total", "Reload attempts rejected before the swap.",
-		float64(rs.Failures))
-	pw.Gauge("geodns_reload_build_seconds", "Replacement-index build time of the last successful reload.",
-		float64(rs.LastBuildUS)/1e6)
-	pw.Gauge("geodns_reload_swap_seconds", "Validate+swap time of the last successful reload.",
-		float64(rs.LastSwapUS)/1e6)
-}
-
-// promQlog renders the query-log counters; absent families read
-// unambiguously as "off".
-func (a *admin) promQlog(pw *promexp.Writer) {
-	if !a.qlog.Enabled() {
-		return
-	}
-	st := a.qlog.Stats()
-	pw.Counter("geodns_qlog_records_total", "Query-log records written.", float64(st.Logged))
-	pw.Counter("geodns_qlog_sampled_out_total", "Queries skipped by the sampling rate.", float64(st.Skipped))
-	pw.Counter("geodns_qlog_rotations_total", "Query-log file rotations.", float64(st.Rotations))
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hoiho/internal/core"
+	"hoiho/internal/daemon"
 	"hoiho/internal/dnsserve"
 	"hoiho/internal/dnswire"
 	"hoiho/internal/geodict"
@@ -34,7 +35,7 @@ var testSrc = netip.MustParseAddr("192.0.2.1")
 // adminFixture builds a server with the query log on, drives a request
 // mix through the handler, and returns its admin plane: 2 NOERROR TXT
 // hits, 1 NXDOMAIN, 1 dropped response message.
-func adminFixture(t *testing.T) *admin {
+func adminFixture(t *testing.T) http.Handler {
 	t.Helper()
 	res, err := core.ReadConventions(strings.NewReader(testConventions))
 	if err != nil {
@@ -67,10 +68,10 @@ func adminFixture(t *testing.T) *admin {
 	ask("et-0.core1.sjc1.he.net.", false)
 	ask("nothing.example.com.", false)
 	ask("xe-1.core9.ash1.he.net.", true) // inbound response: dropped
-	return newAdmin(s, ql)
+	return newAdmin(s, &daemon.Plane{Name: "geodns", Live: s.Live(), Qlog: ql, Start: time.Now()})
 }
 
-func adminGet(t *testing.T, a *admin, path string) *httptest.ResponseRecorder {
+func adminGet(t *testing.T, a http.Handler, path string) *httptest.ResponseRecorder {
 	t.Helper()
 	w := httptest.NewRecorder()
 	a.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))

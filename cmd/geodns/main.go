@@ -31,8 +31,9 @@
 //
 // SIGHUP triggers the same validated zero-downtime reload as
 // geoserve: re-resolve the boot source, spot-check the replacement
-// index, swap the pointer. SIGINT/SIGTERM drain open TCP connections
-// and exit cleanly, logging the lifetime query counters.
+// index, swap the pointer (geoloc.Live.Reload). SIGINT/SIGTERM drain
+// open TCP connections and exit cleanly, logging the lifetime query
+// counters.
 //
 // With -admin-addr, a plain-HTTP sidecar listener serves the
 // operational plane that does not belong on the DNS port:
@@ -40,12 +41,16 @@
 //	GET /metrics/prom   Prometheus text exposition — per-outcome query
 //	                    counters, limiter refusals and evictions, the
 //	                    negotiated EDNS response-size histogram, index
-//	                    lookup counters, reload build/swap timings, and
-//	                    query-log counters, all rendered through the
-//	                    same internal/promexp registry geoserve uses
+//	                    lookup counters (which carry across reloads),
+//	                    reload build/swap timings, and query-log
+//	                    counters
 //	GET /healthz        liveness, suffix count, serving generation,
 //	                    build commit and go version
 //	GET /debug/pprof/   net/http/pprof profiling
+//
+// /healthz, pprof, the index, reload and query-log families, the
+// admin serve loop, the SIGHUP loop and the -qlog flags are
+// internal/daemon's, shared with geoserve.
 //
 // With -qlog <path>, every handled query appends a sampled JSONL
 // record (timestamp, request id, qtype, hostname, source, rcode,
@@ -55,12 +60,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -69,10 +72,10 @@ import (
 	"time"
 
 	"hoiho/internal/buildinfo"
+	"hoiho/internal/daemon"
 	"hoiho/internal/dnsserve"
 	"hoiho/internal/geoloc"
 	"hoiho/internal/obs"
-	"hoiho/internal/qlog"
 )
 
 func main() {
@@ -88,10 +91,7 @@ func main() {
 	usableOnly := flag.Bool("usable-only", false, "serve only good/promising conventions")
 	adminAddr := flag.String("admin-addr", "",
 		"HTTP admin listener for /metrics/prom, /healthz, /debug/pprof/ (empty disables)")
-	qlogPath := flag.String("qlog", "", "write a sampled JSONL query log to this file (empty disables)")
-	qlogSample := flag.Int("qlog-sample", 1, "keep 1 in N query-log records")
-	qlogMaxBytes := flag.Int64("qlog-max-bytes", 64<<20,
-		"rotate the query log to <path>.1 before exceeding this size (0 disables rotation)")
+	qlogFlags := daemon.RegisterQlogFlags(flag.CommandLine)
 	version := flag.Bool("version", false, "print build info and exit")
 	flag.Parse()
 	if *version {
@@ -115,32 +115,25 @@ func main() {
 	}
 	log.Printf("geodns: serving %d conventions from %s", resolved.Index.Len(), src.Describe())
 
-	var ql *qlog.Logger
-	if *qlogPath != "" {
-		ql, err = qlog.New(qlog.Options{
-			Path: *qlogPath, Sample: *qlogSample, MaxBytes: *qlogMaxBytes,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := ql.Close(); err != nil {
-				log.Printf("geodns: query log: %v", err)
-			}
-		}()
-		log.Printf("geodns: query log at %s (1 in %d)", *qlogPath, max(1, *qlogSample))
+	ql, err := qlogFlags.Open("geodns")
+	if err != nil {
+		fatal(err)
 	}
+	defer func() {
+		if err := ql.Close(); err != nil {
+			log.Printf("geodns: query log: %v", err)
+		}
+	}()
 
 	s := dnsserve.New(resolved.Index, dnsserve.Config{
-		TTL:       uint32(*ttl),
-		UDPSize:   uint16(*udpSize),
-		Rate:      *rate,
-		Burst:     *burst,
-		Tracer:    tracer,
-		QueryLog:  ql,
-		Source:    src,
-		IndexOpts: opts,
+		TTL:      uint32(*ttl),
+		UDPSize:  uint16(*udpSize),
+		Rate:     *rate,
+		Burst:    *burst,
+		Tracer:   tracer,
+		QueryLog: ql,
 	})
+	plane := &daemon.Plane{Name: "geodns", Live: s.Live(), Qlog: ql, Start: time.Now()}
 
 	// TCP binds first so a ":0" request resolves to one concrete port
 	// shared by both transports — the single address the log line
@@ -168,34 +161,12 @@ func main() {
 		}
 		log.Printf("geodns: admin plane on http://%s (metrics, healthz, pprof)", adminLn.Addr())
 	}
-	log.Printf("geodns: listening on %s (udp+tcp)", ln.Addr())
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	// SIGHUP reloads like geoserve's /v1/admin/reload; the loop joins
-	// main before exit so a reload in flight at shutdown finishes.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	hupDone := make(chan struct{})
-	go func() {
-		defer close(hupDone)
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-hup:
-				if gen, suffixes, err := s.Reload(); err != nil {
-					log.Printf("geodns: SIGHUP reload failed, still serving generation %d: %v",
-						s.Generation(), err)
-				} else {
-					rs := s.ReloadStats()
-					log.Printf("geodns: SIGHUP reload: generation %d, %d suffixes, build %dµs, swap %dµs",
-						gen, suffixes, rs.LastBuildUS, rs.LastSwapUS)
-				}
-			}
-		}
-	}()
+	// SIGHUP reloads the boot source; the handler is armed before the
+	// daemon reports it is listening.
+	waitReloads := plane.ReloadOnHangup(ctx, src, opts)
+	log.Printf("geodns: listening on %s (udp+tcp)", ln.Addr())
 
 	// All serve loops return once ctx is canceled (ServeTCP drains open
 	// connections, the admin server shuts down gracefully). Any loop
@@ -206,7 +177,7 @@ func main() {
 	go func() { errc <- s.ServeTCP(ctx, ln) }()
 	if adminLn != nil {
 		loops++
-		go func() { errc <- serveAdmin(ctx, adminLn, newAdmin(s, ql)) }()
+		go func() { errc <- daemon.Serve(ctx, adminLn, newAdmin(s, plane)) }()
 	}
 	err = <-errc
 	stop()
@@ -215,7 +186,7 @@ func main() {
 			err = err2
 		}
 	}
-	<-hupDone
+	waitReloads()
 	if cerr := uconn.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
@@ -244,29 +215,6 @@ func statsLine(stats map[string]int64) string {
 		parts = append(parts, fmt.Sprintf("%s=%d", k, stats[k]))
 	}
 	return strings.Join(parts, " ")
-}
-
-// serveAdmin runs the admin HTTP server on ln until ctx is cancelled,
-// then shuts down gracefully; nil on a clean drain, mirroring
-// geoserve's serve loop.
-func serveAdmin(ctx context.Context, ln net.Listener, h http.Handler) error {
-	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("admin shutdown: %w", err)
-	}
-	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
 }
 
 func mustTCPAddr(addr string) *net.TCPAddr {

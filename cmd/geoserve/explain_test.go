@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"hoiho/internal/geoloc"
+	"hoiho/internal/obs"
 	"hoiho/internal/qlog"
 )
 
@@ -98,14 +99,15 @@ func TestExplainErrors(t *testing.T) {
 
 // TestQlogWiring: with a logger attached, each handled request logs one
 // sampled record carrying the route, status, and a request id that also
-// lands on the request's span.
+// lands on the request's span (visible to a span-retaining tracer).
 func TestQlogWiring(t *testing.T) {
 	var buf bytes.Buffer
 	ql, err := qlog.New(qlog.Options{W: &buf, Clock: func() time.Time { return time.UnixMicro(42) }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(testIndex(t))
+	tr := obs.New(obs.Options{RetainSpans: true})
+	s := newTracedServer(testIndex(t), tr)
 	s.enableQlog(ql)
 	postJSON(t, s, "/v1/geolocate", `{"hostname":"et-0.core1.sjc1.he.net"}`)
 	postJSON(t, s, "/v1/geolocate", `{}`) // 400
@@ -138,6 +140,16 @@ func TestQlogWiring(t *testing.T) {
 	}
 	if rec.Status != 400 || rec.Outcome != "4xx" {
 		t.Errorf("bad-request record = %+v", rec)
+	}
+
+	var spanIDs []string
+	for _, rec := range tr.Export() {
+		if rec.Name == "http" {
+			spanIDs = append(spanIDs, rec.Key+" "+rec.Attrs["request_id"])
+		}
+	}
+	if got, want := strings.Join(spanIDs, ","), "GET /healthz q3,POST /v1/geolocate q1,POST /v1/geolocate q2"; got != want {
+		t.Errorf("http spans = %s, want %s", got, want)
 	}
 
 	// The qlog counters surface in the Prometheus exposition.

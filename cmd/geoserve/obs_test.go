@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"hoiho/internal/core"
@@ -10,13 +11,12 @@ import (
 	"hoiho/internal/geoloc"
 	"hoiho/internal/obs"
 	"hoiho/internal/psl"
-	"strings"
 )
 
-// TestMetricsRoutes exercises the per-route span aggregates: after a
-// mix of requests, /metrics must report an "http" row per route pattern
-// with accurate request counts, plus the index's lookup-batch spans
-// when the server shares the index's tracer.
+// TestMetricsRoutes exercises the per-route counters: after a mix of
+// requests, /metrics must report a row per route pattern with accurate
+// request counts, and /metrics/prom the index's lookup-batch span when
+// the server shares the index's tracer.
 func TestMetricsRoutes(t *testing.T) {
 	res, err := core.ReadConventions(strings.NewReader(testConventions))
 	if err != nil {
@@ -39,35 +39,31 @@ func TestMetricsRoutes(t *testing.T) {
 		t.Fatalf("status = %d", w.Code)
 	}
 	var m struct {
-		Routes obs.Summary `json:"routes"`
+		Routes map[string]routeJSON `json:"routes"`
 	}
 	if err := json.Unmarshal(w.Body.Bytes(), &m); err != nil {
 		t.Fatalf("metrics is not JSON: %v\n%s", err, w.Body)
 	}
-	byKey := map[string]obs.SummaryRow{}
-	for _, row := range m.Routes.Keys {
-		byKey[row.Name] = row
-	}
-	if r := byKey["POST /v1/geolocate"]; r.Count != 2 || r.Counters["requests"] != 2 {
+	if r := m.Routes["POST /v1/geolocate"]; r.Requests != 2 || r.Status["2xx"] != 2 {
 		t.Errorf("geolocate route row = %+v, want 2 requests", r)
 	}
-	if r := byKey["GET /healthz"]; r.Count != 1 {
+	if r := m.Routes["GET /healthz"]; r.Requests != 1 {
 		t.Errorf("healthz route row = %+v, want 1 request", r)
 	}
-	// The /metrics request itself is spanned, but its span ends after
-	// the summary snapshot — it appears in later scrapes, not this one.
-	if _, ok := byKey["GET /metrics"]; ok {
-		t.Error("in-flight /metrics span leaked into its own snapshot")
+	// The /metrics request itself is counted once its handler returns:
+	// it appears in later scrapes, not this one.
+	if _, ok := m.Routes["GET /metrics"]; ok {
+		t.Error("in-flight /metrics request leaked into its own snapshot")
 	}
-	byStage := map[string]obs.SummaryRow{}
-	for _, row := range m.Routes.Stages {
-		byStage[row.Name] = row
-	}
-	if r := byStage["lookup-batch"]; r.Count != 1 || r.Counters["hostnames"] != 2 {
-		t.Errorf("lookup-batch row = %+v, want one 2-hostname batch", r)
-	}
-	if _, ok := byStage["geoloc-compile"]; !ok {
-		t.Error("index build span missing from shared-tracer metrics")
+	prom := get(t, s, "/metrics/prom").Body.String()
+	for _, want := range []string{
+		`geoserve_route_requests_total{route="GET /metrics"} 1`,
+		`geoserve_span_count_total{span="lookup-batch"} 1`,
+		`geoserve_span_count_total{span="geoloc-compile"} 1`,
+	} {
+		if !strings.Contains(prom, want) {
+			t.Errorf("exposition missing %q\n%s", want, prom)
+		}
 	}
 }
 

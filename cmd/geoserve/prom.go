@@ -1,170 +1,83 @@
-// Prometheus text-exposition rendering for geoserve's /metrics.
+// Prometheus text-exposition rendering for geoserve's /metrics/prom.
 //
-// The JSON document at /metrics is the native shape; the collectors
-// here render the same counters — server totals, the /v1/geolocate
-// latency histogram (as a proper cumulative `le`-bucketed histogram),
-// the index's lookup counters, per-route span aggregates with
-// status-class counts, the query-log counters, and the
-// runtime-telemetry sampler's latest snapshot — through the shared
-// internal/promexp registry, the same layer cmd/geodns serves from, so
-// both daemons speak one exposition dialect under one conformance test.
+// The collectors here render the geoserve-only families — server
+// totals, the /v1/geolocate latency histogram (as a proper cumulative
+// `le`-bucketed histogram), per-route counters with status classes,
+// span aggregates, and the runtime-telemetry sampler's latest snapshot
+// — through the shared internal/promexp registry. The index, reload
+// and query-log families come from internal/daemon, the same code
+// cmd/geodns serves them with, so both daemons speak one exposition
+// dialect under one conformance test.
 package main
 
 import (
-	"expvar"
-	"net/http"
-	"strings"
-
-	"hoiho/internal/obs"
 	"hoiho/internal/promexp"
 )
 
 const promContentType = promexp.ContentType
 
-// newPromRegistry assembles the server's exposition in a fixed section
-// order: totals, latency, index, reload, routes, qlog, runtime.
-func (s *server) newPromRegistry() *promexp.Registry {
-	r := promexp.NewRegistry()
-	r.Register(s.promTotals, s.promLatency, s.promIndex, s.promReload,
-		s.promRoutes, s.promQlog, s.promRuntime)
-	return r
-}
-
-func (s *server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
-	s.prom.ServeHTTP(w, r)
-}
-
 // promTotals renders the server-wide request counters.
 func (s *server) promTotals(pw *promexp.Writer) {
 	pw.Counter("geoserve_requests_total", "HTTP requests received, any route.",
-		float64(s.varValue("requests")))
-	pw.Counter("geoserve_bad_requests_total", "Requests rejected with 400.",
-		float64(s.varValue("bad_requests")))
+		float64(s.requests.Load()))
+	pw.Counter("geoserve_bad_requests_total", "Requests rejected with a 4xx status.",
+		float64(s.badRequests.Load()))
 	pw.Counter("geoserve_hostnames_total", "Hostnames submitted to /v1/geolocate.",
-		float64(s.varValue("hostnames")))
+		float64(s.hostnames.Load()))
 }
 
-// promLatency renders the request-duration histogram. The expvar
-// buckets count per-band observations — exactly the shape
-// promexp.Writer.Histogram cumulates from.
+// promLatency renders the request-duration histogram from its per-band
+// counts, the shape promexp.Writer.Histogram cumulates from.
 func (s *server) promLatency(pw *promexp.Writer) {
 	bounds := make([]float64, len(latencyBuckets))
-	counts := make([]int64, len(latencyBuckets)+1)
+	counts := make([]int64, len(s.latency))
 	for i, b := range latencyBuckets {
 		bounds[i] = b.le.Seconds()
-		counts[i] = s.bucketValue(b.name)
 	}
-	counts[len(latencyBuckets)] = s.bucketValue(bucketInf)
+	for i := range s.latency {
+		counts[i] = s.latency[i].Load()
+	}
 	pw.Histogram("geoserve_request_duration_seconds", "Latency of /v1/geolocate requests.",
 		bounds, counts, float64(s.latSumUS.Load())/1e6)
 }
 
-// promIndex renders the lookup index's counters, including the
-// per-suffix and per-class match attributions as labeled series. The
-// counters belong to the current generation's index: a reload swaps in
-// a fresh index whose counters start at zero (generation is exported so
-// scrapes can attribute the reset).
-func (s *server) promIndex(pw *promexp.Writer) {
-	st := s.live.Index().Stats()
-	for _, c := range []struct {
-		name, help string
-		v          uint64
-	}{
-		{"geoserve_index_lookups_total", "Hostname lookups against the index.", st.Lookups},
-		{"geoserve_index_cache_hits_total", "Lookups answered from the LRU cache.", st.CacheHits},
-		{"geoserve_index_cache_misses_total", "Lookups that missed the LRU cache.", st.CacheMisses},
-		{"geoserve_index_matched_total", "Lookups that matched a convention.", st.Matched},
-		{"geoserve_index_unmatched_total", "Lookups no convention matched.", st.Unmatched},
-	} {
-		pw.Counter(c.name, c.help, float64(c.v))
-	}
-	pw.Family("geoserve_index_suffix_matches_total", "Matches per convention suffix.", "counter")
-	for _, k := range promexp.SortedKeys(st.BySuffix) {
-		pw.Sample("geoserve_index_suffix_matches_total", promexp.Labels("suffix", k), float64(st.BySuffix[k]))
-	}
-	pw.Family("geoserve_index_class_matches_total", "Matches per convention classification.", "counter")
-	for _, k := range promexp.SortedKeys(st.ByClass) {
-		pw.Sample("geoserve_index_class_matches_total", promexp.Labels("class", k), float64(st.ByClass[k]))
-	}
-}
-
-// promReload renders the hot-reload lifecycle: the serving generation,
-// reload outcome counters, and the latest build/swap latencies.
-func (s *server) promReload(pw *promexp.Writer) {
-	rm := s.reloadMetrics()
-	pw.Gauge("geoserve_index_generation", "Serving index generation (1 = boot index, +1 per swap).",
-		float64(rm.Generation))
-	pw.Counter("geoserve_reloads_total", "Successful index reloads (SIGHUP or /v1/admin/reload).",
-		float64(rm.Reloads))
-	pw.Counter("geoserve_reload_failures_total", "Reload attempts rejected before the swap.",
-		float64(rm.Failures))
-	pw.Gauge("geoserve_reload_build_seconds", "Replacement-index build time of the last successful reload.",
-		float64(rm.LastBuildUS)/1e6)
-	pw.Gauge("geoserve_reload_swap_seconds", "Validate+swap time of the last successful reload.",
-		float64(rm.LastSwapUS)/1e6)
-}
-
-// promRoutes renders the per-route span aggregates: request counts,
-// cumulative handler seconds, and status-class counts. Route rows come
-// from the shared tracer's per-key table, filtered to the patterns this
-// server registered (the tracer may also aggregate suffix keys when
-// main shares it with the learning run). Span-name ("stage") rows are
-// exported too — lookup-batch, geoloc-compile, http — so index and
-// pipeline cost is scrapeable.
+// promRoutes renders the per-route counters of every route that has
+// served a request — request counts, cumulative handler seconds, and
+// status-class counts — in registration order. Span-name ("stage") rows
+// from the shared tracer are exported too — lookup-batch,
+// geoloc-compile, reload, and the http spans of requests the query log
+// keeps — so index and pipeline cost is scrapeable.
 func (s *server) promRoutes(pw *promexp.Writer) {
-	sum := s.tracer.Summary()
-	registered := make(map[string]obs.SummaryRow, len(s.patterns))
-	for _, row := range sum.Keys {
-		registered[row.Name] = row
-	}
 	pw.Family("geoserve_route_requests_total", "Requests handled per route.", "counter")
-	for _, pattern := range s.patterns {
-		if row, ok := registered[pattern]; ok {
-			pw.Sample("geoserve_route_requests_total", promexp.Labels("route", pattern), float64(row.Count))
+	for _, rt := range s.routes {
+		if n := rt.requests.Load(); n > 0 {
+			pw.Sample("geoserve_route_requests_total", promexp.Labels("route", rt.pattern), float64(n))
 		}
 	}
 	pw.Family("geoserve_route_seconds_total", "Cumulative handler time per route.", "counter")
-	for _, pattern := range s.patterns {
-		if row, ok := registered[pattern]; ok {
-			pw.Sample("geoserve_route_seconds_total", promexp.Labels("route", pattern), float64(row.TotalUS)/1e6)
+	for _, rt := range s.routes {
+		if rt.requests.Load() > 0 {
+			pw.Sample("geoserve_route_seconds_total", promexp.Labels("route", rt.pattern), float64(rt.ns.Load())/1e9)
 		}
 	}
 	pw.Family("geoserve_route_status_total", "Responses per route and status class.", "counter")
-	for _, pattern := range s.patterns {
-		row, ok := registered[pattern]
-		if !ok {
-			continue
-		}
-		for _, counter := range promexp.SortedKeys(row.Counters) {
-			class, ok := strings.CutPrefix(counter, "status_")
-			if !ok {
-				continue
+	for _, rt := range s.routes {
+		for c := range rt.status {
+			if n := rt.status[c].Load(); n > 0 {
+				pw.Sample("geoserve_route_status_total",
+					promexp.Labels("route", rt.pattern, "class", statusClasses[c]), float64(n))
 			}
-			pw.Sample("geoserve_route_status_total",
-				promexp.Labels("route", pattern, "class", class),
-				float64(row.Counters[counter]))
 		}
 	}
+	stages := s.tracer.Summary().Stages
 	pw.Family("geoserve_span_count_total", "Finished spans per stage.", "counter")
-	for _, row := range sum.Stages {
+	for _, row := range stages {
 		pw.Sample("geoserve_span_count_total", promexp.Labels("span", row.Name), float64(row.Count))
 	}
 	pw.Family("geoserve_span_seconds_total", "Cumulative span time per stage.", "counter")
-	for _, row := range sum.Stages {
+	for _, row := range stages {
 		pw.Sample("geoserve_span_seconds_total", promexp.Labels("span", row.Name), float64(row.TotalUS)/1e6)
 	}
-}
-
-// promQlog renders the query-log counters. Nothing is emitted when the
-// log is disabled — absent families read unambiguously as "off".
-func (s *server) promQlog(pw *promexp.Writer) {
-	if !s.qlog.Enabled() {
-		return
-	}
-	st := s.qlog.Stats()
-	pw.Counter("geoserve_qlog_records_total", "Query-log records written.", float64(st.Logged))
-	pw.Counter("geoserve_qlog_sampled_out_total", "Queries skipped by the sampling rate.", float64(st.Skipped))
-	pw.Counter("geoserve_qlog_rotations_total", "Query-log file rotations.", float64(st.Rotations))
 }
 
 // promRuntime renders the newest runtime-telemetry sample as gauges.
@@ -186,12 +99,4 @@ func (s *server) promRuntime(pw *promexp.Writer) {
 	pw.Family("geoserve_runtime_sched_latency_seconds", "Scheduler latency quantiles at the last runtime sample.", "gauge")
 	pw.Sample("geoserve_runtime_sched_latency_seconds", promexp.Labels("quantile", "0.5"), latest.SchedLatP50US/1e6)
 	pw.Sample("geoserve_runtime_sched_latency_seconds", promexp.Labels("quantile", "0.99"), latest.SchedLatP99US/1e6)
-}
-
-// varValue reads one expvar counter from the server map.
-func (s *server) varValue(name string) int64 {
-	if v, ok := s.vars.Get(name).(*expvar.Int); ok {
-		return v.Value()
-	}
-	return 0
 }

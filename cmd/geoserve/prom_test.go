@@ -93,29 +93,9 @@ func leLabel(t *testing.T, line string) string {
 	return m[1]
 }
 
-// TestPromFormatSelection: the query-parameter form serves the same
-// exposition; unknown formats are 400s.
-func TestPromFormatSelection(t *testing.T) {
-	s := promServer(t)
-	w := get(t, s, "/metrics?format=prometheus")
-	if w.Code != http.StatusOK || w.Header().Get("Content-Type") != promContentType {
-		t.Errorf("format=prometheus: status %d, type %q", w.Code, w.Header().Get("Content-Type"))
-	}
-	if !strings.Contains(w.Body.String(), "# TYPE geoserve_requests_total counter") {
-		t.Error("format=prometheus body is not the exposition")
-	}
-	if w := get(t, s, "/metrics?format=xml"); w.Code != http.StatusBadRequest {
-		t.Errorf("format=xml: status %d, want 400", w.Code)
-	}
-	if w := get(t, s, "/metrics?format=json"); w.Code != http.StatusOK ||
-		w.Header().Get("Content-Type") != "application/json" {
-		t.Errorf("format=json: status %d, type %q", w.Code, w.Header().Get("Content-Type"))
-	}
-}
-
 // TestLatencyBucketOrder pins the numeric bucket order in both
-// renderings — the expvar lexical-sort bug this layer replaced put
-// "inf" first and "10ms" before "1ms".
+// renderings — sorting the bucket names lexically would put "inf"
+// first and "10ms" before "1ms".
 func TestLatencyBucketOrder(t *testing.T) {
 	s := promServer(t)
 
@@ -160,21 +140,17 @@ func TestRouteStatusClasses(t *testing.T) {
 	s := promServer(t) // 2 OK + 1 bad on /v1/geolocate, 1 OK on /healthz
 
 	var m struct {
-		Routes obs.Summary `json:"routes"`
+		Routes map[string]routeJSON `json:"routes"`
 	}
 	if err := json.Unmarshal(get(t, s, "/metrics").Body.Bytes(), &m); err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[string]obs.SummaryRow{}
-	for _, row := range m.Routes.Keys {
-		byKey[row.Name] = row
+	geo := m.Routes["POST /v1/geolocate"]
+	if geo.Status["2xx"] != 2 || geo.Status["4xx"] != 1 {
+		t.Errorf("geolocate status counters = %v, want 2xx=2 4xx=1", geo.Status)
 	}
-	geo := byKey["POST /v1/geolocate"]
-	if geo.Counters["status_2xx"] != 2 || geo.Counters["status_4xx"] != 1 {
-		t.Errorf("geolocate status counters = %v, want 2xx=2 4xx=1", geo.Counters)
-	}
-	if byKey["GET /healthz"].Counters["status_2xx"] != 1 {
-		t.Errorf("healthz status counters = %v", byKey["GET /healthz"].Counters)
+	if m.Routes["GET /healthz"].Status["2xx"] != 1 {
+		t.Errorf("healthz status counters = %v", m.Routes["GET /healthz"].Status)
 	}
 
 	prom := get(t, s, "/metrics/prom").Body.String()
@@ -195,7 +171,7 @@ func TestStatusClass(t *testing.T) {
 		200: "2xx", 204: "2xx", 301: "3xx", 400: "4xx", 404: "4xx",
 		500: "5xx", 599: "5xx", 42: "other", 700: "other",
 	} {
-		if got := statusClass(code); got != want {
+		if got := statusClasses[statusClass(code)]; got != want {
 			t.Errorf("statusClass(%d) = %q, want %q", code, got, want)
 		}
 	}

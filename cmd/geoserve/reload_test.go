@@ -62,7 +62,8 @@ func TestErrorEnvelope(t *testing.T) {
 		{"wrong method", "GET", "/v1/geolocate", "", 405, "method_not_allowed"},
 		{"unknown endpoint", "POST", "/v1/nope", `{}`, 404, "not_found"},
 		{"reload not configured", "POST", "/v1/admin/reload", "", 503, "reload_unavailable"},
-		{"bad metrics format", "GET", "/metrics?format=xml", "", 400, "unknown_format"},
+		{"body too large", "POST", "/v1/geolocate",
+			`{"hostname":"` + strings.Repeat("a", int(maxBodyBytes)) + `"}`, 413, "body_too_large"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -95,6 +96,10 @@ func TestErrorEnvelope(t *testing.T) {
 				t.Error("envelope message is empty")
 			}
 		})
+	}
+	// Every 4xx envelope, the 413 included, counts as a bad request.
+	if got := s.badRequests.Load(); got != 7 {
+		t.Errorf("bad_requests = %d after the 4xx cases, want 7", got)
 	}
 }
 
@@ -146,7 +151,7 @@ func TestReloadSwapsGenerations(t *testing.T) {
 
 	// The reload lifecycle lands in /metrics (JSON and Prometheus).
 	var m struct {
-		Reload reloadMetricsJSON `json:"reload"`
+		Reload geoloc.ReloadStats `json:"reload"`
 	}
 	if err := json.Unmarshal(get(t, s, "/metrics").Body.Bytes(), &m); err != nil {
 		t.Fatal(err)
@@ -191,10 +196,10 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	if envelope.Error.Code != "reload_failed" {
 		t.Errorf("code = %q, want reload_failed", envelope.Error.Code)
 	}
-	if gen := s.live.Generation(); gen != 1 {
+	if gen := s.plane.Live.Generation(); gen != 1 {
 		t.Errorf("generation = %d after failed reload, want 1", gen)
 	}
-	if fails := s.reloadMetrics().Failures; fails != 1 {
+	if fails := s.plane.Live.ReloadStats().Failures; fails != 1 {
 		t.Errorf("failure counter = %d, want 1", fails)
 	}
 	w = postJSON(t, s, "/v1/geolocate", `{"hostname":"et-0.core1.sjc1.he.net"}`)
@@ -267,7 +272,7 @@ func TestReloadUnderLoad(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if got := s.live.Generation(); got != swaps+1 {
+	if got := s.plane.Live.Generation(); got != swaps+1 {
 		t.Errorf("generation = %d, want %d", got, swaps+1)
 	}
 	if requests.Load() == 0 {

@@ -3,17 +3,14 @@ package main
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"hoiho/internal/buildinfo"
 	"hoiho/internal/core"
+	"hoiho/internal/daemon"
 	"hoiho/internal/geoloc"
 	"hoiho/internal/obs"
 	"hoiho/internal/promexp"
@@ -25,44 +22,53 @@ import (
 // one client's megabatch.
 const maxBatch = 10000
 
-// spotCheckSamples is how many suffixes a reload validates against the
-// outgoing index before the swap (see geoloc.SpotCheck).
-const spotCheckSamples = 16
+// maxNameLen is the longest hostname in text form (RFC 1035 §2.3.4,
+// without the root dot).
+const maxNameLen = 253
+
+// maxBodyBytes bounds a /v1 POST body: a full batch of maximum-length
+// names, each quoted and comma-separated, plus room for the object
+// around them. Decoding stops there, so one client cannot make the
+// server buffer an unbounded body before maxBatch is checked.
+const maxBodyBytes = int64(maxBatch*(maxNameLen+len(`"",`)) + 1<<10)
 
 // server is the geoserve HTTP API over a hot-swappable compiled lookup
-// index. Lookups go through live — an atomic pointer to the current
-// Index — so a reload never blocks or fails a request: handlers load
-// the pointer once, the swap is a single atomic store, and the old
+// index. Lookups go through plane.Live — an atomic pointer to the
+// current Index — so a reload never blocks or fails a request: handlers
+// load the pointer once, the swap is a single atomic store, and the old
 // index drains as in-flight requests finish (see DESIGN.md §10).
-// Request counters live in expvar maps (unpublished, so tests can build
-// many servers); the /metrics handler merges them with the index's own
-// counters.
+// Request counters are atomics on the server and its routes, the one
+// store both /metrics renderings read.
 type server struct {
-	live     *geoloc.Live
-	src      *geoloc.Source // reload input; nil disables /v1/admin/reload
-	ixOpts   geoloc.Options // options every reload compiles with
-	mux      *http.ServeMux
-	vars     *expvar.Map // requests, bad_requests, hostnames by endpoint
-	latency  *expvar.Map // /v1/geolocate latency histogram buckets
-	latSumUS atomic.Int64
-	tracer   *obs.Tracer       // aggregate-only: per-route spans for /metrics
-	prom     *promexp.Registry // /metrics/prom collectors, shared dialect with geodns
-	qlog     *qlog.Logger      // sampled query log; nil (disabled) unless -qlog
-	patterns []string          // registered route patterns, in registration order
-	start    time.Time
+	plane  daemon.Plane   // live index, query log, /healthz, shared collectors
+	src    *geoloc.Source // reload input; nil disables /v1/admin/reload
+	ixOpts geoloc.Options // options every reload compiles with
+	mux    *http.ServeMux
+	tracer *obs.Tracer       // aggregate-only: sampled requests, index builds, reloads
+	prom   *promexp.Registry // /metrics/prom collectors
+	routes []*routeCounters  // registered routes, in registration order
 
-	// Reload bookkeeping: one reload at a time; counters feed /metrics.
-	reloadMu       sync.Mutex
-	reloads        atomic.Int64
-	reloadFailures atomic.Int64
-	lastBuildUS    atomic.Int64
-	lastSwapUS     atomic.Int64
+	requests    atomic.Int64
+	badRequests atomic.Int64
+	hostnames   atomic.Int64
+	// /v1/geolocate latency: requests per band of latencyBuckets (the
+	// last slot is +Inf) and their summed duration.
+	latency  [len(latencyBuckets) + 1]atomic.Int64
+	latSumUS atomic.Int64
+}
+
+// routeCounters are one registered endpoint's request counters.
+type routeCounters struct {
+	pattern  string
+	requests atomic.Int64
+	ns       atomic.Int64                     // cumulative handler time
+	status   [len(statusClasses)]atomic.Int64 // responses per status class
 }
 
 func newServer(ix *geoloc.Index) *server {
-	// Aggregate-only tracing: the daemon keeps per-route span rollups
-	// forever but never retains raw spans, so memory stays constant no
-	// matter how long it serves.
+	// Aggregate-only tracing: the daemon keeps span rollups forever but
+	// never retains raw spans, so memory stays constant no matter how
+	// long it serves.
 	return newTracedServer(ix, obs.New(obs.Options{}))
 }
 
@@ -70,33 +76,21 @@ func newServer(ix *geoloc.Index) *server {
 // one tracer between the index (compile + batch spans) and the routes.
 func newTracedServer(ix *geoloc.Index, tr *obs.Tracer) *server {
 	s := &server{
-		live:    geoloc.NewLive(ix),
-		mux:     http.NewServeMux(),
-		vars:    new(expvar.Map).Init(),
-		latency: new(expvar.Map).Init(),
-		tracer:  tr,
-		start:   time.Now(),
+		plane:  daemon.Plane{Name: "geoserve", Live: geoloc.NewLive(ix), Start: time.Now()},
+		mux:    http.NewServeMux(),
+		tracer: tr,
 	}
-	// Pre-register the histogram so /metrics always shows every bucket.
-	for _, b := range latencyBuckets {
-		s.latency.Add(b.name, 0)
-	}
-	s.latency.Add(bucketInf, 0)
-	s.prom = s.newPromRegistry()
+	s.prom = promexp.NewRegistry()
+	s.prom.Register(s.promTotals, s.promLatency, s.plane.IndexMetrics, s.plane.ReloadMetrics,
+		s.promRoutes, s.plane.QlogMetrics, s.promRuntime)
 	s.route("POST /v1/geolocate", s.handleGeolocate)
 	s.route("GET /v1/explain", s.handleExplain)
 	s.route("POST /v1/explain", s.handleExplain)
 	s.route("POST /v1/admin/reload", s.handleReload)
-	s.route("GET /healthz", s.handleHealthz)
+	s.route("GET /healthz", s.plane.Healthz)
 	s.route("GET /metrics", s.handleMetrics)
-	s.route("GET /metrics/prom", s.handleMetricsProm)
-	// Profiling endpoints, registered explicitly (the pprof package's
-	// side-effect registration only covers http.DefaultServeMux).
-	s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+	s.route("GET /metrics/prom", s.prom.ServeHTTP)
+	daemon.RegisterPprof(s.mux)
 	return s
 }
 
@@ -110,43 +104,51 @@ func (s *server) enableReload(src *geoloc.Source, opts geoloc.Options) {
 // server handles traffic; a nil logger leaves logging disabled at zero
 // cost (every qlog call on the request path is a nil-receiver no-op).
 func (s *server) enableQlog(l *qlog.Logger) {
-	s.qlog = l
+	s.plane.Qlog = l
 }
 
-// route registers a handler wrapped in an "http" span keyed by the
-// route pattern, feeding the per-route section of /metrics. The span
-// also counts the response's status class (2xx/4xx/5xx), captured by a
-// statusWriter. Profiling routes stay unwrapped — a 30-second CPU
-// profile would dominate every latency aggregate.
+// route registers a handler that counts its requests, handler time and
+// response status classes (captured by a statusWriter) under the route
+// pattern. Profiling routes stay unwrapped — a 30-second CPU profile
+// would dominate every latency aggregate.
 func (s *server) route(pattern string, h http.HandlerFunc) {
-	s.patterns = append(s.patterns, pattern)
+	rt := &routeCounters{pattern: pattern}
+	s.routes = append(s.routes, rt)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		sp := s.tracer.Start("http")
-		sp.SetKey(pattern)
-		sp.Count("requests", 1)
-		// With -qlog on, every request gets an id stamped on both its
-		// span and its query-log record, so a slow span in a trace joins
-		// against the access-log line that caused it. With qlog disabled
-		// NextID returns "" and neither side allocates.
-		id := s.qlog.NextID()
+		// A request the query log keeps gets an id, stamped on both its
+		// record and an "http" span, so a slow span in a trace joins
+		// against the access-log line that caused it. Other requests, and
+		// all of them with qlog off, open no span: NextID returns "" and
+		// nothing allocates.
+		id := s.plane.Qlog.NextID()
+		var sp *obs.Span
 		if id != "" {
+			sp = s.tracer.Start("http")
+			sp.SetKey(pattern)
 			sp.SetAttr("request_id", id)
 		}
 		t0 := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
-		sp.Count("status_"+statusClass(sw.code), 1)
+		d := time.Since(t0)
+		class := statusClass(sw.code)
+		rt.requests.Add(1)
+		rt.ns.Add(int64(d))
+		rt.status[class].Add(1)
+		if id == "" {
+			return
+		}
 		sp.End()
-		s.qlog.Log(qlog.Record{
+		s.plane.Qlog.Log(qlog.Record{
 			Front:      "http",
 			Op:         pattern,
 			ID:         id,
 			Hostname:   sw.hostname,
 			Source:     r.RemoteAddr,
 			Status:     sw.code,
-			Outcome:    statusClass(sw.code),
-			DurUS:      int64(time.Since(t0) / time.Microsecond),
-			Generation: s.live.Generation(),
+			Outcome:    statusClasses[class],
+			DurUS:      int64(d / time.Microsecond),
+			Generation: s.plane.Live.Generation(),
 		})
 	})
 }
@@ -176,17 +178,24 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// statusClass buckets a status code into "2xx" / "4xx" / ... form.
-func statusClass(code int) string {
+// statusClasses name the buckets statusClass sorts status codes into.
+var statusClasses = [...]string{"1xx", "2xx", "3xx", "4xx", "5xx", "other"}
+
+// statusClass returns the index in statusClasses of a status code's
+// class.
+func statusClass(code int) int {
 	if code < 100 || code > 599 {
-		return "other"
+		return len(statusClasses) - 1
 	}
-	return fmt.Sprintf("%dxx", code/100)
+	return code/100 - 1
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.vars.Add("requests", 1)
+	s.requests.Add(1)
 	if strings.HasPrefix(r.URL.Path, "/v1/") {
+		if r.Method == http.MethodPost {
+			r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		}
 		// The mux's own 404/405 responses are plain text; under /v1 they
 		// are rewritten into the JSON error envelope so every API error
 		// has one shape.
@@ -211,7 +220,7 @@ type apiErrorDetail struct {
 // count as bad_requests in /metrics.
 func (s *server) writeError(w http.ResponseWriter, status int, code, msg string) {
 	if status >= 400 && status < 500 {
-		s.vars.Add("bad_requests", 1)
+		s.badRequests.Add(1)
 	}
 	writeJSON(w, status, apiError{apiErrorDetail{Code: code, Message: msg}})
 }
@@ -231,7 +240,7 @@ func (w *v1ErrorWriter) WriteHeader(status int) {
 		return
 	}
 	w.intercepted = true
-	w.srv.vars.Add("bad_requests", 1)
+	w.srv.badRequests.Add(1)
 	code, msg := "not_found", "no such endpoint"
 	if status == http.StatusMethodNotAllowed {
 		code, msg = "method_not_allowed", "method not allowed for this endpoint"
@@ -306,13 +315,9 @@ func (s *server) handleGeolocate(w http.ResponseWriter, r *http.Request) {
 	defer s.observeLatency(time.Now())
 	// One pointer load per request: the whole request is served by a
 	// single index generation even if a swap lands mid-flight.
-	ix := s.live.Index()
+	ix := s.plane.Live.Index()
 	var req lookupRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "malformed_request",
-			fmt.Sprintf("malformed request: %v", err))
+	if !s.decode(w, r, &req) {
 		return
 	}
 	single := req.Hostname != ""
@@ -325,12 +330,12 @@ func (s *server) handleGeolocate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "batch_too_large",
 			fmt.Sprintf("batch exceeds %d hostnames", maxBatch))
 	case single:
-		s.vars.Add("hostnames", 1)
+		s.hostnames.Add(1)
 		logHostname(w, req.Hostname)
 		g, _ := ix.Lookup(req.Hostname)
 		writeJSON(w, http.StatusOK, toResult(req.Hostname, g))
 	default:
-		s.vars.Add("hostnames", int64(len(req.Hostnames)))
+		s.hostnames.Add(int64(len(req.Hostnames)))
 		resp := batchResponse{Results: make([]lookupResult, len(req.Hostnames))}
 		for i, g := range ix.LookupBatch(req.Hostnames) {
 			resp.Results[i] = toResult(req.Hostnames[i], g)
@@ -355,11 +360,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		hostname = r.URL.Query().Get("hostname")
 	} else {
 		var req explainRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			s.writeError(w, http.StatusBadRequest, "malformed_request",
-				fmt.Sprintf("malformed request: %v", err))
+		if !s.decode(w, r, &req) {
 			return
 		}
 		hostname = req.Hostname
@@ -370,7 +371,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	logHostname(w, hostname)
-	ex := s.live.Index().Explain(hostname)
+	ex := s.plane.Live.Index().Explain(hostname)
 	switch f := r.URL.Query().Get("format"); f {
 	case "", "json":
 		writeJSON(w, http.StatusOK, ex)
@@ -384,168 +385,116 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	info := buildinfo.Read()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":     "ok",
-		"suffixes":   s.live.Index().Len(),
-		"generation": s.live.Generation(),
-		"uptime_s":   int64(time.Since(s.start).Seconds()),
-		"commit":     info.Commit,
-		"go_version": info.GoVersion,
-	})
+// decode reads a /v1 JSON body into v, answering a malformed or
+// oversized body with its error envelope; it reports whether v was
+// filled.
+func (s *server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		s.writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+	default:
+		s.writeError(w, http.StatusBadRequest, "malformed_request",
+			fmt.Sprintf("malformed request: %v", err))
+	}
+	return false
 }
 
-// errNoReloadSource marks a reload attempt on a server whose input was
-// not configured for reloading (tests, or a future frozen mode).
-var errNoReloadSource = errors.New("no reloadable source configured")
-
-// reloadStatus is the success body of /v1/admin/reload and the log line
-// payload of a SIGHUP reload. SwapUS covers validation plus the atomic
-// swap — the window in which the replacement exists but is not yet
-// serving; lookups proceed normally throughout.
+// reloadStatus is the success body of /v1/admin/reload.
 type reloadStatus struct {
-	Status     string `json:"status"`
-	Generation uint64 `json:"generation"`
-	Suffixes   int    `json:"suffixes"`
-	BuildUS    int64  `json:"build_us"`
-	SwapUS     int64  `json:"swap_us"`
-}
-
-// reload builds a replacement index from the configured source,
-// validates it against the live one, and swaps it in. Concurrent
-// reloads serialize on reloadMu; lookups are never blocked — they keep
-// hitting the old index until the single atomic store. The old index
-// drains naturally: requests that loaded it finish against it, then the
-// GC reclaims it.
-func (s *server) reload() (reloadStatus, error) {
-	if s.src == nil {
-		return reloadStatus{}, errNoReloadSource
-	}
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	sp := s.tracer.Start("reload")
-	defer sp.End()
-	t0 := time.Now()
-	resolved, err := s.src.Resolve(s.ixOpts)
-	if err != nil {
-		s.reloadFailures.Add(1)
-		sp.Count("failures", 1)
-		return reloadStatus{}, err
-	}
-	buildUS := int64(time.Since(t0) / time.Microsecond)
-	t1 := time.Now()
-	if err := geoloc.SpotCheck(s.live.Index(), resolved.Index, spotCheckSamples); err != nil {
-		s.reloadFailures.Add(1)
-		sp.Count("failures", 1)
-		return reloadStatus{}, err
-	}
-	_, gen := s.live.Swap(resolved.Index)
-	swapUS := int64(time.Since(t1) / time.Microsecond)
-	s.reloads.Add(1)
-	s.lastBuildUS.Store(buildUS)
-	s.lastSwapUS.Store(swapUS)
-	sp.Count("suffixes", int64(resolved.Index.Len()))
-	return reloadStatus{
-		Status: "ok", Generation: gen, Suffixes: resolved.Index.Len(),
-		BuildUS: buildUS, SwapUS: swapUS,
-	}, nil
+	Status string `json:"status"`
+	geoloc.ReloadStatus
 }
 
 func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
-	st, err := s.reload()
-	switch {
-	case errors.Is(err, errNoReloadSource):
-		s.writeError(w, http.StatusServiceUnavailable, "reload_unavailable", err.Error())
-	case err != nil:
+	if s.src == nil {
+		s.writeError(w, http.StatusServiceUnavailable, "reload_unavailable",
+			"no reloadable source configured")
+		return
+	}
+	st, err := s.plane.Live.Reload(s.src, s.ixOpts)
+	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "reload_failed", err.Error())
-	default:
-		writeJSON(w, http.StatusOK, st)
+		return
 	}
+	writeJSON(w, http.StatusOK, reloadStatus{"ok", st})
 }
 
-// reloadMetricsJSON is the "reload" section of /metrics.
-type reloadMetricsJSON struct {
-	Generation  uint64 `json:"generation"`
-	Reloads     int64  `json:"reloads"`
-	Failures    int64  `json:"failures"`
-	LastBuildUS int64  `json:"last_build_us"`
-	LastSwapUS  int64  `json:"last_swap_us"`
+// metricsJSON is the JSON /metrics document.
+type metricsJSON struct {
+	Server    totalsJSON           `json:"server"`
+	LatencyUS json.RawMessage      `json:"latency_us"`
+	Index     geoloc.Stats         `json:"index"`
+	Reload    geoloc.ReloadStats   `json:"reload"`
+	Routes    map[string]routeJSON `json:"routes"`
 }
 
-func (s *server) reloadMetrics() reloadMetricsJSON {
-	return reloadMetricsJSON{
-		Generation:  s.live.Generation(),
-		Reloads:     s.reloads.Load(),
-		Failures:    s.reloadFailures.Load(),
-		LastBuildUS: s.lastBuildUS.Load(),
-		LastSwapUS:  s.lastSwapUS.Load(),
-	}
+type totalsJSON struct {
+	Requests    int64 `json:"requests"`
+	BadRequests int64 `json:"bad_requests"`
+	Hostnames   int64 `json:"hostnames"`
 }
 
-// handleMetrics emits one JSON document: the server's expvar counters,
-// the /v1/geolocate latency histogram, the index's lookup counters, the
-// reload lifecycle counters, and the per-route span aggregates.
-// `?format=prometheus` switches to the text exposition format (also
-// served at /metrics/prom).
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	switch f := r.URL.Query().Get("format"); f {
-	case "", "json":
-	case "prometheus", "prom":
-		s.handleMetricsProm(w, r)
-		return
-	default:
-		s.writeError(w, http.StatusBadRequest, "unknown_format",
-			fmt.Sprintf("unknown format %q (want json or prometheus)", f))
-		return
+// routeJSON is one route's row: requests, handler time, and responses
+// per status class.
+type routeJSON struct {
+	Requests int64            `json:"requests"`
+	TotalUS  int64            `json:"total_us"`
+	Status   map[string]int64 `json:"status"`
+}
+
+// handleMetrics emits one JSON document rendered from the same counters
+// as /metrics/prom: request totals, the /v1/geolocate latency
+// histogram, the index's lookup counters, the reload lifecycle, and
+// the routes that have served requests.
+func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	routes := make(map[string]routeJSON, len(s.routes))
+	for _, rt := range s.routes {
+		n := rt.requests.Load()
+		if n == 0 {
+			continue
+		}
+		row := routeJSON{Requests: n, TotalUS: rt.ns.Load() / 1e3, Status: map[string]int64{}}
+		for c := range rt.status {
+			if n := rt.status[c].Load(); n > 0 {
+				row.Status[statusClasses[c]] = n
+			}
+		}
+		routes[rt.pattern] = row
 	}
-	index, err := json.Marshal(s.live.Index().Stats())
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "internal_error", err.Error())
-		return
-	}
-	reload, err := json.Marshal(s.reloadMetrics())
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "internal_error", err.Error())
-		return
-	}
-	routes, err := json.Marshal(s.tracer.Summary())
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "internal_error", err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	//lint:ignore droppederr a write failure means the client disconnected; there is no channel to report it
-	fmt.Fprintf(w, `{"server":%s,"latency_us":%s,"index":%s,"reload":%s,"routes":%s}`+"\n",
-		s.vars.String(), s.latencyJSON(), index, reload, routes)
+	writeJSON(w, http.StatusOK, metricsJSON{
+		Server:    totalsJSON{s.requests.Load(), s.badRequests.Load(), s.hostnames.Load()},
+		LatencyUS: json.RawMessage(s.latencyJSON()),
+		Index:     s.plane.Live.Stats(),
+		Reload:    s.plane.Live.ReloadStats(),
+		Routes:    routes,
+	})
 }
 
 // latencyJSON renders the latency histogram with buckets in numeric
-// order. expvar.Map.String() sorts keys lexically — which would put
-// "inf" first and interleave bucket bounds ("le_10ms" < "le_1ms") — so
-// the object is assembled by hand from the canonical bucket slice.
+// order, assembled by hand from the canonical bucket list because
+// encoding/json sorts map keys lexically, which would put "inf" first
+// and "le_10ms" before "le_1ms".
 func (s *server) latencyJSON() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for _, bucket := range latencyBuckets {
-		fmt.Fprintf(&b, "%q: %d, ", bucket.name, s.bucketValue(bucket.name))
+	for i, bucket := range latencyBuckets {
+		fmt.Fprintf(&b, "%q: %d, ", bucket.name, s.latency[i].Load())
 	}
-	fmt.Fprintf(&b, "%q: %d}", bucketInf, s.bucketValue(bucketInf))
+	fmt.Fprintf(&b, "%q: %d}", bucketInf, s.latency[len(latencyBuckets)].Load())
 	return b.String()
-}
-
-// bucketValue reads one histogram counter (0 when never incremented).
-func (s *server) bucketValue(name string) int64 {
-	if v, ok := s.latency.Get(name).(*expvar.Int); ok {
-		return v.Value()
-	}
-	return 0
 }
 
 // latencyBuckets are the upper bounds of the /v1/geolocate latency
 // histogram, in ascending order; requests above the last bound land in
 // bucketInf. Names carry units so the rendered order reads naturally.
-var latencyBuckets = []struct {
+var latencyBuckets = [...]struct {
 	name string
 	le   time.Duration
 }{
@@ -560,13 +509,14 @@ const bucketInf = "inf"
 func (s *server) observeLatency(start time.Time) {
 	d := time.Since(start)
 	s.latSumUS.Add(int64(d / time.Microsecond))
-	for _, b := range latencyBuckets {
+	band := len(latencyBuckets)
+	for i, b := range latencyBuckets {
 		if d <= b.le {
-			s.latency.Add(b.name, 1)
-			return
+			band = i
+			break
 		}
 	}
-	s.latency.Add(bucketInf, 1)
+	s.latency[band].Add(1)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

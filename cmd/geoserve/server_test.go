@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hoiho/internal/core"
+	"hoiho/internal/daemon"
 	"hoiho/internal/geodict"
 	"hoiho/internal/geoloc"
 	"hoiho/internal/psl"
@@ -198,8 +199,9 @@ func TestMetricsCounters(t *testing.T) {
 	}
 }
 
-// TestServeGracefulShutdown drives the same serve() main runs: requests
-// succeed while the context lives, and cancellation drains cleanly.
+// TestServeGracefulShutdown drives the serve loop main runs
+// (daemon.Serve): requests succeed while the context lives, and
+// cancellation drains cleanly.
 func TestServeGracefulShutdown(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -208,7 +210,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := newServer(testIndex(t))
 	done := make(chan error, 1)
-	go func() { done <- serve(ctx, ln, s) }()
+	go func() { done <- daemon.Serve(ctx, ln, s) }()
 
 	url := "http://" + ln.Addr().String() + "/healthz"
 	var resp *http.Response

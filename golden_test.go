@@ -301,10 +301,14 @@ func renderQlogGolden(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	for _, host := range explainProbes {
+		id := ql.NextID()
+		if id == "" {
+			continue // sampled out
+		}
 		r := qlog.Record{
 			Front:    "http",
 			Op:       "GET /v1/geolocate",
-			ID:       ql.NextID(),
+			ID:       id,
 			Hostname: host,
 			Status:   200,
 			Outcome:  "miss",

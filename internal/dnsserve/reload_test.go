@@ -2,7 +2,6 @@ package dnsserve
 
 import (
 	"bytes"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,6 +16,7 @@ import (
 	"hoiho/internal/geoloc"
 	"hoiho/internal/obs"
 	"hoiho/internal/psl"
+	"hoiho/internal/qlog"
 )
 
 func testOptions() geoloc.Options {
@@ -42,13 +42,8 @@ func writeTestSnapshot(t *testing.T, dir string) *geoloc.Source {
 	return &geoloc.Source{Snapshot: path}
 }
 
-func TestReloadNoSource(t *testing.T) {
-	s := testServer(t)
-	if _, _, err := s.Reload(); !errors.Is(err, errNoReloadSource) {
-		t.Errorf("Reload error = %v, want errNoReloadSource", err)
-	}
-}
-
+// TestReloadSwapsGeneration: a reload through the server's Live swaps
+// in a new generation, which the handler then answers from.
 func TestReloadSwapsGeneration(t *testing.T) {
 	src := writeTestSnapshot(t, t.TempDir())
 	opts := testOptions()
@@ -56,14 +51,24 @@ func TestReloadSwapsGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(resolved.Index, Config{Tracer: obs.New(obs.Options{}), Source: src, IndexOpts: opts})
-	gen0 := s.Generation()
-	gen, suffixes, err := s.Reload()
+	var buf bytes.Buffer
+	ql, err := qlog.New(qlog.Options{W: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen <= gen0 || suffixes == 0 {
-		t.Errorf("Reload = (gen %d, suffixes %d), want gen > %d", gen, suffixes, gen0)
+	s := New(resolved.Index, Config{Tracer: obs.New(obs.Options{}), QueryLog: ql})
+	st, err := s.Live().Reload(src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Generation != 2 || st.Suffixes == 0 {
+		t.Errorf("Reload = %+v, want generation 2", st)
+	}
+	if r := ask(t, s, q(locatedName, dnswire.TypeTXT)); r.RCode != dnswire.RCodeNoError || len(r.Answers) != 1 {
+		t.Errorf("answer after reload = %+v", r)
+	}
+	if !strings.Contains(buf.String(), `"generation":2`) {
+		t.Errorf("query after reload not logged at generation 2: %s", buf.String())
 	}
 }
 
@@ -78,7 +83,7 @@ func TestReloadUnderQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(resolved.Index, Config{Tracer: obs.New(obs.Options{}), Source: src, IndexOpts: opts})
+	s := New(resolved.Index, Config{Tracer: obs.New(obs.Options{})})
 	pkt, err := q(locatedName, dnswire.TypeTXT).Pack()
 	if err != nil {
 		t.Fatal(err)
@@ -109,9 +114,9 @@ func TestReloadUnderQuery(t *testing.T) {
 	}
 
 	const reloads = 20
-	gen0 := s.Generation()
+	gen0 := s.Live().Generation()
 	for i := 0; i < reloads; i++ {
-		if _, _, err := s.Reload(); err != nil {
+		if _, err := s.Live().Reload(src, opts); err != nil {
 			t.Errorf("reload %d: %v", i, err)
 		}
 		time.Sleep(time.Millisecond)
@@ -119,7 +124,7 @@ func TestReloadUnderQuery(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if got := s.Generation(); got != gen0+reloads {
+	if got := s.Live().Generation(); got != gen0+reloads {
 		t.Errorf("generation = %d, want %d", got, gen0+reloads)
 	}
 	if failures.Load() != 0 {

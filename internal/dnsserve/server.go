@@ -21,15 +21,13 @@ import (
 // loops notice context cancellation; they are polls, not per-client
 // timeouts.
 const (
-	minUDPSize       = 512  // RFC 1035 floor; never negotiate below
-	defaultUDPSize   = 1232 // fits any unfragmented path, EDNS default
-	pollInterval     = 250 * time.Millisecond
-	tcpIdleTimeout   = 10 * time.Second // per-read deadline on an open TCP conn
-	spotCheckSamples = 16
+	minUDPSize     = 512  // RFC 1035 floor; never negotiate below
+	defaultUDPSize = 1232 // fits any unfragmented path, EDNS default
+	pollInterval   = 250 * time.Millisecond
+	tcpIdleTimeout = 10 * time.Second // per-read deadline on an open TCP conn
 )
 
-// queryStage is the tracer stage every handled packet records under;
-// Stats reads its counters back.
+// queryStage names the span a query the query log keeps records.
 const queryStage = "dnsquery"
 
 // Config tunes a Server. The zero value serves with defaults: TTL 300,
@@ -45,16 +43,13 @@ type Config struct {
 	// second with Burst headroom. Rate 0 disables limiting.
 	Rate  float64
 	Burst float64
-	// Tracer records per-query spans and counters; nil is inert.
+	// Tracer records a span for each query the query log keeps; nil is
+	// inert.
 	Tracer *obs.Tracer
 	// QueryLog, when non-nil, receives one sampled JSONL record per
 	// handled packet; its request id is also stamped on the query span.
 	// Nil (the zero value) disables logging at zero cost.
 	QueryLog *qlog.Logger
-	// Source and IndexOpts feed Reload; a nil Source makes Reload an
-	// error, matching a daemon started without a reloadable input.
-	Source    *geoloc.Source
-	IndexOpts geoloc.Options
 }
 
 // ednsBounds are the histogram bands for negotiated UDP response
@@ -63,12 +58,43 @@ type Config struct {
 // a slice, so the Server's counter block can size itself from it.
 var ednsBounds = [3]float64{512, 1232, 4096}
 
-var errNoReloadSource = errors.New("dnsserve: no source configured for reload")
+// outcome is the verdict HandlePacket reaches for one packet, decided
+// once: it names the counter the packet increments, the query-log
+// outcome, and the rcode of the reply.
+type outcome uint8
+
+const (
+	noerror outcome = iota
+	nodata          // located name, unsupported type
+	nxdomain
+	formerr
+	notimp
+	badvers
+	refused
+	servfail
+	dropped // an inbound response message: no reply
+	numOutcomes
+)
+
+var outcomes = [numOutcomes]struct {
+	name  string
+	rcode dnswire.RCode
+}{
+	noerror:  {"noerror", dnswire.RCodeNoError},
+	nodata:   {"nodata", dnswire.RCodeNoError},
+	nxdomain: {"nxdomain", dnswire.RCodeNXDomain},
+	formerr:  {"formerr", dnswire.RCodeFormErr},
+	notimp:   {"notimp", dnswire.RCodeNotImp},
+	badvers:  {"badvers", dnswire.RCodeBadVers},
+	refused:  {"refused", dnswire.RCodeRefused},
+	servfail: {"servfail", dnswire.RCodeServFail},
+	dropped:  {"dropped", dnswire.RCodeNoError},
+}
 
 // Server answers DNS queries about router hostnames from a live geoloc
 // index. One Server may serve UDP and TCP concurrently; every packet
-// is handled against a single index generation even while Reload swaps
-// a new one in.
+// is handled against a single index generation even while a reload
+// swaps a new one in.
 type Server struct {
 	cfg     Config
 	live    *geoloc.Live
@@ -76,13 +102,11 @@ type Server struct {
 	tracer  *obs.Tracer
 	qlog    *qlog.Logger
 
-	// Reload lifecycle, mirroring geoserve's: outcome counters plus the
-	// build/swap latencies of the last successful swap.
-	reloadMu       sync.Mutex
-	reloads        atomic.Int64
-	reloadFailures atomic.Int64
-	lastBuildUS    atomic.Int64
-	lastSwapUS     atomic.Int64
+	// Query counters: every handled packet, each by its outcome, and
+	// TCP connections that failed to close.
+	queries     atomic.Int64
+	byOutcome   [numOutcomes]atomic.Int64
+	closeErrors atomic.Int64
 
 	// Negotiated UDP response-size histogram: per-band observation
 	// counts over ednsBounds (last slot is +Inf) and a byte sum.
@@ -110,43 +134,30 @@ func New(ix *geoloc.Index, cfg Config) *Server {
 	}
 }
 
-// Generation exposes the live index generation (for status lines).
-func (s *Server) Generation() uint64 { return s.live.Generation() }
+// Live is the serving index holder: reload through it, and read its
+// generation and lookup counters.
+func (s *Server) Live() *geoloc.Live { return s.live }
 
-// Suffixes reports how many convention suffixes the live index serves.
-func (s *Server) Suffixes() int { return s.live.Index().Len() }
-
-// Stats snapshots the per-query counters accumulated so far.
-func (s *Server) Stats() map[string]int64 { return s.tracer.StageCounters(queryStage) }
-
-// IndexStats snapshots the live index's lookup counters. The counters
-// belong to the current generation: a reload swaps in a fresh index
-// whose counters start at zero.
-func (s *Server) IndexStats() geoloc.Stats { return s.live.Index().Stats() }
+// Stats snapshots the query counters: "queries", each outcome seen so
+// far by name, and "close_errors" once a TCP close has failed.
+func (s *Server) Stats() map[string]int64 {
+	st := make(map[string]int64, numOutcomes+2)
+	put := func(name string, n int64) {
+		if n > 0 {
+			st[name] = n
+		}
+	}
+	put("queries", s.queries.Load())
+	for o := range s.byOutcome {
+		put(outcomes[o].name, s.byOutcome[o].Load())
+	}
+	put("close_errors", s.closeErrors.Load())
+	return st
+}
 
 // LimiterEvictions reports buckets dropped by capacity sweeps; zero
 // when rate limiting is disabled.
 func (s *Server) LimiterEvictions() uint64 { return s.limiter.evictions() }
-
-// ReloadStats is the reload-lifecycle snapshot the admin plane exports.
-type ReloadStats struct {
-	Generation  uint64
-	Reloads     int64
-	Failures    int64
-	LastBuildUS int64
-	LastSwapUS  int64
-}
-
-// ReloadStats snapshots the reload lifecycle counters.
-func (s *Server) ReloadStats() ReloadStats {
-	return ReloadStats{
-		Generation:  s.live.Generation(),
-		Reloads:     s.reloads.Load(),
-		Failures:    s.reloadFailures.Load(),
-		LastBuildUS: s.lastBuildUS.Load(),
-		LastSwapUS:  s.lastSwapUS.Load(),
-	}
-}
 
 // EDNSSizes snapshots the negotiated UDP response-size histogram:
 // per-band observation counts over bounds (one extra +Inf band at the
@@ -173,99 +184,65 @@ func (s *Server) observeUDPLimit(limit int) {
 	s.ednsSum.Add(int64(limit))
 }
 
-// Reload resolves the configured source again, spot-checks the new
-// index against the live one, and swaps it in. Mirrors the geoserve
-// /v1/reload lifecycle: concurrent reloads serialize, in-flight
-// queries keep the generation they started with.
-func (s *Server) Reload() (gen uint64, suffixes int, err error) {
-	if s.cfg.Source == nil {
-		return 0, 0, errNoReloadSource
-	}
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	sp := s.tracer.Start("reload")
-	defer sp.End()
-	t0 := time.Now()
-	resolved, err := s.cfg.Source.Resolve(s.cfg.IndexOpts)
-	if err != nil {
-		s.reloadFailures.Add(1)
-		sp.Count("failures", 1)
-		return 0, 0, err
-	}
-	buildUS := int64(time.Since(t0) / time.Microsecond)
-	t1 := time.Now()
-	if err := geoloc.SpotCheck(s.live.Index(), resolved.Index, spotCheckSamples); err != nil {
-		s.reloadFailures.Add(1)
-		sp.Count("failures", 1)
-		return 0, 0, err
-	}
-	_, gen = s.live.Swap(resolved.Index)
-	s.reloads.Add(1)
-	s.lastBuildUS.Store(buildUS)
-	s.lastSwapUS.Store(int64(time.Since(t1) / time.Microsecond))
-	sp.Count("suffixes", int64(resolved.Index.Len()))
-	return gen, resolved.Index.Len(), nil
-}
-
 // HandlePacket answers one DNS message and returns the response frame,
 // or nil when the input merits no reply (a frame too short to echo, or
 // an inbound response message). src meters the rate limit; tcp lifts
 // the UDP size limit. It never panics: a handler bug maps to SERVFAIL,
 // mirroring the HTTP front end's 500 envelope.
 func (s *Server) HandlePacket(pkt []byte, src netip.Addr, tcp bool) (out []byte) {
-	sp := s.tracer.Start(queryStage)
-	defer sp.End()
-	sp.Count("queries", 1)
-
-	// Query-log setup. A nil logger returns an empty id, and the whole
-	// record path stays allocation-free; with logging on, the record is
-	// filled as the outcome is decided and written by the same deferred
-	// function that converts panics to SERVFAIL, so a crashed handler
-	// still logs its query.
-	qr := qlog.Record{Front: "dns"}
+	s.queries.Add(1)
+	// Only a query the log keeps gets a record and a span; for the rest
+	// (and with logging off) NextID returns "" and nothing allocates.
+	// The deferred function also converts panics to SERVFAIL, so a
+	// crashed handler still counts and logs its query.
+	var qr qlog.Record
+	var sp *obs.Span
 	var t0 time.Time
 	if id := s.qlog.NextID(); id != "" {
-		qr.ID = id
-		sp.SetAttr("request_id", id)
+		qr = qlog.Record{Front: "dns", ID: id}
 		if src.IsValid() {
 			qr.Source = src.String()
 		}
+		sp = s.tracer.Start(queryStage)
+		sp.SetAttr("request_id", id)
 		t0 = time.Now()
 	}
+	var oc outcome
 	defer func() {
 		if recover() != nil {
-			sp.Count("servfail", 1)
-			qr.Outcome = "servfail"
-			qr.Status = int(dnswire.RCodeServFail)
+			oc = servfail
 			out = rawReply(pkt, dnswire.RCodeServFail)
 		}
+		s.byOutcome[oc].Add(1)
 		if qr.ID != "" {
+			qr.Status = int(outcomes[oc].rcode)
+			qr.Outcome = outcomes[oc].name
 			qr.DurUS = int64(time.Since(t0) / time.Microsecond)
 			qr.Generation = s.live.Generation()
 			s.qlog.Log(qr)
+			sp.SetKey(qr.Op)
+			sp.Count(qr.Outcome, 1)
+			sp.End()
 		}
 	}()
+	out, oc = s.handle(pkt, src, tcp, &qr)
+	return out
+}
 
+// handle decides a packet's outcome and builds its reply. With a
+// query-log record to fill (qr.ID set), it notes the question there.
+func (s *Server) handle(pkt []byte, src netip.Addr, tcp bool, qr *qlog.Record) ([]byte, outcome) {
 	// Rate limiting happens before parsing: shedding load must not
 	// cost a message decode per flooded packet.
 	if !s.limiter.allow(src) {
-		sp.Count("refused", 1)
-		qr.Outcome = "refused"
-		qr.Status = int(dnswire.RCodeRefused)
-		return rawReply(pkt, dnswire.RCodeRefused)
+		return rawReply(pkt, dnswire.RCodeRefused), refused
 	}
-
 	q, err := dnswire.Unpack(pkt)
 	if err != nil {
-		sp.Count("formerr", 1)
-		qr.Outcome = "formerr"
-		qr.Status = int(dnswire.RCodeFormErr)
-		return rawReply(pkt, dnswire.RCodeFormErr)
+		return rawReply(pkt, dnswire.RCodeFormErr), formerr
 	}
 	if q.Response {
-		sp.Count("dropped", 1)
-		qr.Outcome = "dropped"
-		return nil // a response sent at a server is noise, not a query
+		return nil, dropped // a response sent at a server is noise, not a query
 	}
 	if qr.ID != "" && len(q.Questions) > 0 {
 		qr.Hostname = q.Questions[0].Name
@@ -277,44 +254,33 @@ func (s *Server) HandlePacket(pkt []byte, src netip.Addr, tcp bool) (out []byte)
 	if q.EDNS != nil {
 		r.EDNS = &dnswire.EDNS{UDPSize: s.cfg.UDPSize}
 	}
-
+	var oc outcome
 	switch {
 	case q.Opcode != dnswire.OpcodeQuery:
-		sp.Count("notimp", 1)
-		qr.Outcome = "notimp"
-		r.RCode = dnswire.RCodeNotImp
+		oc = notimp
 	case q.EDNS != nil && q.EDNS.Version > 0:
-		sp.Count("badvers", 1)
-		qr.Outcome = "badvers"
-		r.RCode = dnswire.RCodeBadVers
+		oc = badvers
 	case len(q.Questions) != 1:
-		sp.Count("formerr", 1)
-		qr.Outcome = "formerr"
-		r.RCode = dnswire.RCodeFormErr
+		oc = formerr
 	case q.Questions[0].Class != dnswire.ClassINET && q.Questions[0].Class != dnswire.ClassANY:
-		sp.Count("notimp", 1)
-		qr.Outcome = "notimp"
-		r.RCode = dnswire.RCodeNotImp
+		oc = notimp
 	default:
-		qr.Outcome = s.answer(r, q.Questions[0], sp)
+		oc = s.answer(r, q.Questions[0])
 	}
-	qr.Status = int(r.RCode)
+	r.RCode = outcomes[oc].rcode
 
 	limit := dnswire.MaxMessageLen
 	if !tcp {
 		limit = s.udpLimit(q)
 		s.observeUDPLimit(limit)
 	}
-	out, err = r.PackTruncated(limit)
+	out, err := r.PackTruncated(limit)
 	if err != nil {
 		// The question alone does not fit the negotiated size; answer
 		// with a header-only SERVFAIL rather than silence.
-		sp.Count("servfail", 1)
-		qr.Outcome = "servfail"
-		qr.Status = int(dnswire.RCodeServFail)
-		return rawReply(pkt, dnswire.RCodeServFail)
+		return rawReply(pkt, dnswire.RCodeServFail), servfail
 	}
-	return out
+	return out, oc
 }
 
 // udpLimit negotiates the response size: the smaller of what the
@@ -334,16 +300,11 @@ func (s *Server) udpLimit(q *dnswire.Message) int {
 // response: TXT carries the key=value geolocation detail, PTR a
 // location-encoding target name, LOC the coordinates, ANY all of
 // them. A located name asked an unsupported type gets an empty
-// authoritative NOERROR (NODATA); an unlocated name gets NXDOMAIN.
-// The returned outcome names the counter it incremented, for the
-// query-log record.
-func (s *Server) answer(r *dnswire.Message, question dnswire.Question, sp *obs.Span) string {
-	sp.SetKey(question.Type.String())
+// authoritative NOERROR (nodata); an unlocated name gets NXDOMAIN.
+func (s *Server) answer(r *dnswire.Message, question dnswire.Question) outcome {
 	g, ok := s.live.Index().Lookup(question.Name)
 	if !ok || g.Loc == nil {
-		sp.Count("nxdomain", 1)
-		r.RCode = dnswire.RCodeNXDomain
-		return "nxdomain"
+		return nxdomain
 	}
 	wantAll := question.Type == dnswire.TypeANY
 	add := func(data dnswire.RData) {
@@ -364,11 +325,9 @@ func (s *Server) answer(r *dnswire.Message, question dnswire.Question, sp *obs.S
 		add(dnswire.NewLOC(g.Loc.Pos.Lat, g.Loc.Pos.Long))
 	}
 	if len(r.Answers) == 0 {
-		sp.Count("nodata", 1) // located name, unsupported type
-		return "nodata"
+		return nodata
 	}
-	sp.Count("noerror", 1)
-	return "noerror"
+	return noerror
 }
 
 // rawReply builds a header-only response from the raw bytes of a
@@ -448,11 +407,9 @@ func (s *Server) ServeTCP(ctx context.Context, ln *net.TCPListener) error {
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	defer func() {
 		// A failed close on a drained conn is not actionable, but it is
-		// countable: surface it in the query-stage counters.
+		// countable.
 		if err := conn.Close(); err != nil {
-			sp := s.tracer.Start(queryStage)
-			sp.Count("close_errors", 1)
-			sp.End()
+			s.closeErrors.Add(1)
 		}
 	}()
 	src := netip.Addr{}
@@ -460,6 +417,10 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 		src = ap.Addr()
 	}
 	var lenbuf [2]byte
+	// One frame buffer per connection, grown to the largest frame seen.
+	// Reusing it is safe: the reply is written before the next read, and
+	// nothing HandlePacket returns or keeps aliases the request bytes.
+	var frame []byte
 	for ctx.Err() == nil {
 		if err := conn.SetReadDeadline(time.Now().Add(tcpIdleTimeout)); err != nil {
 			return
@@ -467,7 +428,11 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 		if _, err := io.ReadFull(conn, lenbuf[:]); err != nil {
 			return
 		}
-		frame := make([]byte, binary.BigEndian.Uint16(lenbuf[:]))
+		n := int(binary.BigEndian.Uint16(lenbuf[:]))
+		if cap(frame) < n {
+			frame = make([]byte, n)
+		}
+		frame = frame[:n]
 		if _, err := io.ReadFull(conn, frame); err != nil {
 			return
 		}

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -365,6 +366,13 @@ func exchangeTCP(t *testing.T, addr string, pkt []byte) []byte {
 	if err := c.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
+	return roundTripTCP(t, c, pkt)
+}
+
+// roundTripTCP sends one length-prefixed frame on c and reads the
+// reply frame.
+func roundTripTCP(t *testing.T, c net.Conn, pkt []byte) []byte {
+	t.Helper()
 	var lenbuf [2]byte
 	binary.BigEndian.PutUint16(lenbuf[:], uint16(len(pkt)))
 	if _, err := c.Write(append(lenbuf[:], pkt...)); err != nil {
@@ -380,6 +388,54 @@ func exchangeTCP(t *testing.T, addr string, pkt []byte) []byte {
 	return resp
 }
 
+// TestServeTCPFrameReuse sends a long query and then a short one on
+// one TCP connection. The connection reuses one frame buffer, which
+// must hand each frame to the handler at its own length: both replies
+// must equal HandlePacket's reply to the same frame.
+func TestServeTCPFrameReuse(t *testing.T) {
+	s := testServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.ServeTCP(ctx, ln) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+		if err := ln.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := c.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	if err := c.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat(strings.Repeat("a", 63)+".", 3) + "he.net."
+	for _, name := range []string{long, locatedName} {
+		pkt, err := q(name, dnswire.TypeTXT).Pack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := roundTripTCP(t, c, pkt)
+		if want := s.HandlePacket(pkt, testSrc, true); !bytes.Equal(got, want) {
+			t.Errorf("%d-byte query: served reply differs from HandlePacket's:\n got %x\nwant %x",
+				len(pkt), got, want)
+		}
+	}
+}
+
 // TestStats checks the counter plumbing end to end: handled queries
 // show up in Stats by outcome.
 func TestStats(t *testing.T) {
@@ -389,5 +445,65 @@ func TestStats(t *testing.T) {
 	got := s.Stats()
 	if got["queries"] != 2 || got["noerror"] != 1 || got["nxdomain"] != 1 {
 		t.Errorf("Stats = %v", got)
+	}
+}
+
+// TestStatsNilTracer: the query counters live on the Server, so Stats
+// works without a tracer.
+func TestStatsNilTracer(t *testing.T) {
+	s := New(testIndex(t), Config{})
+	ask(t, s, q(locatedName, dnswire.TypeTXT))
+	got := s.Stats()
+	if got["queries"] != 1 || got["noerror"] != 1 || len(got) != 2 {
+		t.Errorf("Stats = %v, want queries=1 noerror=1", got)
+	}
+}
+
+// TestStatsConcurrent reads Stats while several goroutines handle
+// queries; run under -race it proves the counters are safe to share.
+// No snapshot may run backwards or past the final total, and the final
+// counts must be exact.
+func TestStatsConcurrent(t *testing.T) {
+	s := testServer(t)
+	pkt, err := q(locatedName, dnswire.TypeTXT).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 4, 200
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		var last int64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n := s.Stats()["queries"]
+			if n < last || n > writers*perWriter {
+				t.Errorf("queries snapshot %d after %d (final total %d)", n, last, writers*perWriter)
+				return
+			}
+			last = n
+		}
+	}()
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < perWriter; j++ {
+				s.HandlePacket(pkt, testSrc, false)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	got := s.Stats()
+	if got["queries"] != writers*perWriter || got["noerror"] != writers*perWriter {
+		t.Errorf("Stats = %v, want %d queries, all noerror", got, writers*perWriter)
 	}
 }

@@ -73,34 +73,6 @@ func TestLimiterEvictions(t *testing.T) {
 	}
 }
 
-// TestReloadTimings: a successful reload stores its build and swap
-// latencies and bumps the outcome counters.
-func TestReloadTimings(t *testing.T) {
-	src := writeTestSnapshot(t, t.TempDir())
-	opts := testOptions()
-	resolved, err := src.Resolve(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(resolved.Index, Config{Tracer: obs.New(obs.Options{}), Source: src, IndexOpts: opts})
-	if rs := s.ReloadStats(); rs.Reloads != 0 || rs.Generation != 1 {
-		t.Fatalf("boot reload stats = %+v", rs)
-	}
-	if _, _, err := s.Reload(); err != nil {
-		t.Fatal(err)
-	}
-	rs := s.ReloadStats()
-	if rs.Reloads != 1 || rs.Failures != 0 || rs.Generation != 2 {
-		t.Errorf("reload stats = %+v, want 1 reload at generation 2", rs)
-	}
-	if rs.LastBuildUS <= 0 {
-		t.Errorf("LastBuildUS = %d, want > 0", rs.LastBuildUS)
-	}
-	if rs.LastSwapUS < 0 {
-		t.Errorf("LastSwapUS = %d", rs.LastSwapUS)
-	}
-}
-
 // TestQueryLogWiring runs the handler with a buffered query log on a
 // frozen clock and pins the records: one per handled packet, outcome
 // matching the counter taxonomy, hostname and qtype on parsed queries.

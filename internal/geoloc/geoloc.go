@@ -323,6 +323,27 @@ func (ix *Index) Stats() Stats {
 	return s
 }
 
+// add accumulates o's counters into s.
+func (s *Stats) add(o Stats) {
+	s.Lookups += o.Lookups
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.Matched += o.Matched
+	s.Unmatched += o.Unmatched
+	s.ByClass = addCounts(s.ByClass, o.ByClass)
+	s.BySuffix = addCounts(s.BySuffix, o.BySuffix)
+}
+
+func addCounts(dst, src map[string]uint64) map[string]uint64 {
+	if dst == nil {
+		dst = make(map[string]uint64, len(src))
+	}
+	for k, n := range src {
+		dst[k] += n
+	}
+	return dst
+}
+
 // normalize canonicalises a hostname for matching and caching: naming
 // conventions are learned over lower-case hostnames without a trailing
 // root dot.

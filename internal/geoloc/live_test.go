@@ -1,6 +1,9 @@
 package geoloc
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -37,6 +40,26 @@ func TestLiveConcurrentSwaps(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	// Stats readers run beside the swaps: the lookup total they see
+	// must never go backwards.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			n := live.Stats().Lookups
+			if n < last {
+				t.Errorf("Stats().Lookups went from %d to %d across a swap", last, n)
+				return
+			}
+			last = n
+		}
+	}()
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
@@ -89,5 +112,83 @@ func TestSpotCheckRejectsBadReplacements(t *testing.T) {
 	}
 	if err := SpotCheck(ix, ix, 2); err != nil {
 		t.Errorf("self spot check failed: %v", err)
+	}
+}
+
+// TestLiveStatsSurviveSwap: Live's counters add every retired index's
+// to the serving one's, so no counter, per-suffix and per-class ones
+// included, goes backwards across a swap.
+func TestLiveStatsSurviveSwap(t *testing.T) {
+	ixA := newTestIndex(t, Options{CacheSize: -1})
+	ixB := newTestIndex(t, Options{CacheSize: -1})
+	live := NewLive(ixA)
+	for _, host := range probeHosts {
+		live.Index().Lookup(host)
+	}
+	before := live.Stats()
+	if before.Matched == 0 {
+		t.Fatal("probe lookups matched nothing")
+	}
+	live.Swap(ixB)
+	live.Index().Lookup("100ge1-1.core1.sjc1.he.net")
+	after := live.Stats()
+	if after.Lookups != before.Lookups+1 || after.Matched != before.Matched+1 ||
+		after.BySuffix["he.net"] != before.BySuffix["he.net"]+1 {
+		t.Errorf("after swap and one match: %+v, want %+v plus one he.net match", after, before)
+	}
+	for suffix, n := range before.BySuffix {
+		if after.BySuffix[suffix] < n {
+			t.Errorf("suffix %s: %d matches after swap, %d before", suffix, after.BySuffix[suffix], n)
+		}
+	}
+	for class, n := range before.ByClass {
+		if after.ByClass[class] < n {
+			t.Errorf("class %s: %d matches after swap, %d before", class, after.ByClass[class], n)
+		}
+	}
+}
+
+// TestLiveReload: a successful reload swaps in a fresh index as the
+// next generation and records its build and swap latencies; a failed
+// one counts a failure and leaves the serving index in place.
+func TestLiveReload(t *testing.T) {
+	res, dict, list := learnFixture(t)
+	var buf bytes.Buffer
+	if err := Save(&buf, res, nil); err != nil {
+		t.Fatal(err)
+	}
+	src := &Source{Snapshot: filepath.Join(t.TempDir(), "index.snap")}
+	if err := os.WriteFile(src.Snapshot, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Dict: dict, PSL: list}
+	boot := newTestIndex(t, opts)
+	live := NewLive(boot)
+	if rs := live.ReloadStats(); rs != (ReloadStats{Generation: 1}) {
+		t.Fatalf("boot reload stats = %+v", rs)
+	}
+
+	st, err := live.Reload(src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Generation != 2 || st.Suffixes != boot.Len() || live.Index() == boot {
+		t.Errorf("Reload = %+v, want a fresh %d-suffix index at generation 2", st, boot.Len())
+	}
+	rs := live.ReloadStats()
+	if rs.Reloads != 1 || rs.Failures != 0 || rs.Generation != 2 ||
+		rs.LastBuildUS != st.BuildUS || rs.LastSwapUS != st.SwapUS || rs.LastBuildUS <= 0 {
+		t.Errorf("reload stats = %+v after %+v", rs, st)
+	}
+
+	if err := os.WriteFile(src.Snapshot, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	serving := live.Index()
+	if _, err := live.Reload(src, opts); err == nil {
+		t.Fatal("reload of a corrupt snapshot succeeded")
+	}
+	if rs := live.ReloadStats(); live.Index() != serving || rs.Generation != 2 || rs.Failures != 1 || rs.Reloads != 1 {
+		t.Errorf("after a failed reload: stats %+v, serving index replaced: %v", rs, live.Index() != serving)
 	}
 }

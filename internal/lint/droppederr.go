@@ -52,6 +52,7 @@ var droppederrDirs = []string{
 	"internal/obs",
 	"internal/dnswire",
 	"internal/dnsserve",
+	"internal/daemon",
 	"cmd/geoserve",
 	"cmd/geosnap",
 	"cmd/geodns",

@@ -290,24 +290,3 @@ func (t *Tracer) SpanCount() int {
 	}
 	return int(n)
 }
-
-// StageCounters snapshots the named stage's counters — the map a
-// daemon's shutdown report or metrics endpoint reads without paying
-// for a full Summary. The result is a copy; nil when the stage has
-// recorded no spans (or on a nil Tracer).
-func (t *Tracer) StageCounters(name string) map[string]int64 {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	a := t.agg[name]
-	if a == nil || len(a.counts) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(a.counts))
-	for k, v := range a.counts {
-		out[k] = v
-	}
-	return out
-}

@@ -211,84 +211,6 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 }
 
-func TestStageCounters(t *testing.T) {
-	tr := New(Options{})
-	s := tr.Start("serve")
-	s.Count("queries", 3)
-	s.Count("refused", 1)
-	s.End()
-	s = tr.Start("serve")
-	s.Count("queries", 2)
-	s.End()
-
-	got := tr.StageCounters("serve")
-	if got["queries"] != 5 || got["refused"] != 1 {
-		t.Errorf("StageCounters = %v", got)
-	}
-	// The snapshot is a copy: mutating it must not touch the tracer.
-	got["queries"] = 99
-	if tr.StageCounters("serve")["queries"] != 5 {
-		t.Error("StageCounters returned a live reference")
-	}
-	if tr.StageCounters("absent") != nil {
-		t.Error("unknown stage should yield nil")
-	}
-	var nilTr *Tracer
-	if nilTr.StageCounters("serve") != nil {
-		t.Error("nil tracer should yield nil")
-	}
-}
-
-// TestStageCountersConcurrent hammers StageCounters from readers while
-// writers fold spans in — run under -race this proves the snapshot
-// path takes the tracer lock. Counts must also come out exact: no
-// increment may be lost to a torn read.
-func TestStageCountersConcurrent(t *testing.T) {
-	tr := New(Options{})
-	const writers, perWriter = 8, 200
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	// Readers snapshot continuously until the writers finish.
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				m := tr.StageCounters("serve")
-				// Any observed value must be a multiple of nothing in
-				// particular, but never exceed the final total.
-				if m["queries"] > writers*perWriter {
-					t.Error("counter overshot final total")
-					return
-				}
-			}
-		}()
-	}
-	var ww sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		ww.Add(1)
-		go func() {
-			defer ww.Done()
-			for j := 0; j < perWriter; j++ {
-				s := tr.Start("serve")
-				s.Count("queries", 1)
-				s.End()
-			}
-		}()
-	}
-	ww.Wait()
-	close(stop)
-	wg.Wait()
-	if got := tr.StageCounters("serve")["queries"]; got != writers*perWriter {
-		t.Errorf("queries = %d, want %d", got, writers*perWriter)
-	}
-}
-
 // TestSetAttrExport checks both halves of the attrs contract: attrs
 // ride into TraceRecord.Attrs with last-write-wins semantics, and
 // spans that never call SetAttr serialize without the field at all —

@@ -141,8 +141,7 @@ type Collector func(*Writer)
 // across scrapes (sections never shuffle) without any sorting here.
 // Registration happens at daemon construction; rendering may happen
 // from any goroutine, so collectors must read only concurrency-safe
-// state (atomics, mutex-guarded snapshots) — the same rule the expvar
-// handlers already follow.
+// state (atomics, mutex-guarded snapshots).
 type Registry struct {
 	collectors []Collector
 }

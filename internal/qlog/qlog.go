@@ -22,10 +22,11 @@
 //     it would exceed MaxBytes, so the log occupies at most about
 //     twice MaxBytes regardless of uptime.
 //
-// Records carry a request ID minted by NextID; the serving layers
-// stamp the same ID on their per-query obs span (Span.SetAttr), which
-// is what makes a slow span in a trace joinable against the query that
-// caused it.
+// NextID decides sampling: it mints a request id only for a query the
+// log keeps. The serving layers log, and open an obs span stamped with
+// the same id (Span.SetAttr), only for those queries, which is what
+// makes a slow span in a trace joinable against the query that caused
+// it.
 package qlog
 
 import (
@@ -72,7 +73,7 @@ type Options struct {
 	Path string
 	// W writes to an arbitrary sink (tests, stderr). No rotation.
 	W io.Writer
-	// Sample keeps one record in every Sample; <= 1 keeps all.
+	// Sample keeps one query in every Sample; <= 1 keeps all.
 	// Sampling is a deterministic counter, not a coin flip, so the same
 	// query sequence always keeps the same records.
 	Sample int
@@ -93,8 +94,8 @@ type Logger struct {
 	path     string
 	clock    func() time.Time
 
-	ids atomic.Uint64 // request-id mint
-	n   atomic.Uint64 // sampling counter
+	ids     atomic.Uint64 // request-id mint and sampling counter
+	skipped atomic.Uint64 // queries NextID sampled out
 
 	mu        sync.Mutex
 	w         io.Writer
@@ -102,7 +103,6 @@ type Logger struct {
 	buf       []byte   // serialization scratch, reused under mu
 	written   int64    // bytes in the live file since open/rotation
 	logged    uint64
-	skipped   uint64
 	rotations uint64
 	err       error // first write/rotate error, latched
 }
@@ -147,26 +147,27 @@ func New(opts Options) (*Logger, error) {
 // Enabled reports whether records are being kept — false on nil.
 func (l *Logger) Enabled() bool { return l != nil }
 
-// NextID mints a request id ("q1", "q2", ...) or "" when logging is
-// disabled, so callers can skip stamping spans for free.
+// NextID counts one query and mints its request id ("q1", "q2", ...)
+// when the sampler keeps it. It returns "" for a query sampled out, and
+// always when logging is disabled, so callers log, and span, only the
+// queries that got an id. Under Sample N the kept ids are q1, qN+1, ...
 func (l *Logger) NextID() string {
 	if l == nil {
 		return ""
 	}
-	return "q" + strconv.FormatUint(l.ids.Add(1), 10)
+	n := l.ids.Add(1)
+	if (n-1)%l.sample != 0 {
+		l.skipped.Add(1)
+		return ""
+	}
+	return "q" + strconv.FormatUint(n, 10)
 }
 
-// Log appends one record if the sampler keeps it. Write errors are
-// latched (first one wins) and surfaced by Close — a query must never
-// fail because its log line did.
+// Log appends one record. Write errors are latched (first one wins)
+// and surfaced by Close — a query must never fail because its log line
+// did.
 func (l *Logger) Log(r Record) {
 	if l == nil {
-		return
-	}
-	if n := l.n.Add(1); (n-1)%l.sample != 0 {
-		l.mu.Lock()
-		l.skipped++
-		l.mu.Unlock()
 		return
 	}
 	ts := l.clock().UnixMicro()
@@ -228,7 +229,7 @@ func (l *Logger) Stats() Stats {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return Stats{Logged: l.logged, Skipped: l.skipped, Rotations: l.rotations}
+	return Stats{Logged: l.logged, Skipped: l.skipped.Load(), Rotations: l.rotations}
 }
 
 // Close closes a Path-backed logger and returns the first latched

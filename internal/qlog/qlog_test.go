@@ -60,16 +60,23 @@ func TestEscaping(t *testing.T) {
 	}
 }
 
-// TestSampling: 1-in-N keeps exactly the 1st, N+1th, ... records —
-// deterministic, not probabilistic.
+// TestSampling: 1-in-N keeps exactly the 1st, N+1th, ... queries —
+// deterministic, not probabilistic — and ids count every query.
 func TestSampling(t *testing.T) {
 	var buf bytes.Buffer
 	l, err := New(Options{W: &buf, Sample: 3, Clock: frozen(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var kept []string
 	for i := 0; i < 10; i++ {
-		l.Log(Record{Front: "dns", Op: "TXT"})
+		if id := l.NextID(); id != "" {
+			kept = append(kept, id)
+			l.Log(Record{Front: "dns", Op: "TXT", ID: id})
+		}
+	}
+	if got := strings.Join(kept, ","); got != "q1,q4,q7,q10" {
+		t.Errorf("kept ids %s at sample=3, want q1,q4,q7,q10", got)
 	}
 	if got := strings.Count(buf.String(), "\n"); got != 4 {
 		t.Errorf("kept %d of 10 at sample=3, want 4", got)
