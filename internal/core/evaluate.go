@@ -56,6 +56,10 @@ type evalCtx struct {
 	memoHosts  int
 	memoBudget int
 
+	// uniq holds evaluateSet's unique-hint sets, cleared and reused by
+	// every call: uniq[0] for the whole set, uniq[1+i] for its regex i.
+	uniq []map[string]bool
+
 	// evals counts regex applications and rttChecks counts consistency
 	// tests across the whole stage 3-5 lifetime of the context. Plain
 	// fields (an evalCtx belongs to one worker), reported to a span only
@@ -208,7 +212,7 @@ func (e *evalCtx) filterAnnotations(locs []*geodict.Location, ext rex.Extraction
 // (paper §5.3). matched/ext come from the regex; the tagged hostname
 // supplies the apparent-geohint expectations.
 func (e *evalCtx) outcome(t *Tagged, ext rex.Extraction, matched bool) (Outcome, string) {
-	if !e.in.RTT.HasPing(t.RH.Router.ID) {
+	if !t.hasPing {
 		// No delay constraints: the hostname can neither confirm nor
 		// refute a convention.
 		return OutcomeNone, ""
@@ -282,11 +286,15 @@ func (e *evalCtx) evaluateSet(regexes []*rex.Regex, tagged []*Tagged) ncEval {
 		PerHost:  make([]hostOutcome, len(tagged)),
 		PerRegex: make([]Tally, len(regexes)),
 	}
-	uniq := make(map[string]bool)
-	perRegexUniq := make([]map[string]bool, len(regexes))
+	for len(e.uniq) <= len(regexes) {
+		e.uniq = append(e.uniq, make(map[string]bool))
+	}
+	for _, u := range e.uniq[:len(regexes)+1] {
+		clear(u)
+	}
+	uniq, perRegexUniq := e.uniq[0], e.uniq[1:]
 	memos := make([][]matchEntry, len(regexes))
-	for i := range perRegexUniq {
-		perRegexUniq[i] = make(map[string]bool)
+	for i := range memos {
 		memos[i] = e.regexMemo(regexes[i], tagged)
 	}
 

@@ -36,6 +36,10 @@ type Tagged struct {
 	RH       itdk.RouterHostname
 	H        *hostname.Hostname
 	Apparent []Apparent
+
+	// hasPing is the RTT matrix's HasPing answer for the router, asked
+	// once in stage 2 and read by every stage-3 outcome.
+	hasPing bool
 }
 
 // HasTags reports whether stage 2 found any apparent geohint.
@@ -61,8 +65,8 @@ func (tg *tagger) tag(rh itdk.RouterHostname) *Tagged {
 	if err != nil {
 		return nil
 	}
-	t := &Tagged{RH: rh, H: h}
-	if !tg.in.RTT.HasPing(rh.Router.ID) {
+	t := &Tagged{RH: rh, H: h, hasPing: tg.in.RTT.HasPing(rh.Router.ID)}
+	if !t.hasPing {
 		return t
 	}
 	consistent := func(loc *geodict.Location) bool {

@@ -92,6 +92,7 @@ func (b *Builder) AddPlace(loc Location) error {
 		}
 	}
 	b.d.places[key] = append(b.d.places[key], &l)
+	b.d.placeList = nil
 	return nil
 }
 
@@ -102,6 +103,7 @@ func (b *Builder) AddFacility(name, address string, loc Location) error {
 	}
 	b.d.facilities = append(b.d.facilities, &Facility{
 		Name: strings.ToLower(name), Address: strings.ToLower(address), Loc: loc,
+		addrKey: NormalizeName(address),
 	})
 	return nil
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"hoiho/internal/geo"
 )
@@ -90,6 +91,8 @@ type Facility struct {
 	Name    string // facility name ("equinix dc1")
 	Address string // street address ("21715 filigree ct")
 	Loc     Location
+
+	addrKey string // NormalizeName(Address), set by AddFacility
 }
 
 // Airport is an airport (or IATA metropolitan-area) record.
@@ -118,6 +121,12 @@ type Dictionary struct {
 	countryIx  map[string]string            // normalized name -> alpha2
 	states     map[string]map[string]string // country -> code -> name
 	stateIx    map[string][]StateRef        // normalized name -> refs
+
+	// placeList is every place sorted by key, built by the first Places
+	// call, which learning workers may make at the same time, and reset
+	// by AddPlace.
+	placeMu   sync.Mutex
+	placeList []*Location
 }
 
 // StateRef names a state within a country.
@@ -171,8 +180,7 @@ func (d *Dictionary) FacilityByAddress(token string) []*Facility {
 	}
 	var out []*Facility
 	for _, f := range d.facilities {
-		addr := NormalizeName(f.Address)
-		if strings.HasPrefix(addr, tok) {
+		if strings.HasPrefix(f.addrKey, tok) {
 			out = append(out, f)
 		}
 	}
@@ -282,14 +290,20 @@ func (d *Dictionary) Airports() []*Airport {
 	return out
 }
 
-// Places returns every place record, sorted by key.
+// Places returns every place record, sorted by key. The slice is
+// sorted once and shared by every caller: it is read-only.
 func (d *Dictionary) Places() []*Location {
-	var out []*Location
-	for _, ls := range d.places {
-		out = append(out, ls...)
+	d.placeMu.Lock()
+	defer d.placeMu.Unlock()
+	if d.placeList == nil {
+		var out []*Location
+		for _, ls := range d.places {
+			out = append(out, ls...)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+		d.placeList = out
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
+	return d.placeList
 }
 
 // Locodes returns every LOCODE record, sorted by code.

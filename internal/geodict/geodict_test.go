@@ -1,7 +1,9 @@
 package geodict
 
 import (
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -157,6 +159,56 @@ func TestFacilityByAddress(t *testing.T) {
 	}
 	if d.FacilityByAddress("filigree") != nil {
 		t.Error("token without digit should not match an address")
+	}
+}
+
+// TestPlacesSortedOnce: the first Places calls, four at once on a fresh
+// dictionary, share one sorted list; later calls allocate nothing; and
+// a place added afterwards shows up, in key order, in the next call.
+func TestPlacesSortedOnce(t *testing.T) {
+	d, err := loadEmbedded()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists := make([][]*Location, 4)
+	var wg sync.WaitGroup
+	for i := range lists {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			lists[i] = d.Places()
+		}(i)
+	}
+	wg.Wait()
+	sorted := func(l []*Location) bool {
+		return sort.SliceIsSorted(l, func(i, j int) bool { return l[i].Key() < l[j].Key() })
+	}
+	if len(lists[0]) != d.Stats().Places || !sorted(lists[0]) {
+		t.Fatalf("Places: %d places, sorted %v; want %d sorted", len(lists[0]), sorted(lists[0]), d.Stats().Places)
+	}
+	for i, l := range lists {
+		if len(l) != len(lists[0]) || &l[0] != &lists[0][0] {
+			t.Errorf("caller %d got a list of its own", i)
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { d.Places() }); n != 0 {
+		t.Errorf("Places allocates %.0f times after the first call, want 0", n)
+	}
+
+	added := Location{City: "middleton", Region: "wi", Country: "us"}
+	if err := (&Builder{d: d}).AddPlace(added); err != nil {
+		t.Fatal(err)
+	}
+	got := d.Places()
+	if len(got) != len(lists[0])+1 || !sorted(got) {
+		t.Fatalf("after AddPlace: %d places, sorted %v; want %d sorted", len(got), sorted(got), len(lists[0])+1)
+	}
+	found := false
+	for _, l := range got {
+		found = found || l.SameCity(&added)
+	}
+	if !found {
+		t.Errorf("Places misses %s, added after the first call", added.Key())
 	}
 }
 

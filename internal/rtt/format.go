@@ -2,11 +2,12 @@ package rtt
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
-	"strings"
+	"unicode/utf8"
 )
 
 // The matrix file format is line-oriented:
@@ -16,7 +17,9 @@ import (
 //	trace <router> <vp> <rtt-ms>
 //
 // Comment lines begin with '#'. All vp records must precede the sample
-// records that reference them.
+// records that reference them; VP names are unique, latitudes lie in
+// [-90, 90] and longitudes in [-180, 180]. RTTs are finite and not
+// negative, and a repeated (router, vp) pair keeps its smallest RTT.
 
 // WriteMatrix serialises a matrix.
 func WriteMatrix(w io.Writer, m *Matrix) error {
@@ -47,21 +50,29 @@ func WriteMatrix(w io.Writer, m *Matrix) error {
 	return bw.Flush()
 }
 
-// ReadMatrix parses a matrix file.
+// ReadMatrix parses a matrix file. A line is split into fields in
+// place, with no allocation, unless it holds a byte of 0x80 or more:
+// then bytes.Fields, which splits as strings.Fields does, decides which
+// runes separate fields.
 func ReadMatrix(r io.Reader) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
 	var vps []*VP
+	vpNames := make(map[string]bool)
 	var m *Matrix
+	var buf [maxFields][]byte
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		b := sc.Bytes()
+		fields, ok := splitASCII(b, &buf)
+		if !ok {
+			fields = bytes.Fields(b)
+		}
+		if len(fields) == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(text)
-		switch fields[0] {
+		switch string(fields[0]) {
 		case "vp":
 			if m != nil {
 				return nil, fmt.Errorf("rtt: line %d: vp record after samples", line)
@@ -69,38 +80,46 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 			if len(fields) < 4 || len(fields) > 5 {
 				return nil, fmt.Errorf("rtt: line %d: malformed vp", line)
 			}
-			lat, err1 := strconv.ParseFloat(fields[2], 64)
-			long, err2 := strconv.ParseFloat(fields[3], 64)
-			if err1 != nil || err2 != nil {
+			// Coordinates off the globe would make every candidate
+			// location inconsistent.
+			lat, err1 := strconv.ParseFloat(string(fields[2]), 64)
+			long, err2 := strconv.ParseFloat(string(fields[3]), 64)
+			if err1 != nil || err2 != nil || !(lat >= -90 && lat <= 90) || !(long >= -180 && long <= 180) {
 				return nil, fmt.Errorf("rtt: line %d: bad coordinates", line)
 			}
-			vp := &VP{Name: fields[1]}
+			vp := &VP{Name: string(fields[1])}
 			vp.Pos.Lat, vp.Pos.Long = lat, long
 			if len(fields) == 5 {
-				if fields[4] != "spoof-tcp" {
+				if string(fields[4]) != "spoof-tcp" {
 					return nil, fmt.Errorf("rtt: line %d: unknown flag %q", line, fields[4])
 				}
 				vp.SpoofTCP = true
 			}
+			// A second VP of one name would leave the first a column
+			// no sample can reach.
+			if vpNames[vp.Name] {
+				return nil, fmt.Errorf("rtt: line %d: duplicate vp %q", line, vp.Name)
+			}
+			vpNames[vp.Name] = true
 			vps = append(vps, vp)
 		case "ping", "trace":
 			if m == nil {
 				m = NewMatrix(vps)
 			}
-			want := 5
-			if fields[0] == "trace" {
-				want = 4
+			want, table := 5, m.ping
+			if string(fields[0]) == "trace" {
+				want, table = 4, m.trace
 			}
 			if len(fields) != want {
 				return nil, fmt.Errorf("rtt: line %d: malformed %s", line, fields[0])
 			}
-			rttMs, err := strconv.ParseFloat(fields[3], 64)
+			rttMs, err := strconv.ParseFloat(string(fields[3]), 64)
 			if err != nil {
 				return nil, fmt.Errorf("rtt: line %d: bad rtt: %w", line, err)
 			}
 			s := Sample{RTTms: rttMs}
-			if fields[0] == "ping" {
-				switch fields[4] {
+			if string(fields[0]) == "ping" {
+				switch string(fields[4]) {
 				case "icmp":
 					s.Method = ICMP
 				case "udp":
@@ -110,13 +129,9 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 				default:
 					return nil, fmt.Errorf("rtt: line %d: bad method %q", line, fields[4])
 				}
-				if err := m.SetPing(fields[1], fields[2], s); err != nil {
-					return nil, fmt.Errorf("rtt: line %d: %w", line, err)
-				}
-			} else {
-				if err := m.SetTrace(fields[1], fields[2], s); err != nil {
-					return nil, fmt.Errorf("rtt: line %d: %w", line, err)
-				}
+			}
+			if err := set(m, table, fields[1], fields[2], s); err != nil {
+				return nil, fmt.Errorf("rtt: line %d: %w", line, err)
 			}
 		default:
 			return nil, fmt.Errorf("rtt: line %d: unknown record %q", line, fields[0])
@@ -129,4 +144,37 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 		m = NewMatrix(vps)
 	}
 	return m, nil
+}
+
+// maxFields is one more than the most fields a record has, enough for
+// splitASCII to show that a line has too many.
+const maxFields = 6
+
+// splitASCII splits b into its first maxFields fields at the ASCII
+// bytes unicode.IsSpace reports, as strings.Fields would. It returns
+// false when b holds a byte of 0x80 or more.
+func splitASCII(b []byte, buf *[maxFields][]byte) ([][]byte, bool) {
+	n, start := 0, -1
+	for i, c := range b {
+		if c >= utf8.RuneSelf {
+			return nil, false
+		}
+		switch c {
+		case ' ', '\t', '\n', '\v', '\f', '\r':
+			if start >= 0 && n < maxFields {
+				buf[n] = b[start:i]
+				n++
+			}
+			start = -1
+		default:
+			if start < 0 {
+				start = i
+			}
+		}
+	}
+	if start >= 0 && n < maxFields {
+		buf[n] = b[start:]
+		n++
+	}
+	return buf[:n], true
 }

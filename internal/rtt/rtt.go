@@ -95,38 +95,38 @@ func (m *Matrix) VP(name string) *VP {
 	return nil
 }
 
-func (m *Matrix) row(table map[string][]Sample, router string) []Sample {
-	row := table[router]
-	if row == nil {
-		row = make([]Sample, len(m.vps))
-		for i := range row {
-			row[i].RTTms = math.NaN()
-		}
-		table[router] = row
-	}
-	return row
-}
-
 // SetPing records a followup ping sample; an existing larger sample is
 // replaced (minimum RTT filtering).
 func (m *Matrix) SetPing(router, vp string, s Sample) error {
-	return m.set(m.ping, router, vp, s)
+	return set(m, m.ping, router, vp, s)
 }
 
 // SetTrace records a traceroute-observed RTT sample.
 func (m *Matrix) SetTrace(router, vp string, s Sample) error {
-	return m.set(m.trace, router, vp, s)
+	return set(m, m.trace, router, vp, s)
 }
 
-func (m *Matrix) set(table map[string][]Sample, router, vp string, s Sample) error {
-	i, ok := m.vpIx[vp]
+// set records s in router's row of table, keeping the smaller RTT. It
+// takes the router and VP as strings from SetPing and SetTrace and as
+// the line's bytes from ReadMatrix; the map lookups allocate neither
+// way, so only a router's first sample allocates, its ID and its row.
+func set[K string | []byte](m *Matrix, table map[string][]Sample, router, vp K, s Sample) error {
+	i, ok := m.vpIx[string(vp)]
 	if !ok {
-		return fmt.Errorf("rtt: unknown VP %q", vp)
+		return fmt.Errorf("rtt: unknown VP %q", string(vp))
 	}
-	if s.RTTms < 0 || math.IsNaN(s.RTTms) {
+	// An infinite RTT constrains nothing, yet it would make HasPing true.
+	if s.RTTms < 0 || math.IsNaN(s.RTTms) || math.IsInf(s.RTTms, 0) {
 		return fmt.Errorf("rtt: invalid RTT %v", s.RTTms)
 	}
-	row := m.row(table, router)
+	row := table[string(router)]
+	if row == nil {
+		row = make([]Sample, len(m.vps))
+		for j := range row {
+			row[j].RTTms = math.NaN()
+		}
+		table[string(router)] = row
+	}
 	if math.IsNaN(row[i].RTTms) || s.RTTms < row[i].RTTms {
 		row[i] = s
 	}
@@ -207,10 +207,10 @@ func (m *Matrix) MinTrace(router string) (Measurement, bool) {
 	return ms[0], true
 }
 
-// HasPing reports whether any VP has a ping sample for router. It is
-// called once per hostname in stage 2 and once per candidate evaluation
-// in stage 3, so it scans the row directly instead of materializing the
-// sorted measurement slice.
+// HasPing reports whether any VP has a ping sample for router. Stage 2
+// calls it once per hostname and keeps the answer for stage 3, and it
+// scans the row directly instead of materializing the sorted
+// measurement slice.
 func (m *Matrix) HasPing(router string) bool {
 	for _, s := range m.ping[router] {
 		if !math.IsNaN(s.RTTms) {

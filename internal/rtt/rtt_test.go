@@ -43,6 +43,9 @@ func TestSetAndGet(t *testing.T) {
 	if err := m.SetPing("N1", "nyc-us", Sample{RTTms: math.NaN()}); err == nil {
 		t.Error("NaN RTT should error")
 	}
+	if err := m.SetTrace("N2", "nyc-us", Sample{RTTms: math.Inf(1)}); err == nil || len(m.trace) != 0 {
+		t.Errorf("infinite RTT: err %v, %d trace rows; want an error and none", err, len(m.trace))
+	}
 }
 
 func TestMinimumFiltering(t *testing.T) {
