@@ -15,7 +15,8 @@ import (
 // into a Result in suffix-sorted order.
 type groupResult struct {
 	// tagged holds every parseable hostname in the group with its
-	// stage-2 apparent geohints (including hostnames with none).
+	// stage-2 apparent geohints (including hostnames with none). Run
+	// drops it once the group is done; RunSuffix and TagSuffix return it.
 	tagged []*Tagged
 	// anyTag reports whether stage 2 tagged at least one hostname — a
 	// group without a single apparent geohint cannot yield a convention
@@ -208,13 +209,16 @@ func Run(in Inputs, cfg Config) (*Result, error) {
 
 // runTracedGroup wraps runGroup in its per-suffix span, attributed to
 // worker slot wid. With tracing disabled the Child/SetKey/SetWorker/End
-// calls are nil no-ops.
+// calls are nil no-ops. It drops the group's stage-2 tags, which Run's
+// merge never reads, so each group's are garbage once the group is done
+// rather than held until every group is.
 func runTracedGroup(tg *tagger, cfg Config, group *itdk.SuffixGroup, root *obs.Span, wid int) *groupResult {
 	sp := root.Child("group")
 	sp.SetKey(group.Suffix)
 	sp.SetWorker(wid)
 	gr := runGroup(tg, cfg, group, sp)
 	sp.End()
+	gr.tagged = nil
 	return gr
 }
 

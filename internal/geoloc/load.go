@@ -27,6 +27,11 @@ func LoadConventions(path string) (*core.Result, error) {
 // directory containing corpus.nodes, corpus.names, and rtt.matrix
 // (corpus.geo is optional and ignored by learning), with the embedded
 // default dictionary and public suffix list.
+//
+// The matrix holds only what learning reads: the ping rows of routers
+// with a hostname (rtt.ReadPings). core.Run, core.DetectStale and
+// tbg.BuildAnchors need no more. tbg's geolocation of other routers,
+// drop's trace RTTs and eval need the full rtt.ReadMatrix.
 func LoadInputs(dir string) (core.Inputs, error) {
 	var in core.Inputs
 	dict, err := geodict.Default()
@@ -46,7 +51,13 @@ func LoadInputs(dir string) (core.Inputs, error) {
 		return in, err
 	}
 	defer mf.Close()
-	matrix, err := rtt.ReadMatrix(mf)
+	named := make(map[string]bool)
+	for _, r := range corpus.Routers {
+		if r.HasHostname() {
+			named[r.ID] = true
+		}
+	}
+	matrix, err := rtt.ReadPings(mf, named)
 	if err != nil {
 		return in, err
 	}

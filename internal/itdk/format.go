@@ -98,6 +98,9 @@ func ReadCorpus(r io.Reader, name string, ipv6 bool) (*Corpus, error) {
 	return c, nil
 }
 
+// parseRecord applies one record to c. Every field is a slice of the
+// line, so what a Router keeps is cloned: a slice would keep the whole
+// line alive with it.
 func parseRecord(c *Corpus, text string) error {
 	fields := strings.Fields(text)
 	switch fields[0] {
@@ -105,7 +108,7 @@ func parseRecord(c *Corpus, text string) error {
 		if len(fields) < 2 {
 			return fmt.Errorf("short node record")
 		}
-		id := strings.TrimSuffix(fields[1], ":")
+		id := strings.Clone(strings.TrimSuffix(fields[1], ":"))
 		r := &Router{ID: id}
 		for _, a := range fields[2:] {
 			addr, err := netip.ParseAddr(a)
@@ -129,7 +132,8 @@ func parseRecord(c *Corpus, text string) error {
 		}
 		for i := range r.Interfaces {
 			if r.Interfaces[i].Addr == addr {
-				r.Interfaces[i].Hostname = strings.ToLower(fields[3])
+				// ToLower returns its input when it is already lower case.
+				r.Interfaces[i].Hostname = strings.Clone(strings.ToLower(fields[3]))
 				return nil
 			}
 		}
@@ -160,7 +164,7 @@ func parseRecord(c *Corpus, text string) error {
 			return fmt.Errorf("bad location %q", fields[4])
 		}
 		r.Truth = &GroundTruth{
-			City: parts[0], Region: parts[1], Country: parts[2],
+			City: strings.Clone(parts[0]), Region: strings.Clone(parts[1]), Country: strings.Clone(parts[2]),
 			Pos: geo.LatLong{Lat: lat, Long: long},
 		}
 		return nil

@@ -2,7 +2,9 @@ package itdk
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -177,4 +179,37 @@ func TestHostnameLowercasedOnRead(t *testing.T) {
 	if hn := c.Router("N1").Interfaces[0].Hostname; hn != "cr1.lhr.example.net" {
 		t.Errorf("hostname = %q", hn)
 	}
+}
+
+// TestReadCorpusKeepsNoLines: what a Router keeps is copied out of its
+// line, so a corpus whose lines each carry 4 KB of trailing blanks holds
+// far less than a line apiece after GC.
+func TestReadCorpusKeepsNoLines(t *testing.T) {
+	const routers, pad = 200, 4096
+	blanks := strings.Repeat(" ", pad)
+	var b strings.Builder
+	for i := 0; i < routers; i++ {
+		fmt.Fprintf(&b, "node N%d: 192.0.2.%d%s\n", i, i%250, blanks)
+		fmt.Fprintf(&b, "node.name N%d 192.0.2.%d r%d.example.net%s\n", i, i%250, i, blanks)
+		fmt.Fprintf(&b, "node.geo N%d: 39.0 -77.5 ashburn|va|us%s\n", i, blanks)
+	}
+	in := []byte(b.String())
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c, err := ReadCorpus(bytes.NewReader(in), "padded", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if lines := int64(3 * routers); held > lines*pad/8 {
+		t.Errorf("corpus of %d routers holds %d bytes; %d lines of %d bytes each should not be held", routers, held, lines, pad)
+	}
+	if h := c.Routers[routers-1].Interfaces[0].Hostname; h != fmt.Sprintf("r%d.example.net", routers-1) {
+		t.Errorf("last hostname %q", h)
+	}
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(in)
 }

@@ -37,8 +37,8 @@ func WriteMatrix(w io.Writer, m *Matrix) error {
 			fmt.Fprintf(bw, "ping %s %s %.3f %s\n", router, me.VP.Name, me.Sample.RTTms, me.Sample.Method)
 		}
 	}
-	traceRouters := make([]string, 0, len(m.trace))
-	for router := range m.trace {
+	traceRouters := make([]string, 0, len(m.trace.rows))
+	for router := range m.trace.rows {
 		traceRouters = append(traceRouters, router)
 	}
 	sort.Strings(traceRouters)
@@ -55,6 +55,21 @@ func WriteMatrix(w io.Writer, m *Matrix) error {
 // then bytes.Fields, which splits as strings.Fields does, decides which
 // runes separate fields.
 func ReadMatrix(r io.Reader) (*Matrix, error) {
+	return readMatrix(r, func([]byte, bool) bool { return true })
+}
+
+// ReadPings parses a matrix file as ReadMatrix does but stores only the
+// ping samples of the routers in keep: the matrix has no trace row and
+// no row for any other router. It parses and checks every line it does
+// not store, so it accepts and rejects the inputs ReadMatrix does, with
+// the same errors.
+func ReadPings(r io.Reader, keep map[string]bool) (*Matrix, error) {
+	return readMatrix(r, func(router []byte, ping bool) bool { return ping && keep[string(router)] })
+}
+
+// readMatrix is ReadMatrix and ReadPings: it stores a valid sample only
+// when keep reports true for its router and kind.
+func readMatrix(r io.Reader, keep func(router []byte, ping bool) bool) (*Matrix, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
 	var vps []*VP
@@ -106,9 +121,10 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 			if m == nil {
 				m = NewMatrix(vps)
 			}
-			want, table := 5, m.ping
-			if string(fields[0]) == "trace" {
-				want, table = 4, m.trace
+			ping := string(fields[0]) == "ping"
+			want, tab := 5, m.ping
+			if !ping {
+				want, tab = 4, m.trace
 			}
 			if len(fields) != want {
 				return nil, fmt.Errorf("rtt: line %d: malformed %s", line, fields[0])
@@ -118,7 +134,7 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 				return nil, fmt.Errorf("rtt: line %d: bad rtt: %w", line, err)
 			}
 			s := Sample{RTTms: rttMs}
-			if string(fields[0]) == "ping" {
+			if ping {
 				switch string(fields[4]) {
 				case "icmp":
 					s.Method = ICMP
@@ -130,8 +146,12 @@ func ReadMatrix(r io.Reader) (*Matrix, error) {
 					return nil, fmt.Errorf("rtt: line %d: bad method %q", line, fields[4])
 				}
 			}
-			if err := set(m, table, fields[1], fields[2], s); err != nil {
+			i, err := column(m, fields[2], s)
+			if err != nil {
 				return nil, fmt.Errorf("rtt: line %d: %w", line, err)
+			}
+			if keep(fields[1], ping) {
+				store(tab, fields[1], i, s)
 			}
 		default:
 			return nil, fmt.Errorf("rtt: line %d: unknown record %q", line, fields[0])

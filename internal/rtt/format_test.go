@@ -121,9 +121,10 @@ func TestReadMatrixAllocs(t *testing.T) {
 		return testing.AllocsPerRun(5, func() { read(b) })
 	}
 	a1, a2 := allocs(once.Bytes()), allocs(twice.Bytes())
-	// Per router, a ping and a trace row and their two IDs; per VP, the
-	// VP, its name and its map entries; a fixed 100 for the scanner, the
-	// matrix and map growth.
+	// Per router, at most a ping and a trace row and their two IDs (rows
+	// are cut from shared slabs, so few allocate); per VP, the VP, its
+	// name and its map entries; a fixed 100 for the scanner, the matrix
+	// and map growth.
 	bound := float64(4*routers + 4*vps + 100)
 	if a1 > bound || a2 > bound {
 		t.Errorf("allocs = %.0f for %d sample lines, %.0f with each written twice; want both <= %.0f",
@@ -235,20 +236,29 @@ func sameMatrix(a, b *Matrix) error {
 	}
 	for _, tab := range []struct {
 		name string
-		a, b map[string][]Sample
+		a, b *table
 	}{{"ping", a.ping, b.ping}, {"trace", a.trace, b.trace}} {
-		if len(tab.a) != len(tab.b) {
-			return fmt.Errorf("%s: %d routers, %d routers", tab.name, len(tab.a), len(tab.b))
+		if err := sameTable(tab.a, tab.b); err != nil {
+			return fmt.Errorf("%s: %v", tab.name, err)
 		}
-		for router, ra := range tab.a {
-			rb, ok := tab.b[router]
-			if !ok || len(ra) != len(rb) {
-				return fmt.Errorf("%s: router %q missing or reshaped", tab.name, router)
-			}
-			for i := range ra {
-				if math.Float64bits(ra[i].RTTms) != math.Float64bits(rb[i].RTTms) || ra[i].Method != rb[i].Method {
-					return fmt.Errorf("%s: router %q VP %d: %+v, %+v", tab.name, router, i, ra[i], rb[i])
-				}
+	}
+	return nil
+}
+
+// sameTable reports how two tables differ: in their routers, or in any
+// slot of a row, empty slots and methods included.
+func sameTable(a, b *table) error {
+	if len(a.rows) != len(b.rows) {
+		return fmt.Errorf("%d routers, %d routers", len(a.rows), len(b.rows))
+	}
+	for router, ra := range a.rows {
+		rb, ok := b.rows[router]
+		if !ok || len(ra.rtt) != len(rb.rtt) {
+			return fmt.Errorf("router %q missing or reshaped", router)
+		}
+		for i := range ra.rtt {
+			if math.Float64bits(ra.rtt[i]) != math.Float64bits(rb.rtt[i]) || ra.method[i] != rb.method[i] {
+				return fmt.Errorf("router %q VP %d: %+v, %+v", router, i, ra.sample(i), rb.sample(i))
 			}
 		}
 	}

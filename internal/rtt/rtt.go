@@ -66,8 +66,52 @@ type Sample struct {
 type Matrix struct {
 	vps   []*VP
 	vpIx  map[string]int
-	ping  map[string][]Sample // router ID -> per-VP sample (NaN = none)
-	trace map[string][]Sample
+	ping  *table
+	trace *table
+}
+
+// table holds one campaign's samples: a row for each router with at
+// least one sample, so a row without one is deleted. A row keeps its
+// RTTs and probe methods in two arrays, 9 bytes a VP where a Sample
+// takes 16, and a NaN RTT marks a VP without a sample. Rows are cut
+// from shared slabs, so a new row seldom allocates.
+type table struct {
+	width  int // slots per row: the matrix's VP count
+	rows   map[string]row
+	rtt    []float64 // the newest slab's unused tail
+	method []uint8
+}
+
+type row struct {
+	rtt    []float64
+	method []uint8 // a Method per slot
+}
+
+// slabSlots is about how many slots a slab holds: 16 KB of RTTs.
+const slabSlots = 2048
+
+func newTable(width int) *table {
+	return &table{width: width, rows: make(map[string]row)}
+}
+
+// newRow cuts a row of empty slots from t's slab, starting a new slab
+// when this one is used up.
+func (t *table) newRow() row {
+	n := t.width
+	if len(t.rtt) < n {
+		k := max(slabSlots/n, 1) * n
+		t.rtt, t.method = make([]float64, k), make([]uint8, k)
+	}
+	r := row{rtt: t.rtt[:n:n], method: t.method[:n:n]}
+	t.rtt, t.method = t.rtt[n:], t.method[n:]
+	for i := range r.rtt {
+		r.rtt[i] = math.NaN()
+	}
+	return r
+}
+
+func (r row) sample(i int) Sample {
+	return Sample{RTTms: r.rtt[i], Method: Method(r.method[i])}
 }
 
 // NewMatrix returns a matrix over the given vantage points.
@@ -75,8 +119,8 @@ func NewMatrix(vps []*VP) *Matrix {
 	m := &Matrix{
 		vps:   vps,
 		vpIx:  make(map[string]int, len(vps)),
-		ping:  make(map[string][]Sample),
-		trace: make(map[string][]Sample),
+		ping:  newTable(len(vps)),
+		trace: newTable(len(vps)),
 	}
 	for i, vp := range vps {
 		m.vpIx[vp.Name] = i
@@ -98,39 +142,56 @@ func (m *Matrix) VP(name string) *VP {
 // SetPing records a followup ping sample; an existing larger sample is
 // replaced (minimum RTT filtering).
 func (m *Matrix) SetPing(router, vp string, s Sample) error {
-	return set(m, m.ping, router, vp, s)
+	return m.set(m.ping, router, vp, s)
 }
 
 // SetTrace records a traceroute-observed RTT sample.
 func (m *Matrix) SetTrace(router, vp string, s Sample) error {
-	return set(m, m.trace, router, vp, s)
+	return m.set(m.trace, router, vp, s)
 }
 
-// set records s in router's row of table, keeping the smaller RTT. It
-// takes the router and VP as strings from SetPing and SetTrace and as
-// the line's bytes from ReadMatrix; the map lookups allocate neither
-// way, so only a router's first sample allocates, its ID and its row.
-func set[K string | []byte](m *Matrix, table map[string][]Sample, router, vp K, s Sample) error {
+func (m *Matrix) set(t *table, router, vp string, s Sample) error {
+	i, err := column(m, vp, s)
+	if err != nil {
+		return err
+	}
+	store(t, router, i, s)
+	return nil
+}
+
+// column checks a sample from vp and returns vp's column. ReadMatrix
+// and ReadPings call it for every sample line, stored or not, so a line
+// ReadPings skips fails as ReadMatrix fails it.
+func column[K string | []byte](m *Matrix, vp K, s Sample) (int, error) {
 	i, ok := m.vpIx[string(vp)]
 	if !ok {
-		return fmt.Errorf("rtt: unknown VP %q", string(vp))
+		return 0, fmt.Errorf("rtt: unknown VP %q", string(vp))
 	}
 	// An infinite RTT constrains nothing, yet it would make HasPing true.
 	if s.RTTms < 0 || math.IsNaN(s.RTTms) || math.IsInf(s.RTTms, 0) {
-		return fmt.Errorf("rtt: invalid RTT %v", s.RTTms)
+		return 0, fmt.Errorf("rtt: invalid RTT %v", s.RTTms)
 	}
-	row := table[string(router)]
-	if row == nil {
-		row = make([]Sample, len(m.vps))
-		for j := range row {
-			row[j].RTTms = math.NaN()
-		}
-		table[string(router)] = row
+	// A row stores the method in a byte, which would wrap any other.
+	if s.Method < ICMP || s.Method > TCP {
+		return 0, fmt.Errorf("rtt: invalid method %d", int(s.Method))
 	}
-	if math.IsNaN(row[i].RTTms) || s.RTTms < row[i].RTTms {
-		row[i] = s
+	return i, nil
+}
+
+// store records s in column i of router's row of t, keeping the smaller
+// RTT. It takes the router as a string from SetPing and SetTrace and as
+// the line's bytes from ReadMatrix; the map lookup allocates neither
+// way, so only a router's first sample allocates: its ID, and a slab
+// when the last one is used up.
+func store[K string | []byte](t *table, router K, i int, s Sample) {
+	r, ok := t.rows[string(router)]
+	if !ok {
+		r = t.newRow()
+		t.rows[string(router)] = r
 	}
-	return nil
+	if math.IsNaN(r.rtt[i]) || s.RTTms < r.rtt[i] {
+		r.rtt[i], r.method[i] = s.RTTms, uint8(s.Method)
+	}
 }
 
 // Ping returns the followup ping sample from vp to router.
@@ -143,16 +204,16 @@ func (m *Matrix) Trace(router, vp string) (Sample, bool) {
 	return m.get(m.trace, router, vp)
 }
 
-func (m *Matrix) get(table map[string][]Sample, router, vp string) (Sample, bool) {
+func (m *Matrix) get(t *table, router, vp string) (Sample, bool) {
 	i, ok := m.vpIx[vp]
 	if !ok {
 		return Sample{}, false
 	}
-	row, ok := table[router]
-	if !ok || math.IsNaN(row[i].RTTms) {
+	r, ok := t.rows[router]
+	if !ok || math.IsNaN(r.rtt[i]) {
 		return Sample{}, false
 	}
-	return row[i], true
+	return r.sample(i), true
 }
 
 // Measurement pairs a VP with its RTT sample toward some router.
@@ -173,15 +234,15 @@ func (m *Matrix) TraceMeasurements(router string) []Measurement {
 	return m.measurements(m.trace, router)
 }
 
-func (m *Matrix) measurements(table map[string][]Sample, router string) []Measurement {
-	row, ok := table[router]
+func (m *Matrix) measurements(t *table, router string) []Measurement {
+	r, ok := t.rows[router]
 	if !ok {
 		return nil
 	}
-	out := make([]Measurement, 0, len(row))
-	for i, s := range row {
-		if !math.IsNaN(s.RTTms) {
-			out = append(out, Measurement{VP: m.vps[i], Sample: s})
+	out := make([]Measurement, 0, len(r.rtt))
+	for i, v := range r.rtt {
+		if !math.IsNaN(v) {
+			out = append(out, Measurement{VP: m.vps[i], Sample: r.sample(i)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Sample.RTTms < out[j].Sample.RTTms })
@@ -208,16 +269,12 @@ func (m *Matrix) MinTrace(router string) (Measurement, bool) {
 }
 
 // HasPing reports whether any VP has a ping sample for router. Stage 2
-// calls it once per hostname and keeps the answer for stage 3, and it
-// scans the row directly instead of materializing the sorted
-// measurement slice.
+// calls it once per hostname and keeps the answer for stage 3. A table
+// keeps a row only while it holds a sample, so the row's presence is
+// the answer.
 func (m *Matrix) HasPing(router string) bool {
-	for _, s := range m.ping[router] {
-		if !math.IsNaN(s.RTTms) {
-			return true
-		}
-	}
-	return false
+	_, ok := m.ping.rows[router]
+	return ok
 }
 
 // Consistent reports whether a candidate location for router is
@@ -226,15 +283,15 @@ func (m *Matrix) HasPing(router string) bool {
 // candidate (paper §5.2). toleranceMs absorbs measurement granularity.
 // A router with no samples is vacuously consistent with any location.
 func (m *Matrix) Consistent(router string, candidate geo.LatLong, toleranceMs float64) bool {
-	row, ok := m.ping[router]
+	r, ok := m.ping.rows[router]
 	if !ok {
 		return true
 	}
-	for i, s := range row {
-		if math.IsNaN(s.RTTms) {
+	for i, v := range r.rtt {
+		if math.IsNaN(v) {
 			continue
 		}
-		if !geo.RTTConsistent(m.vps[i].Pos, candidate, s.RTTms, toleranceMs) {
+		if !geo.RTTConsistent(m.vps[i].Pos, candidate, v, toleranceMs) {
 			return false
 		}
 	}
@@ -253,8 +310,8 @@ func (m *Matrix) Constraints(router string) []geo.Constraint {
 // Routers returns the IDs of routers with at least one ping sample,
 // sorted lexicographically.
 func (m *Matrix) Routers() []string {
-	out := make([]string, 0, len(m.ping))
-	for id := range m.ping {
+	out := make([]string, 0, len(m.ping.rows))
+	for id := range m.ping.rows {
 		out = append(out, id)
 	}
 	sort.Strings(out)
@@ -271,12 +328,20 @@ func (m *Matrix) DropTCPFrom(vpNames []string) int {
 		}
 	}
 	removed := 0
-	for _, row := range m.ping {
-		for i := range row {
-			if drop[i] && !math.IsNaN(row[i].RTTms) && row[i].Method == TCP {
-				row[i].RTTms = math.NaN()
+	for id, r := range m.ping.rows {
+		left := false
+		for i, v := range r.rtt {
+			switch {
+			case math.IsNaN(v):
+			case drop[i] && Method(r.method[i]) == TCP:
+				r.rtt[i] = math.NaN()
 				removed++
+			default:
+				left = true
 			}
+		}
+		if !left {
+			delete(m.ping.rows, id)
 		}
 	}
 	return removed
@@ -290,13 +355,13 @@ func (m *Matrix) DropTCPFrom(vpNames []string) int {
 func (m *Matrix) DetectTCPSpoofers(minSamples int) []string {
 	type acc struct{ total, tiny int }
 	counts := make([]acc, len(m.vps))
-	for _, row := range m.ping {
-		for i, s := range row {
-			if math.IsNaN(s.RTTms) || s.Method != TCP {
+	for _, r := range m.ping.rows {
+		for i, v := range r.rtt {
+			if math.IsNaN(v) || Method(r.method[i]) != TCP {
 				continue
 			}
 			counts[i].total++
-			if s.RTTms < 3 {
+			if v < 3 {
 				counts[i].tiny++
 			}
 		}

@@ -1,8 +1,10 @@
 package rtt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"hoiho/internal/geo"
@@ -43,9 +45,56 @@ func TestSetAndGet(t *testing.T) {
 	if err := m.SetPing("N1", "nyc-us", Sample{RTTms: math.NaN()}); err == nil {
 		t.Error("NaN RTT should error")
 	}
-	if err := m.SetTrace("N2", "nyc-us", Sample{RTTms: math.Inf(1)}); err == nil || len(m.trace) != 0 {
-		t.Errorf("infinite RTT: err %v, %d trace rows; want an error and none", err, len(m.trace))
+	if err := m.SetTrace("N2", "nyc-us", Sample{RTTms: math.Inf(1)}); err == nil || len(m.trace.rows) != 0 {
+		t.Errorf("infinite RTT: err %v, %d trace rows; want an error and none", err, len(m.trace.rows))
 	}
+	// A row keeps a method in a byte: 256 would be stored as ICMP.
+	for _, meth := range []Method{TCP + 1, 256, -1} {
+		if err := m.SetPing("N2", "nyc-us", Sample{RTTms: 1, Method: meth}); err == nil || m.HasPing("N2") {
+			t.Errorf("method %d: err %v, HasPing(N2) %v; want an error and no row", int(meth), err, m.HasPing("N2"))
+		}
+	}
+}
+
+// TestMatrixMemory pins the matrix's size: after GC, 2,000 routers with
+// a ping and a trace sample from each of 28 VPs hold at most 12 bytes a
+// slot, plus 128 bytes a row for its map entry and router ID. A row of
+// 16-byte Samples would exceed it.
+func TestMatrixMemory(t *testing.T) {
+	const routers, nvp = 2000, 28
+	vps := make([]*VP, nvp)
+	for i := range vps {
+		vps[i] = &VP{Name: fmt.Sprintf("vp%d", i)}
+	}
+	ids := make([]string, routers)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("N%d", i)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := NewMatrix(vps)
+	for _, id := range ids {
+		for _, vp := range vps {
+			if err := m.SetPing(id, vp.Name, Sample{RTTms: 5, Method: UDP}); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.SetTrace(id, vp.Name, Sample{RTTms: 9}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	rows := int64(2 * routers)
+	if bound := rows*nvp*12 + rows*128; held > bound {
+		t.Errorf("matrix holds %d bytes, %.1f a slot; want at most %d", held, float64(held)/float64(rows*nvp), bound)
+	}
+	if s, ok := m.Ping(ids[routers-1], vps[nvp-1].Name); !ok || s.Method != UDP {
+		t.Errorf("last ping = %+v, %v", s, ok)
+	}
+	runtime.KeepAlive(m)
 }
 
 func TestMinimumFiltering(t *testing.T) {
@@ -150,6 +199,12 @@ func TestDropTCPFrom(t *testing.T) {
 	}
 	if _, ok := m.Ping("N2", "nyc-us"); !ok {
 		t.Error("ICMP sample should remain")
+	}
+	// A router whose every sample is dropped has no ping sample left.
+	_ = m.SetPing("N3", "nyc-us", Sample{RTTms: 2, Method: TCP})
+	m.DropTCPFrom([]string{"nyc-us"})
+	if ids := m.Routers(); len(ids) != 2 || ids[0] != "N1" || ids[1] != "N2" || m.HasPing("N3") {
+		t.Errorf("after dropping N3's only sample: Routers = %v, HasPing(N3) = %v", ids, m.HasPing("N3"))
 	}
 }
 

@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +13,7 @@ import (
 	"hoiho/internal/core"
 	"hoiho/internal/geo"
 	"hoiho/internal/geodict"
+	"hoiho/internal/rtt"
 )
 
 func smallParams(seed int64) Params {
@@ -264,5 +267,39 @@ func TestWorldFeedsNamesAndASNLearning(t *testing.T) {
 	nameConvs := names.Learn(w.Corpus, w.PSL, 3)
 	if len(nameConvs) == 0 {
 		t.Error("no router-name conventions learned from the synthetic world")
+	}
+}
+
+// TestCleanedMatrixRoundTrip: after CleanSpoofers empties the rows of
+// routers whose only samples were spoofed, Routers lists only routers
+// with a ping sample, so a write/read round trip keeps the list.
+func TestCleanedMatrixRoundTrip(t *testing.T) {
+	p, err := ITDKPreset("ipv4-aug2020")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spoofers := w.CleanSpoofers(); len(spoofers) == 0 {
+		t.Fatal("the preset has no spoofing VP to clean")
+	}
+	routers := w.Matrix.Routers()
+	for _, id := range routers {
+		if !w.Matrix.HasPing(id) {
+			t.Fatalf("Routers lists %s, which has no ping sample", id)
+		}
+	}
+	var buf bytes.Buffer
+	if err := rtt.WriteMatrix(&buf, w.Matrix); err != nil {
+		t.Fatal(err)
+	}
+	m, err := rtt.ReadMatrix(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Routers(); !slices.Equal(got, routers) {
+		t.Errorf("round trip: %d routers, want %d", len(got), len(routers))
 	}
 }
