@@ -26,14 +26,17 @@
 // header-only REFUSED — the same taxonomy the HTTP front end spells
 // as its /v1 error envelope. UDP and TCP are served on the same
 // address; UDP responses honor the EDNS-negotiated payload size
-// (never below 512 bytes) and drop tail records with TC set when the
-// answer cannot fit, at which point resolvers retry over TCP.
+// (never below 512 bytes), fit 512 bytes when the query carries no
+// EDNS record (RFC 1035 §4.2.1), and drop tail records with TC set
+// when the answer cannot fit, at which point resolvers retry over TCP.
+// Pipelined TCP queries are answered in order, their replies written
+// together rather than one syscall each.
 //
 // SIGHUP triggers the same validated zero-downtime reload as
 // geoserve: re-resolve the boot source, spot-check the replacement
-// index, swap the pointer (geoloc.Live.Reload). SIGINT/SIGTERM drain
-// open TCP connections and exit cleanly, logging the lifetime query
-// counters.
+// index, swap the pointer (geoloc.Live.Reload). SIGINT/SIGTERM close
+// idle TCP connections at once, flush the replies in flight on busy
+// ones, and exit cleanly, logging the lifetime query counters.
 //
 // With -admin-addr, a plain-HTTP sidecar listener serves the
 // operational plane that does not belong on the DNS port:

@@ -1,9 +1,9 @@
 package dnsserve
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
-	"errors"
 	"io"
 	"net"
 	"net/netip"
@@ -17,14 +17,11 @@ import (
 	"hoiho/internal/qlog"
 )
 
-// Wire limits and loop timings. The read deadlines exist so the serve
-// loops notice context cancellation; they are polls, not per-client
-// timeouts.
+// Wire limits and the TCP idle timeout.
 const (
-	minUDPSize     = 512  // RFC 1035 floor; never negotiate below
-	defaultUDPSize = 1232 // fits any unfragmented path, EDNS default
-	pollInterval   = 250 * time.Millisecond
-	tcpIdleTimeout = 10 * time.Second // per-read deadline on an open TCP conn
+	minUDPSize     = 512              // RFC 1035 limit without EDNS, and the floor with it
+	defaultUDPSize = 1232             // fits any unfragmented path, EDNS default
+	tcpIdleTimeout = 10 * time.Second // deadline on a TCP read that may block
 )
 
 // queryStage names the span a query the query log keeps records.
@@ -189,7 +186,16 @@ func (s *Server) observeUDPLimit(limit int) {
 // an inbound response message). src meters the rate limit; tcp lifts
 // the UDP size limit. It never panics: a handler bug maps to SERVFAIL,
 // mirroring the HTTP front end's 500 envelope.
-func (s *Server) HandlePacket(pkt []byte, src netip.Addr, tcp bool) (out []byte) {
+func (s *Server) HandlePacket(pkt []byte, src netip.Addr, tcp bool) []byte {
+	return s.appendReply(nil, pkt, src, tcp)
+}
+
+// appendReply is HandlePacket appending the response frame to b, which
+// it returns unchanged when the input merits no reply. The serve loops
+// pack every reply into one buffer of their own this way. Nothing the
+// handler keeps aliases pkt or b, so the caller may reuse both as soon
+// as it returns.
+func (s *Server) appendReply(b, pkt []byte, src netip.Addr, tcp bool) (out []byte) {
 	s.queries.Add(1)
 	// Only a query the log keeps gets a record and a span; for the rest
 	// (and with logging off) NextID returns "" and nothing allocates.
@@ -211,7 +217,7 @@ func (s *Server) HandlePacket(pkt []byte, src netip.Addr, tcp bool) (out []byte)
 	defer func() {
 		if recover() != nil {
 			oc = servfail
-			out = rawReply(pkt, dnswire.RCodeServFail)
+			out = appendRawReply(b, pkt, dnswire.RCodeServFail)
 		}
 		s.byOutcome[oc].Add(1)
 		if qr.ID != "" {
@@ -225,24 +231,24 @@ func (s *Server) HandlePacket(pkt []byte, src netip.Addr, tcp bool) (out []byte)
 			sp.End()
 		}
 	}()
-	out, oc = s.handle(pkt, src, tcp, &qr)
+	out, oc = s.handle(b, pkt, src, tcp, &qr)
 	return out
 }
 
-// handle decides a packet's outcome and builds its reply. With a
+// handle decides a packet's outcome and appends its reply to b. With a
 // query-log record to fill (qr.ID set), it notes the question there.
-func (s *Server) handle(pkt []byte, src netip.Addr, tcp bool, qr *qlog.Record) ([]byte, outcome) {
+func (s *Server) handle(b, pkt []byte, src netip.Addr, tcp bool, qr *qlog.Record) ([]byte, outcome) {
 	// Rate limiting happens before parsing: shedding load must not
 	// cost a message decode per flooded packet.
 	if !s.limiter.allow(src) {
-		return rawReply(pkt, dnswire.RCodeRefused), refused
+		return appendRawReply(b, pkt, dnswire.RCodeRefused), refused
 	}
 	q, err := dnswire.Unpack(pkt)
 	if err != nil {
-		return rawReply(pkt, dnswire.RCodeFormErr), formerr
+		return appendRawReply(b, pkt, dnswire.RCodeFormErr), formerr
 	}
 	if q.Response {
-		return nil, dropped // a response sent at a server is noise, not a query
+		return b, dropped // a response sent at a server is noise, not a query
 	}
 	if qr.ID != "" && len(q.Questions) > 0 {
 		qr.Hostname = q.Questions[0].Name
@@ -274,26 +280,25 @@ func (s *Server) handle(pkt []byte, src netip.Addr, tcp bool, qr *qlog.Record) (
 		limit = s.udpLimit(q)
 		s.observeUDPLimit(limit)
 	}
-	out, err := r.PackTruncated(limit)
+	out, err := r.AppendTruncated(b, limit)
 	if err != nil {
 		// The question alone does not fit the negotiated size; answer
 		// with a header-only SERVFAIL rather than silence.
-		return rawReply(pkt, dnswire.RCodeServFail), servfail
+		return appendRawReply(b, pkt, dnswire.RCodeServFail), servfail
 	}
 	return out, oc
 }
 
-// udpLimit negotiates the response size: the smaller of what the
-// client advertised and what the server allows, never below 512.
+// udpLimit negotiates the response size. A query without EDNS gets
+// the 512 bytes RFC 1035 §4.2.1 allows; one with EDNS the smaller of
+// what the client advertised and what the server allows, never below
+// 512.
 func (s *Server) udpLimit(q *dnswire.Message) int {
-	limit := int(s.cfg.UDPSize)
-	if q.EDNS != nil && int(q.EDNS.UDPSize) < limit {
-		limit = int(q.EDNS.UDPSize)
+	if q.EDNS == nil {
+		return minUDPSize
 	}
-	if limit < minUDPSize {
-		limit = minUDPSize
-	}
-	return limit
+	limit := min(int(s.cfg.UDPSize), int(q.EDNS.UDPSize))
+	return max(limit, minUDPSize)
 }
 
 // answer resolves one question against the live index and fills the
@@ -330,66 +335,90 @@ func (s *Server) answer(r *dnswire.Message, question dnswire.Question) outcome {
 	return noerror
 }
 
-// rawReply builds a header-only response from the raw bytes of a
-// request that may not parse: ID echoed, QR set, opcode and RD bits
-// carried over, all counts zero. Frames too short to even echo an ID
-// get no reply at all.
-func rawReply(pkt []byte, rcode dnswire.RCode) []byte {
+// appendRawReply appends a header-only response built from the raw
+// bytes of a request that may not parse: ID echoed, QR set, opcode and
+// RD bits carried over, all counts zero. Frames too short to even echo
+// an ID get no reply at all: b comes back unchanged.
+func appendRawReply(b, pkt []byte, rcode dnswire.RCode) []byte {
 	if len(pkt) < 4 {
-		return nil
+		return b
 	}
-	h := make([]byte, 12)
-	h[0], h[1] = pkt[0], pkt[1]
-	h[2] = 0x80 | pkt[2]&0x79 // QR | opcode | RD
-	h[3] = byte(rcode & 0xF)
-	return h
+	return append(b,
+		pkt[0], pkt[1], // ID
+		0x80|pkt[2]&0x79, // QR | opcode | RD
+		byte(rcode&0xF),
+		0, 0, 0, 0, 0, 0, 0, 0) // counts
+}
+
+// past is a deadline that has expired: setting it makes a blocked read
+// or accept return at once.
+var past = time.Unix(1, 0)
+
+// wakeOnCancel moves a socket's deadline into the past, through set,
+// once ctx is canceled, so that a serve loop blocked on the socket
+// returns without polling. Call the returned function when done with
+// the socket: it unhooks ctx and, if ctx was canceled, reports whether
+// the deadline was set. The error, if any, only says the socket was
+// already closed, so nothing could block on it anyway.
+func wakeOnCancel(ctx context.Context, set func(time.Time) error) (done func() error) {
+	errc := make(chan error, 1)
+	stop := context.AfterFunc(ctx, func() { errc <- set(past) })
+	return func() error {
+		if stop() {
+			return nil // ctx was not canceled; nothing was set
+		}
+		return <-errc
+	}
 }
 
 // ServeUDP answers queries on conn until ctx is canceled. Packets are
 // handled inline — a lookup is microseconds, so per-packet goroutines
-// would cost more than they buy.
-func (s *Server) ServeUDP(ctx context.Context, conn *net.UDPConn) error {
-	buf := make([]byte, 65536)
-	for {
-		if err := conn.SetReadDeadline(time.Now().Add(pollInterval)); err != nil {
-			return err
+// would cost more than they buy — and every reply is packed into one
+// buffer the loop owns.
+func (s *Server) ServeUDP(ctx context.Context, conn *net.UDPConn) (err error) {
+	done := wakeOnCancel(ctx, conn.SetReadDeadline)
+	defer func() {
+		if werr := done(); err == nil {
+			err = werr
 		}
+	}()
+	buf := make([]byte, 65536)
+	var out []byte
+	for {
 		n, addr, err := conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
 			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
-			}
 			return err
 		}
-		if resp := s.HandlePacket(buf[:n], addr.Addr(), false); resp != nil {
-			if _, err := conn.WriteToUDPAddrPort(resp, addr); err != nil && ctx.Err() != nil {
-				return nil
-			}
+		out = s.appendReply(out[:0], buf[:n], addr.Addr(), false)
+		if len(out) == 0 {
+			continue
+		}
+		if _, err := conn.WriteToUDPAddrPort(out, addr); err != nil && ctx.Err() != nil {
+			return nil
 		}
 	}
 }
 
 // ServeTCP answers queries on ln until ctx is canceled, then waits for
-// every open connection to drain before returning.
-func (s *Server) ServeTCP(ctx context.Context, ln *net.TCPListener) error {
+// every open connection to flush its replies and close before
+// returning.
+func (s *Server) ServeTCP(ctx context.Context, ln *net.TCPListener) (err error) {
+	done := wakeOnCancel(ctx, ln.SetDeadline)
+	defer func() {
+		if werr := done(); err == nil {
+			err = werr
+		}
+	}()
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for {
-		if err := ln.SetDeadline(time.Now().Add(pollInterval)); err != nil {
-			return err
-		}
 		conn, err := ln.Accept()
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
 			}
 			return err
 		}
@@ -403,12 +432,21 @@ func (s *Server) ServeTCP(ctx context.Context, ln *net.TCPListener) error {
 
 // serveConn handles one TCP connection: two-byte length-prefixed
 // frames (RFC 1035 §4.2.2) until the peer closes, errs, idles past
-// the deadline, or the server drains.
+// tcpIdleTimeout, or the server shuts down. It reads through a buffer
+// and writes replies into another, so a pipelined burst costs a few
+// syscalls, not four per query. It flushes the replies only before a
+// read that may block — when the reader does not already hold the
+// whole next frame — so it never waits on the network with replies
+// unsent, and every way out of the loop but a failed write passes a
+// flush.
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
+	done := wakeOnCancel(ctx, conn.SetReadDeadline)
 	defer func() {
 		// A failed close on a drained conn is not actionable, but it is
-		// countable.
-		if err := conn.Close(); err != nil {
+		// countable. A wake deadline that could not be set means the
+		// conn was closed already.
+		werr := done()
+		if err := conn.Close(); err != nil || werr != nil {
 			s.closeErrors.Add(1)
 		}
 	}()
@@ -416,16 +454,30 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	if ap, err := netip.ParseAddrPort(conn.RemoteAddr().String()); err == nil {
 		src = ap.Addr()
 	}
+	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
 	var lenbuf [2]byte
-	// One frame buffer per connection, grown to the largest frame seen.
-	// Reusing it is safe: the reply is written before the next read, and
-	// nothing HandlePacket returns or keeps aliases the request bytes.
-	var frame []byte
-	for ctx.Err() == nil {
-		if err := conn.SetReadDeadline(time.Now().Add(tcpIdleTimeout)); err != nil {
-			return
+	// One frame buffer and one reply buffer per connection, grown to
+	// the largest seen. Reusing them is safe: nothing HandlePacket
+	// returns or keeps aliases the request or the reply bytes, and
+	// bw copies each reply.
+	var frame, out []byte
+	for {
+		if !frameBuffered(br) {
+			if err := bw.Flush(); err != nil {
+				return
+			}
+			// The idle deadline is armed only here, before a read that
+			// may block. ctx is checked after arming it: a cancel that
+			// landed before this deadline replaced the past one
+			// wakeOnCancel set is seen here, a later one sets it again.
+			if err := conn.SetReadDeadline(time.Now().Add(tcpIdleTimeout)); err != nil {
+				return
+			}
+			if ctx.Err() != nil {
+				return
+			}
 		}
-		if _, err := io.ReadFull(conn, lenbuf[:]); err != nil {
+		if _, err := io.ReadFull(br, lenbuf[:]); err != nil {
 			return
 		}
 		n := int(binary.BigEndian.Uint16(lenbuf[:]))
@@ -433,19 +485,31 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 			frame = make([]byte, n)
 		}
 		frame = frame[:n]
-		if _, err := io.ReadFull(conn, frame); err != nil {
+		if _, err := io.ReadFull(br, frame); err != nil {
 			return
 		}
-		resp := s.HandlePacket(frame, src, true)
-		if resp == nil {
+		// The reply is packed behind room for its length prefix.
+		out = s.appendReply(append(out[:0], 0, 0), frame, src, true)
+		if len(out) == 2 {
 			continue
 		}
-		binary.BigEndian.PutUint16(lenbuf[:], uint16(len(resp)))
-		if _, err := conn.Write(lenbuf[:]); err != nil {
-			return
-		}
-		if _, err := conn.Write(resp); err != nil {
+		binary.BigEndian.PutUint16(out, uint16(len(out)-2))
+		if _, err := bw.Write(out); err != nil {
 			return
 		}
 	}
+}
+
+// frameBuffered reports whether br holds a complete length-prefixed
+// frame, which can be read without blocking. It peeks only at bytes
+// already buffered, so it never reads from the connection itself.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 2 {
+		return false
+	}
+	hdr, err := br.Peek(2)
+	if err != nil {
+		return false
+	}
+	return br.Buffered() >= 2+int(binary.BigEndian.Uint16(hdr))
 }

@@ -39,7 +39,14 @@ const (
 
 func testIndex(t testing.TB) *geoloc.Index {
 	t.Helper()
-	res, err := core.ReadConventions(strings.NewReader(testConventions))
+	return indexOf(t, testConventions)
+}
+
+// indexOf compiles a conventions file over the embedded dictionary and
+// public suffix list.
+func indexOf(t testing.TB, conventions string) *geoloc.Index {
+	t.Helper()
+	res, err := core.ReadConventions(strings.NewReader(conventions))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,29 +225,9 @@ func TestAnswers(t *testing.T) {
 // either silence or a frame that decodes.
 func TestMalformedCorpusNoPanic(t *testing.T) {
 	s := testServer(t)
-	files, err := filepath.Glob(filepath.Join("..", "dnswire", "testdata", "frames", "*.hex"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("golden corpus not found: %v (%d files)", err, len(files))
-	}
-	for _, f := range files {
-		name := strings.TrimSuffix(filepath.Base(f), ".hex")
-		t.Run(name, func(t *testing.T) {
-			raw, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var sb strings.Builder
-			for _, line := range strings.Split(string(raw), "\n") {
-				if i := strings.IndexByte(line, '#'); i >= 0 {
-					line = line[:i]
-				}
-				sb.WriteString(strings.Join(strings.Fields(line), ""))
-			}
-			pkt, err := hex.DecodeString(sb.String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp := s.HandlePacket(pkt, testSrc, false)
+	for _, fr := range goldenFrames(t) {
+		t.Run(fr.name, func(t *testing.T) {
+			resp := s.HandlePacket(fr.pkt, testSrc, false)
 			if resp == nil {
 				return // dropped: fine for sub-header or response frames
 			}
@@ -249,6 +236,42 @@ func TestMalformedCorpusNoPanic(t *testing.T) {
 			}
 		})
 	}
+}
+
+// goldenFrame is one frame of dnswire's golden corpus.
+type goldenFrame struct {
+	name string
+	pkt  []byte
+}
+
+// goldenFrames reads dnswire's golden corpus of hand-assembled frames,
+// hex bytes with '#' comments, in file-name order.
+func goldenFrames(t testing.TB) []goldenFrame {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("..", "dnswire", "testdata", "frames", "*.hex"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("golden corpus not found: %v (%d files)", err, len(files))
+	}
+	frames := make([]goldenFrame, 0, len(files))
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for _, line := range strings.Split(string(raw), "\n") {
+			if i := strings.IndexByte(line, '#'); i >= 0 {
+				line = line[:i]
+			}
+			sb.WriteString(strings.Join(strings.Fields(line), ""))
+		}
+		pkt, err := hex.DecodeString(sb.String())
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		frames = append(frames, goldenFrame{strings.TrimSuffix(filepath.Base(f), ".hex"), pkt})
+	}
+	return frames
 }
 
 // TestUDPTruncation drives a response past a tiny negotiated payload
@@ -275,6 +298,41 @@ func TestUDPTruncation(t *testing.T) {
 	}
 	if r.Truncated || len(r.Answers) != 3 {
 		t.Errorf("TCP reply truncated=%v answers=%d, want full 3", r.Truncated, len(r.Answers))
+	}
+}
+
+// TestUDPWithoutEDNSFits512 asks for every record of a located name
+// whose answers outgrow 512 bytes, without an OPT record: RFC 1035
+// §4.2.1 caps that UDP reply at 512 bytes, so records must drop with TC
+// set, whatever -udp-size allows an EDNS client.
+func TestUDPWithoutEDNSFits512(t *testing.T) {
+	const suffix = "northumbria-regional-fibre-backbone-ltds.net" // 44 characters
+	host := strings.Repeat("a", 63) + "." + strings.Repeat("b", 63) + "." + strings.Repeat("c", 63) +
+		".ddddd.core1.ncl1." + suffix // 253 characters
+	s := New(indexOf(t, "suffix "+suffix+" good tp=16 fp=0 fn=0 unk=0 hints=5\n"+
+		`regex iata hint ^.+\.core\d+\.([a-z]{3})\d+\.`+strings.ReplaceAll(suffix, ".", `\.`)+"$\n"+
+		"learned iata ncl 54.9783 -1.6178 newcastle upon tyne|tyne and wear|gb tp=4 fp=0 collide=false\n"), Config{})
+	m := q(host+".", dnswire.TypeANY)
+	m.EDNS = nil
+	pkt, err := m.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := dnswire.Unpack(s.HandlePacket(pkt, testSrc, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Answers) != 3 {
+		t.Fatalf("TCP reply has %d answers, want TXT, PTR and LOC", len(full.Answers))
+	}
+	resp := s.HandlePacket(pkt, testSrc, false)
+	r, err := dnswire.Unpack(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp) > 512 || !r.Truncated || len(r.Answers) >= 3 {
+		t.Errorf("UDP reply without EDNS: %d bytes, TC %v, %d answers; want at most 512 bytes, TC set, records dropped",
+			len(resp), r.Truncated, len(r.Answers))
 	}
 }
 

@@ -38,17 +38,17 @@ func TestEDNSSizeHistogram(t *testing.T) {
 	send(1232, false) // 1232 → band 1
 	send(4096, false) // 4096 → band 2
 	send(9000, false) // min(9000, 8192) = 8192 → +Inf band
-	send(0, false)    // no EDNS: server default 8192 → +Inf band
+	send(0, false)    // no EDNS: the RFC 1035 512 → band 0
 	send(512, true)   // TCP: no negotiated limit, not observed
 
 	bounds, counts, sum := s.EDNSSizes()
 	if want := []float64{512, 1232, 4096}; fmt.Sprint(bounds) != fmt.Sprint(want) {
 		t.Errorf("bounds = %v, want %v", bounds, want)
 	}
-	if want := []int64{1, 1, 1, 2}; fmt.Sprint(counts) != fmt.Sprint(want) {
+	if want := []int64{2, 1, 1, 1}; fmt.Sprint(counts) != fmt.Sprint(want) {
 		t.Errorf("counts = %v, want %v", counts, want)
 	}
-	if want := int64(512 + 1232 + 4096 + 8192 + 8192); sum != want {
+	if want := int64(512 + 1232 + 4096 + 8192 + 512); sum != want {
 		t.Errorf("sum = %d, want %d", sum, want)
 	}
 }

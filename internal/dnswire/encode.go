@@ -6,7 +6,7 @@ package dnswire
 // encoding is deterministic — the same Message always yields the same
 // bytes. A message that cannot fit 65535 bytes is ErrMessageTooLong.
 func (m *Message) Pack() ([]byte, error) {
-	return m.pack(MaxMessageLen, false)
+	return m.appendMessage(nil, MaxMessageLen, false)
 }
 
 // PackTruncated encodes the message to fit within limit bytes — the
@@ -18,44 +18,59 @@ func (m *Message) Pack() ([]byte, error) {
 // client to retry over TCP. The header, question section, and OPT must
 // fit outright, or the result is ErrMessageTooLong.
 func (m *Message) PackTruncated(limit int) ([]byte, error) {
+	return m.AppendTruncated(nil, limit)
+}
+
+// AppendTruncated is PackTruncated appending the message to b, so a
+// caller can pack every reply into one buffer it owns, behind any
+// prefix it wants (a TCP length field, say): compression offsets and
+// limit count from the message's first byte, len(b) on entry. A nil b
+// starts a 512-byte buffer. On error it returns b unchanged.
+func (m *Message) AppendTruncated(b []byte, limit int) ([]byte, error) {
 	if limit > MaxMessageLen {
 		limit = MaxMessageLen
 	}
-	return m.pack(limit, true)
+	return m.appendMessage(b, limit, true)
 }
 
-// packer accumulates the wire image and the compression map. The map
-// records where each name suffix was written; mark/rollback undo a
-// record that overflowed the size limit, compression entries included,
-// so later records cannot point into bytes that were rolled away.
+// packer appends one message to buf, after the base bytes the caller
+// had there. mark/rollback undo a record that overflowed the size
+// limit, its compression entries included, so later records cannot
+// point into bytes that were rolled away.
 type packer struct {
-	buf     []byte
-	cmp     map[string]int
-	cmpKeys []string // insertion log, for rollback
+	buf  []byte
+	base int
+	cmp  compressor
 }
+
+// size is the length of the message packed so far.
+func (p *packer) size() int { return len(p.buf) - p.base }
 
 type packMark struct {
-	buf, keys int
+	buf, ents int
 }
 
-func (p *packer) mark() packMark { return packMark{len(p.buf), len(p.cmpKeys)} }
+func (p *packer) mark() packMark { return packMark{len(p.buf), p.cmp.n} }
 
 func (p *packer) rollback(m packMark) {
-	for _, k := range p.cmpKeys[m.keys:] {
-		delete(p.cmp, k)
-	}
-	p.cmpKeys = p.cmpKeys[:m.keys]
+	p.cmp.truncate(m.ents)
 	p.buf = p.buf[:m.buf]
 }
 
-func (m *Message) pack(limit int, truncate bool) ([]byte, error) {
+// appendMessage is the one packer behind Pack, PackTruncated and
+// AppendTruncated: with truncate unset, a record past limit is
+// ErrMessageTooLong instead of being dropped.
+func (m *Message) appendMessage(b []byte, limit int, truncate bool) ([]byte, error) {
 	if m.RCode > 0xFFF || (m.RCode > 0xF && m.EDNS == nil) {
-		return nil, ErrBadRCode
+		return b, ErrBadRCode
 	}
 	if len(m.Questions) > MaxMessageLen {
-		return nil, ErrMessageTooLong // section counts are 16-bit
+		return b, ErrMessageTooLong // section counts are 16-bit
 	}
-	p := &packer{buf: make([]byte, headerLen, 512), cmp: make(map[string]int)}
+	if b == nil {
+		b = make([]byte, 0, 512)
+	}
+	p := packer{buf: append(b, make([]byte, headerLen)...), base: len(b)}
 
 	// The OPT record is written last but reserved for throughout: no
 	// earlier record may eat the bytes it needs.
@@ -68,13 +83,13 @@ func (m *Message) pack(limit int, truncate bool) ([]byte, error) {
 	}
 
 	for _, q := range m.Questions {
-		if err := p.packName(q.Name, true); err != nil {
-			return nil, err
+		if err := p.packName(q.Name); err != nil {
+			return b, err
 		}
 		p.buf = append(p.buf, byte(q.Type>>8), byte(q.Type), byte(q.Class>>8), byte(q.Class))
 	}
-	if len(p.buf)+optLen > limit {
-		return nil, ErrMessageTooLong // questions and OPT cannot be dropped
+	if p.size()+optLen > limit {
+		return b, ErrMessageTooLong // questions and OPT cannot be dropped
 	}
 
 	// Records are packed answer → authority → additional; the first one
@@ -89,7 +104,7 @@ func (m *Message) pack(limit int, truncate bool) ([]byte, error) {
 			if err := p.packRR(rr); err != nil {
 				return 0, err
 			}
-			if len(p.buf)+optLen > limit {
+			if p.size()+optLen > limit {
 				p.rollback(mk)
 				full = false
 				return kept, nil
@@ -100,23 +115,23 @@ func (m *Message) pack(limit int, truncate bool) ([]byte, error) {
 	}
 	an, err := packSection(m.Answers)
 	if err != nil {
-		return nil, err
+		return b, err
 	}
 	ns, err := packSection(m.Authority)
 	if err != nil {
-		return nil, err
+		return b, err
 	}
 	ar, err := packSection(m.Additional)
 	if err != nil {
-		return nil, err
+		return b, err
 	}
 	dropped := len(m.Answers) - an + len(m.Authority) - ns
 	if !full && !truncate {
-		return nil, ErrMessageTooLong
+		return b, ErrMessageTooLong
 	}
 	if m.EDNS != nil {
 		if err := p.packOPT(m.EDNS, m.RCode); err != nil {
-			return nil, err
+			return b, err
 		}
 		ar++
 	}
@@ -147,7 +162,7 @@ func (m *Message) pack(limit int, truncate bool) ([]byte, error) {
 	if m.CheckingDisabled {
 		flags |= 0x0010
 	}
-	h := p.buf[:headerLen]
+	h := p.buf[p.base:]
 	put16(h[0:], m.ID)
 	put16(h[2:], flags)
 	put16(h[4:], uint16(len(m.Questions)))
@@ -157,48 +172,176 @@ func (m *Message) pack(limit int, truncate bool) ([]byte, error) {
 	return p.buf, nil
 }
 
-// packName writes a name, reusing an existing suffix via a compression
-// pointer when compress is set. Every suffix actually written at an
+// packName writes a name, ending it with a compression pointer to the
+// longest suffix already written. Every suffix it writes at a message
 // offset below 0x4000 (the 14-bit pointer ceiling) is registered as a
-// future target, first occurrence winning.
-func (p *packer) packName(name string, compress bool) error {
-	labels, err := splitName(name)
+// future target; a suffix is registered only when no equal one was, so
+// the first occurrence stays the target.
+func (p *packer) packName(name string) error {
+	var w [maxNameWire]byte
+	var starts [maxNameWire / 2]uint8
+	n, labels, err := parseName(name, &w, &starts)
 	if err != nil {
 		return err
 	}
-	for i := range labels {
-		key := suffixKey(labels[i:])
-		if off, ok := p.cmp[key]; ok && compress {
-			p.buf = append(p.buf, 0xC0|byte(off>>8), byte(off))
-			return nil
+	// hashes[i] covers the wire bytes of the suffix starting at label
+	// i; one pass from the right computes them all.
+	var hashes [len(starts)]uint32
+	h := uint32(fnvOffset)
+	for i, pos := labels-1, n-1; i >= 0; i-- {
+		for ; pos >= int(starts[i]); pos-- {
+			h = (h ^ uint32(w[pos])) * fnvPrime
 		}
-		if off := len(p.buf); off < 0x4000 {
-			if _, exists := p.cmp[key]; !exists {
-				p.cmp[key] = off
-				p.cmpKeys = append(p.cmpKeys, key)
-			}
-		}
-		p.buf = append(p.buf, byte(len(labels[i])))
-		p.buf = append(p.buf, labels[i]...)
+		hashes[i] = h
 	}
-	p.buf = append(p.buf, 0)
+	msg := p.buf[p.base:]
+	hit, ptr := labels, 0
+	for i := 0; i < labels; i++ {
+		if off, ok := p.cmp.lookup(hashes[i], msg, w[starts[i]:n]); ok {
+			hit, ptr = i, off
+			break
+		}
+	}
+	at := p.size()
+	for i := 0; i < hit && at+int(starts[i]) < 0x4000; i++ {
+		p.cmp.register(hashes[i], at+int(starts[i]))
+	}
+	if hit == labels {
+		p.buf = append(p.buf, w[:n]...)
+		return nil
+	}
+	p.buf = append(p.buf, w[:starts[hit]]...)
+	p.buf = append(p.buf, 0xC0|byte(ptr>>8), byte(ptr))
 	return nil
 }
 
-// suffixKey is the exact-bytes identity of a label suffix: length-
-// prefixed labels, the uncompressed wire spelling. Compression is
-// byte-exact (no case folding), which keeps encoding deterministic.
-func suffixKey(labels [][]byte) string {
-	n := 0
-	for _, l := range labels {
-		n += 1 + len(l)
+// FNV-1a parameters for the suffix hash.
+const (
+	fnvOffset = 2166136261
+	fnvPrime  = 16777619
+)
+
+// compressor is the registry of name suffixes already written: for
+// every suffix registered, its message offset, indexed by a hash of the
+// suffix's uncompressed wire bytes in an open-addressing table with
+// linear probing. A hash hit is confirmed by comparing the suffix with
+// the message bytes at that offset, so a collision costs a compare,
+// never a wrong pointer. Compression is byte-exact (no case folding),
+// which keeps encoding deterministic.
+//
+// The first entries and their index are arrays inside the compressor,
+// which lives on the packer's stack; only a message that registers
+// more suffixes than they hold moves to a heap table, doubled as
+// needed.
+type compressor struct {
+	n     int                    // entries registered
+	ents  [inlineEnts]cmpEntry   // entries in the order written, while they fit
+	slots [2 * inlineEnts]uint16 // their index while it fits
+	big   *cmpTable              // both, once the arrays are outgrown
+}
+
+// inlineEnts is the registry size a packer starts with: a typical
+// reply registers a handful of suffixes.
+const inlineEnts = 32
+
+// cmpTable holds a compressor's entries and index. The index has
+// twice as many slots as there is room for entries, so it is never
+// more than half full. A slot holds an entry's position plus one, or 0.
+type cmpTable struct {
+	ents  []cmpEntry
+	slots []uint16
+}
+
+type cmpEntry struct {
+	hash uint32
+	off  uint16
+}
+
+func (c *compressor) table() cmpTable {
+	if c.big != nil {
+		return *c.big
 	}
-	key := make([]byte, 0, n)
-	for _, l := range labels {
-		key = append(key, byte(len(l)))
-		key = append(key, l...)
+	return cmpTable{c.ents[:], c.slots[:]}
+}
+
+// lookup returns the offset of a registered suffix equal to suffix,
+// the wire form of a name tail, in msg.
+func (c *compressor) lookup(h uint32, msg, suffix []byte) (int, bool) {
+	t := c.table()
+	for i := t.slot(h); t.slots[i] != 0; i = t.next(i) {
+		e := t.ents[t.slots[i]-1]
+		if e.hash == h && nameEqual(msg, int(e.off), suffix) {
+			return int(e.off), true
+		}
 	}
-	return string(key)
+	return 0, false
+}
+
+// register records a suffix written at message offset off, moving to
+// a table twice the size first if this one is full.
+func (c *compressor) register(h uint32, off int) {
+	t := c.table()
+	if c.n == len(t.ents) {
+		big := &cmpTable{make([]cmpEntry, 2*len(t.ents)), make([]uint16, 2*len(t.slots))}
+		copy(big.ents, t.ents)
+		for e := 0; e < c.n; e++ {
+			big.place(e)
+		}
+		c.big, t = big, *big
+	}
+	t.ents[c.n] = cmpEntry{h, uint16(off)}
+	t.place(c.n)
+	c.n++
+}
+
+// truncate forgets every entry after the first n. Those are the newest
+// entries, so clearing their slots restores the index the older ones
+// built: each entry took the first free slot of its probe sequence,
+// and a larger table is refilled in the order the entries were written.
+func (c *compressor) truncate(n int) {
+	t := c.table()
+	for ; c.n > n; c.n-- {
+		i := t.slot(t.ents[c.n-1].hash)
+		for int(t.slots[i]) != c.n {
+			i = t.next(i)
+		}
+		t.slots[i] = 0
+	}
+}
+
+// slot is where the probe sequence of hash h starts; next steps it.
+func (t cmpTable) slot(h uint32) int { return int((h ^ h>>16) & uint32(len(t.slots)-1)) }
+func (t cmpTable) next(i int) int    { return (i + 1) & (len(t.slots) - 1) }
+
+// place puts ents[e] in the first free slot of its probe sequence.
+func (t cmpTable) place(e int) {
+	i := t.slot(t.ents[e].hash)
+	for t.slots[i] != 0 {
+		i = t.next(i)
+	}
+	t.slots[i] = uint16(e + 1)
+}
+
+// nameEqual reports whether the name written at offset off of msg
+// spells suffix, an uncompressed wire-form name tail. It follows the
+// packer's own pointers, which always target an offset below their
+// own, so the walk terminates.
+func nameEqual(msg []byte, off int, suffix []byte) bool {
+	for {
+		c := msg[off]
+		if c >= 0xC0 {
+			off = int(c&0x3F)<<8 | int(msg[off+1])
+			continue
+		}
+		n := 1 + int(c) // length byte and label, or the root's zero
+		if len(suffix) < n || string(msg[off:off+n]) != string(suffix[:n]) {
+			return false
+		}
+		if c == 0 {
+			return true
+		}
+		off, suffix = off+n, suffix[n:]
+	}
 }
 
 // packRR writes one resource record: owner name (compressible), fixed
@@ -207,7 +350,7 @@ func (p *packer) packRR(rr RR) error {
 	if rr.Data == nil {
 		return ErrBadRData
 	}
-	if err := p.packName(rr.Name, true); err != nil {
+	if err := p.packName(rr.Name); err != nil {
 		return err
 	}
 	typ := rr.Data.Type()
@@ -222,7 +365,7 @@ func (p *packer) packRR(rr RR) error {
 	case A:
 		p.buf = append(p.buf, d[:]...)
 	case PTR:
-		if err := p.packName(string(d), true); err != nil {
+		if err := p.packName(string(d)); err != nil {
 			return err
 		}
 	case TXT:

@@ -23,71 +23,92 @@ const maxNameWire = 255
 // maxLabel is the longest single label.
 const maxLabel = 63
 
-// splitName parses a presentation-format name into raw label byte
-// slices. Both fully-qualified ("a.b.") and bare ("a.b") spellings are
-// accepted; "." is the root (no labels). Empty names, empty labels,
-// dangling or malformed escapes, 64-byte labels, and names beyond the
-// 255-byte wire limit are errors.
-func splitName(name string) ([][]byte, error) {
+// parseName converts a presentation-format name to uncompressed wire
+// form in w — length-prefixed labels, then the root's zero byte — and
+// returns the wire length, the label count, and in starts each label's
+// offset in w. Both fully-qualified ("a.b.") and bare ("a.b")
+// spellings are accepted; "." is the root (no labels). Empty names,
+// empty labels, dangling or malformed escapes, 64-byte labels, and
+// names beyond the 255-byte wire limit are errors. A name past the
+// limit is still scanned to its end, so its syntax errors are reported
+// first, as a split into labels would report them.
+func parseName(name string, w *[maxNameWire]byte, starts *[maxNameWire / 2]uint8) (n, labels int, err error) {
 	if name == "" {
-		return nil, ErrBadName
+		return 0, 0, ErrBadName
 	}
 	if name == "." {
-		return nil, nil
+		w[0] = 0
+		return 1, 0, nil
 	}
-	var labels [][]byte
-	var cur []byte
-	i := 0
-	for i < len(name) {
-		switch c := name[i]; {
+	// n counts wire bytes even past len(w), where nothing is stored;
+	// at is the offset of the open label's length byte, size its length.
+	at, size := 0, 0
+	closeLabel := func() error {
+		if size > maxLabel {
+			return ErrLabelTooLong
+		}
+		if at < len(w) && labels < len(starts) {
+			w[at] = byte(size)
+			starts[labels] = uint8(at)
+		}
+		labels++
+		size = 0
+		return nil
+	}
+	for i := 0; i < len(name); {
+		c := name[i]
+		switch {
 		case c == '\\':
 			if i+1 >= len(name) {
-				return nil, ErrBadName
+				return 0, 0, ErrBadName
 			}
 			d := name[i+1]
 			if d >= '0' && d <= '9' {
 				if i+3 >= len(name) || !isDigit(name[i+2]) || !isDigit(name[i+3]) {
-					return nil, ErrBadName
+					return 0, 0, ErrBadName
 				}
 				v := int(d-'0')*100 + int(name[i+2]-'0')*10 + int(name[i+3]-'0')
 				if v > 255 {
-					return nil, ErrBadName
+					return 0, 0, ErrBadName
 				}
-				cur = append(cur, byte(v))
+				c = byte(v)
 				i += 4
 			} else {
-				cur = append(cur, d)
+				c = d
 				i += 2
 			}
 		case c == '.':
-			if len(cur) == 0 {
-				return nil, ErrBadName // leading dot or ".."
+			if size == 0 {
+				return 0, 0, ErrBadName // leading dot or ".."
 			}
-			if len(cur) > maxLabel {
-				return nil, ErrLabelTooLong
+			if err := closeLabel(); err != nil {
+				return 0, 0, err
 			}
-			labels = append(labels, cur)
-			cur = nil
 			i++
+			continue
 		default:
-			cur = append(cur, c)
 			i++
 		}
-	}
-	if len(cur) > 0 { // bare spelling: final label has no trailing dot
-		if len(cur) > maxLabel {
-			return nil, ErrLabelTooLong
+		if size == 0 {
+			at = n // the length byte, written when the label closes
+			n++
 		}
-		labels = append(labels, cur)
+		if n < len(w) {
+			w[n] = c
+		}
+		n++
+		size++
 	}
-	wire := 1
-	for _, l := range labels {
-		wire += 1 + len(l)
+	if size > 0 { // bare spelling: final label has no trailing dot
+		if err := closeLabel(); err != nil {
+			return 0, 0, err
+		}
 	}
-	if wire > maxNameWire {
-		return nil, ErrNameTooLong
+	if n >= len(w) {
+		return 0, 0, ErrNameTooLong
 	}
-	return labels, nil
+	w[n] = 0
+	return n + 1, labels, nil
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
@@ -120,7 +141,10 @@ func appendEscaped(dst, label []byte) []byte {
 // terminates. maxPointerHops is a belt-and-braces cap on top, and the
 // 255-byte wire accounting bounds the label bytes walked between hops.
 func unpackName(msg []byte, off int) (string, int, error) {
-	var out []byte
+	// A name without escapes fits the stack buffer; string(out) is then
+	// the one allocation.
+	var stack [maxNameWire]byte
+	out := stack[:0]
 	pos, next := off, -1
 	hops, wire := 0, 0
 	lastTarget := 1 << 30

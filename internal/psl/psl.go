@@ -23,7 +23,7 @@ import (
 // List is a parsed public suffix list.
 type List struct {
 	rules     map[string]ruleKind // key: rule labels joined by "."
-	maxLabels int
+	maxLabels int                 // most labels in any key of rules
 }
 
 type ruleKind uint8
@@ -85,8 +85,8 @@ func (l *List) addRule(rule string) error {
 		return errors.New("empty rule")
 	}
 	l.rules[rule] = kind
-	if n := strings.Count(rule, ".") + 1; n+1 > l.maxLabels {
-		l.maxLabels = n + 1 // +1 for possible wildcard label
+	if n := strings.Count(rule, ".") + 1; n > l.maxLabels {
+		l.maxLabels = n
 	}
 	return nil
 }
@@ -98,60 +98,83 @@ func (l *List) Len() int { return len(l.rules) }
 // algorithm. The domain must be a hostname without a trailing dot; the
 // result is always non-empty for a non-empty domain (the implicit "*"
 // rule makes the rightmost label a public suffix when nothing matches).
+// The result is a substring of the input when the input is lower case.
 func (l *List) PublicSuffix(domain string) string {
-	domain = strings.ToLower(strings.Trim(domain, "."))
+	return l.publicSuffix(normalize(domain))
+}
+
+// normalize strips leading and trailing dots and lowers the case. Both
+// steps return their input, unallocated, when it needs no change.
+func normalize(domain string) string {
+	return strings.ToLower(strings.Trim(domain, "."))
+}
+
+// publicSuffix is PublicSuffix on a normalized domain. It probes the
+// rule map with each label-aligned suffix of domain, longest first,
+// skipping suffixes with more labels than any rule, and returns a
+// substring of domain, so it allocates nothing.
+func (l *List) publicSuffix(domain string) string {
 	if domain == "" || strings.Contains(domain, "..") {
 		// Empty labels make the domain invalid.
 		return ""
 	}
-	labels := strings.Split(domain, ".")
-
+	// The suffix of domain at offset start has n labels; prev is the
+	// offset of the label before it. Suffixes with more labels than any
+	// rule cannot match, so the walk starts below them.
+	start, prev := 0, 0
+	n := strings.Count(domain, ".") + 1
+	for ; n > l.maxLabels && n > 1; n-- {
+		prev, start = start, start+strings.IndexByte(domain[start:], '.')+1
+	}
 	bestLen := 0 // labels in prevailing suffix
-	exception := false
+	best := 0    // its offset in domain
 	// Consider every suffix of the domain, longest rules prevail.
-	for i := 0; i < len(labels); i++ {
-		cand := strings.Join(labels[i:], ".")
-		if kind, ok := l.rules[cand]; ok {
-			n := len(labels) - i
+	for ; ; n-- {
+		if kind, ok := l.rules[domain[start:]]; ok {
 			switch kind {
 			case ruleException:
 				// Exception: the public suffix is the rule with its
 				// leftmost label removed.
-				return strings.Join(labels[i+1:], ".")
+				if i := strings.IndexByte(domain[start:], '.'); i >= 0 {
+					return domain[start+i+1:]
+				}
+				return ""
 			case ruleNormal:
 				if n > bestLen {
-					bestLen, exception = n, false
+					bestLen, best = n, start
 				}
 			case ruleWildcard:
 				// The wildcard rule itself (*.foo) matches bar.foo;
 				// the matched suffix has one more label than the rule.
-				if i > 0 && n+1 > bestLen {
-					bestLen, exception = n+1, false
+				if start > 0 && n+1 > bestLen {
+					bestLen, best = n+1, prev
 				}
 			}
 		}
+		i := strings.IndexByte(domain[start:], '.')
+		if i < 0 {
+			break
+		}
+		prev, start = start, start+i+1
 	}
-	_ = exception
 	if bestLen == 0 {
-		bestLen = 1 // implicit "*" rule
+		return domain[strings.LastIndexByte(domain, '.')+1:] // implicit "*" rule
 	}
-	return strings.Join(labels[len(labels)-bestLen:], ".")
+	return domain[best:]
 }
 
 // RegistrableDomain returns the public suffix plus one label — the
 // domain an operator registers, which Hoiho uses to group hostnames
 // ("e0-0.cr1.lhr1.ntt.net" → "ntt.net"). It returns "" when the domain
-// is itself a public suffix or empty.
+// is itself a public suffix or empty. Like PublicSuffix, it returns a
+// substring of a lower-case input and allocates nothing for one.
 func (l *List) RegistrableDomain(domain string) string {
-	domain = strings.ToLower(strings.Trim(domain, "."))
-	if domain == "" {
-		return ""
-	}
-	suffix := l.PublicSuffix(domain)
+	domain = normalize(domain)
+	suffix := l.publicSuffix(domain)
 	if suffix == "" || suffix == domain {
 		return ""
 	}
-	rest := strings.TrimSuffix(domain, "."+suffix)
-	labels := strings.Split(rest, ".")
-	return labels[len(labels)-1] + "." + suffix
+	// suffix is a label-aligned tail of domain; keep one more label.
+	rest := domain[:len(domain)-len(suffix)-1]
+	return domain[strings.LastIndexByte(rest, '.')+1:]
 }

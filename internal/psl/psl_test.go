@@ -1,6 +1,8 @@
 package psl
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -159,5 +161,51 @@ func TestDefaultListSize(t *testing.T) {
 	l := MustDefault()
 	if l.Len() < 150 {
 		t.Errorf("embedded list has %d rules, want >= 150", l.Len())
+	}
+}
+
+// TestOracleAgreesOnCorpus runs every hostname of the golden corpus
+// through both lists and holds the walk to the label-splitting oracle,
+// which is what keeps learning's GroupBySuffix byte-identical.
+func TestOracleAgreesOnCorpus(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "corpus.names"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists := []*List{MustDefault(), MustParse(trickyRules)}
+	hosts := 0
+	for _, line := range strings.Split(string(raw), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 {
+			continue
+		}
+		host := f[len(f)-1]
+		hosts++
+		for _, l := range lists {
+			for _, d := range []string{host, strings.ToUpper(host), host + "."} {
+				if got, want := l.PublicSuffix(d), oraclePublicSuffix(l, d); got != want {
+					t.Errorf("PublicSuffix(%q) = %q, oracle %q", d, got, want)
+				}
+				if got, want := l.RegistrableDomain(d), oracleRegistrableDomain(l, d); got != want {
+					t.Errorf("RegistrableDomain(%q) = %q, oracle %q", d, got, want)
+				}
+			}
+		}
+	}
+	if hosts < 700 {
+		t.Fatalf("read %d hostnames, want the whole corpus", hosts)
+	}
+}
+
+// TestRegistrableDomainAllocs pins the serving path's PSL dispatch at
+// zero allocations for a lower-case hostname.
+func TestRegistrableDomainAllocs(t *testing.T) {
+	l := MustDefault()
+	var rd string
+	allocs := testing.AllocsPerRun(100, func() {
+		rd = l.RegistrableDomain("xe-1.core9.ash1.he.net")
+	})
+	if rd != "he.net" || allocs != 0 {
+		t.Errorf("RegistrableDomain = %q in %v allocations, want he.net in 0", rd, allocs)
 	}
 }
