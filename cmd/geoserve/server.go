@@ -4,12 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
 	"time"
 
-	"hoiho/internal/core"
 	"hoiho/internal/daemon"
 	"hoiho/internal/geoloc"
 	"hoiho/internal/obs"
@@ -270,54 +270,13 @@ type lookupRequest struct {
 	Hostnames []string `json:"hostnames,omitempty"`
 }
 
-// lookupResult is the JSON shape of one geolocated hostname.
-type lookupResult struct {
-	Hostname string        `json:"hostname"`
-	Located  bool          `json:"located"`
-	Suffix   string        `json:"suffix,omitempty"`
-	Hint     string        `json:"hint,omitempty"`
-	Type     string        `json:"type,omitempty"`
-	Learned  bool          `json:"learned,omitempty"`
-	Location *locationJSON `json:"location,omitempty"`
-}
-
-type locationJSON struct {
-	City    string  `json:"city"`
-	Region  string  `json:"region,omitempty"`
-	Country string  `json:"country"`
-	Lat     float64 `json:"lat"`
-	Long    float64 `json:"long"`
-}
-
-type batchResponse struct {
-	Results []lookupResult `json:"results"`
-}
-
-func toResult(hostname string, g *core.Geolocation) lookupResult {
-	if g == nil {
-		return lookupResult{Hostname: hostname}
-	}
-	return lookupResult{
-		Hostname: hostname,
-		Located:  true,
-		Suffix:   g.Suffix,
-		Hint:     g.Hint,
-		Type:     g.Type.String(),
-		Learned:  g.Learned,
-		Location: &locationJSON{
-			City: g.Loc.City, Region: g.Loc.Region, Country: g.Loc.Country,
-			Lat: g.Loc.Pos.Lat, Long: g.Loc.Pos.Long,
-		},
-	}
-}
-
 func (s *server) handleGeolocate(w http.ResponseWriter, r *http.Request) {
 	defer s.observeLatency(time.Now())
 	// One pointer load per request: the whole request is served by a
 	// single index generation even if a swap lands mid-flight.
 	ix := s.plane.Live.Index()
-	var req lookupRequest
-	if !s.decode(w, r, &req) {
+	req, ok := s.readLookupRequest(w, r)
+	if !ok {
 		return
 	}
 	single := req.Hostname != ""
@@ -333,14 +292,23 @@ func (s *server) handleGeolocate(w http.ResponseWriter, r *http.Request) {
 		s.hostnames.Add(1)
 		logHostname(w, req.Hostname)
 		g, _ := ix.Lookup(req.Hostname)
-		writeJSON(w, http.StatusOK, toResult(req.Hostname, g))
+		p := getBuf()
+		*p = append(appendResult(*p, req.Hostname, g), '\n')
+		writeReply(w, *p)
+		putBuf(p)
 	default:
 		s.hostnames.Add(int64(len(req.Hostnames)))
-		resp := batchResponse{Results: make([]lookupResult, len(req.Hostnames))}
+		p := getBuf()
+		b := append(*p, `{"results":[`...)
 		for i, g := range ix.LookupBatch(req.Hostnames) {
-			resp.Results[i] = toResult(req.Hostnames[i], g)
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendResult(b, req.Hostnames[i], g)
 		}
-		writeJSON(w, http.StatusOK, resp)
+		*p = append(b, "]}\n"...)
+		writeReply(w, *p)
+		putBuf(p)
 	}
 }
 
@@ -360,7 +328,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		hostname = r.URL.Query().Get("hostname")
 	} else {
 		var req explainRequest
-		if !s.decode(w, r, &req) {
+		if !s.decode(w, r.Body, &req) {
 			return
 		}
 		hostname = req.Hostname
@@ -388,8 +356,8 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // decode reads a /v1 JSON body into v, answering a malformed or
 // oversized body with its error envelope; it reports whether v was
 // filled.
-func (s *server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+func (s *server) decode(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	var tooLarge *http.MaxBytesError

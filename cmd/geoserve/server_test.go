@@ -26,7 +26,7 @@ regex iata hint ^.+\.core\d+\.([a-z]{3})\d+\.he\.net$
 learned iata ash 39.0437 -77.4875 ashburn|va|us tp=4 fp=0 collide=false
 `
 
-func testIndex(t *testing.T) *geoloc.Index {
+func testIndex(t testing.TB) *geoloc.Index {
 	t.Helper()
 	res, err := core.ReadConventions(strings.NewReader(testConventions))
 	if err != nil {

@@ -137,7 +137,8 @@ func ReadConventions(r io.Reader) (*Result, error) {
 			}
 			lat, err1 := strconv.ParseFloat(fields[3], 64)
 			long, err2 := strconv.ParseFloat(fields[4], 64)
-			if err1 != nil || err2 != nil {
+			pos := geo.LatLong{Lat: lat, Long: long}
+			if err1 != nil || err2 != nil || !pos.Valid() {
 				return nil, fmt.Errorf("core: line %d: bad coordinates", line)
 			}
 			// The location triple may contain spaces in the city name;
@@ -158,8 +159,7 @@ func ReadConventions(r io.Reader) (*Result, error) {
 			lh := &LearnedHint{
 				Suffix: cur.Suffix, Hint: fields[2], Type: ht,
 				Loc: &geodict.Location{
-					City: trip[0], Region: trip[1], Country: trip[2],
-					Pos: geo.LatLong{Lat: lat, Long: long},
+					City: trip[0], Region: trip[1], Country: trip[2], Pos: pos,
 				},
 			}
 			for _, kv := range rest[kvStart:] {

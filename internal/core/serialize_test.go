@@ -78,12 +78,15 @@ func TestReadConventionsErrors(t *testing.T) {
 		"suffix a.net good tp=1 fp=0 fn=0 unk=0 zz=1",      // unknown field
 		"suffix a.net good tp=1",                           // short record
 		"bogus record",                                     // unknown record
-		"suffix a.net good tp=1 fp=0 fn=0 unk=0 hints=1\nregex wat hint ^([a-z]{3})\\.a\\.net$",            // bad hint type
-		"suffix a.net good tp=1 fp=0 fn=0 unk=0 hints=1\nregex iata wat ^([a-z]{3})\\.a\\.net$",            // bad role
-		"suffix a.net good tp=1 fp=0 fn=0 unk=0 hints=1\nregex iata hint ^(a|b)$",                          // foreign pattern
-		"suffix a.net good tp=1 fp=0 fn=0 unk=0 hints=1\nlearned iata x y z a||us tp=1 fp=0 collide=false", // bad coords
-		"suffix a.net good tp=1 fp=0 fn=0 unk=0 hints=1\nlearned iata x 1 2 nope tp=1 fp=0 collide=false",  // bad triple
-		"suffix a.net good tp=1 fp=0 fn=0 unk=0 hints=1\nsuffix a.net good tp=1 fp=0 fn=0 unk=0 hints=1",   // dup suffix
+		"suffix a.net good tp=1 fp=0 fn=0 unk=0 hints=1\nregex wat hint ^([a-z]{3})\\.a\\.net$",               // bad hint type
+		"suffix a.net good tp=1 fp=0 fn=0 unk=0 hints=1\nregex iata wat ^([a-z]{3})\\.a\\.net$",               // bad role
+		"suffix a.net good tp=1 fp=0 fn=0 unk=0 hints=1\nregex iata hint ^(a|b)$",                             // foreign pattern
+		"suffix a.net good tp=1 fp=0 fn=0 unk=0 hints=1\nlearned iata x y z a||us tp=1 fp=0 collide=false",    // bad coords
+		"suffix a.net good tp=1 fp=0 fn=0 unk=0 hints=1\nlearned iata x NaN 2 a||us tp=1 fp=0 collide=false",  // non-finite latitude
+		"suffix a.net good tp=1 fp=0 fn=0 unk=0 hints=1\nlearned iata x 95 2 a||us tp=1 fp=0 collide=false",   // latitude off the globe
+		"suffix a.net good tp=1 fp=0 fn=0 unk=0 hints=1\nlearned iata x 1 -181 a||us tp=1 fp=0 collide=false", // longitude off the globe
+		"suffix a.net good tp=1 fp=0 fn=0 unk=0 hints=1\nlearned iata x 1 2 nope tp=1 fp=0 collide=false",     // bad triple
+		"suffix a.net good tp=1 fp=0 fn=0 unk=0 hints=1\nsuffix a.net good tp=1 fp=0 fn=0 unk=0 hints=1",      // dup suffix
 	}
 	for _, in := range cases {
 		if _, err := ReadConventions(strings.NewReader(in)); err == nil {

@@ -37,7 +37,7 @@ const (
 	HintState             // state/province name or code
 )
 
-var hintNames = map[HintType]string{
+var hintNames = [...]string{
 	HintNone:     "none",
 	HintIATA:     "iata",
 	HintICAO:     "icao",
@@ -49,10 +49,11 @@ var hintNames = map[HintType]string{
 	HintState:    "state",
 }
 
-// String returns the lower-case name of the hint type.
+// String returns the lower-case name of the hint type. Every located
+// answer names its type, so this is an array index, not a map probe.
 func (t HintType) String() string {
-	if s, ok := hintNames[t]; ok {
-		return s
+	if t >= 0 && int(t) < len(hintNames) {
+		return hintNames[t]
 	}
 	return fmt.Sprintf("hinttype(%d)", int(t))
 }

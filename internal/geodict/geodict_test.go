@@ -350,6 +350,19 @@ func TestLocationString(t *testing.T) {
 	}
 }
 
+func TestHintTypeString(t *testing.T) {
+	for ht, want := range map[HintType]string{
+		HintNone: "none", HintIATA: "iata", HintICAO: "icao",
+		HintLocode: "locode", HintCLLI: "clli", HintPlace: "place",
+		HintFacility: "facility", HintCountry: "country", HintState: "state",
+		HintState + 1: "hinttype(9)", -1: "hinttype(-1)",
+	} {
+		if got := ht.String(); got != want {
+			t.Errorf("HintType(%d).String() = %q, want %q", int(ht), got, want)
+		}
+	}
+}
+
 func TestLocationKeyUnique(t *testing.T) {
 	a := Location{City: "london", Country: "gb"}
 	b := Location{City: "london", Region: "on", Country: "ca"}
