@@ -2,8 +2,8 @@
 // the registered benchmark suite (pipeline runs, stage-2 tagging,
 // serving-index batch lookups, golden-corpus end-to-end) against the
 // committed golden corpus, merges the testing.Benchmark timings with
-// the observability layer's aggregate counters and rex's compile
-// counts, and writes a schema-versioned, env/commit/date-stamped
+// the observability layer's aggregate counters and rex's count of
+// matchers built, and writes a schema-versioned, env/commit/date-stamped
 // BENCH_NNNN.json — the files committed at the repo root from PR 5 on.
 //
 // Usage:
@@ -162,8 +162,7 @@ func runSuite(src *geoloc.Source, quick bool, repeats int, runPat, commitFlag st
 		return nil, err
 	}
 	rec := benchrec.NewFile(time.Now().UTC().Format(time.RFC3339), commitID(commitFlag), quick)
-	compiled0, probed0 := rex.CompileCounts()
-	matchers0, fallbacks0 := rex.MatcherCounts()
+	matchers0 := rex.MatchersCompiled()
 	for _, def := range s.defs {
 		if filter != nil && !filter.MatchString(def.name) {
 			continue
@@ -178,13 +177,9 @@ func runSuite(src *geoloc.Source, quick bool, repeats int, runPat, commitFlag st
 	if len(rec.Benchmarks) == 0 {
 		return nil, fmt.Errorf("-run %q selects no benchmarks", runPat)
 	}
-	compiled1, probed1 := rex.CompileCounts()
-	matchers1, fallbacks1 := rex.MatcherCounts()
+	matchers := rex.MatchersCompiled() - matchers0
 	rec.Counters = s.tracedCounters()
-	rec.Counters["rex_regexes_compiled"] = compiled1 - compiled0
-	rec.Counters["rex_probes_compiled"] = probed1 - probed0
-	rec.Counters["rex_matchers_compiled"] = matchers1 - matchers0
-	rec.Counters["rex_matcher_fallbacks"] = fallbacks1 - fallbacks0
+	rec.Counters["rex_matchers_compiled"] = matchers
 	return rec, nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"hoiho/internal/geo"
@@ -406,6 +407,49 @@ func TestGeolocate(t *testing.T) {
 	}
 	if _, ok := Geolocate(nil, f.dict, "x.he.net"); ok {
 		t.Error("nil NC should not geolocate")
+	}
+}
+
+// TestDecide drives each cause of the decision procedure over a
+// two-regex convention: the first regex that matches decides, even when
+// its geohint resolves to nothing and the second regex would locate.
+func TestDecide(t *testing.T) {
+	res, err := ReadConventions(strings.NewReader(`suffix he.net good tp=16 fp=0 fn=0 unk=0 hints=5
+regex iata hint ^([a-z]{3})\..+\.he\.net$
+regex iata hint ^.+\.([a-z]{3})\d+\.he\.net$
+learned iata ash 39.0437 -77.4875 ashburn|va|us tp=4 fp=0 collide=false
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc, dict := res.NCs["he.net"], geodict.MustDefault()
+	for _, tc := range []struct {
+		nc         *NamingConvention
+		host       string
+		cause      Cause
+		regex      int
+		hint       string
+		candidates int
+	}{
+		{nil, "x.he.net", CauseNoConvention, 0, "", 0},
+		{nc, "unrelated.he.net", CauseNoMatch, 2, "", 0},
+		{nc, "xxq.core1.sjc1.he.net", CauseUnresolved, 0, "xxq", 0}, // regex 1 would locate sjc
+		{nc, "ge0.ve42.core9.ash1.he.net", CauseLearned, 1, "ash", 0},
+		{nc, "te0.core1.sjc1.he.net", CauseDictionary, 1, "sjc", 1},
+		{nc, "lhr.core1.sjc1.he.net", CauseDictionary, 0, "lhr", 1},
+	} {
+		d := Decide(tc.nc, dict, tc.host)
+		if d.Cause != tc.cause || d.Regex != tc.regex || d.Extraction.Hint != tc.hint || d.Candidates != tc.candidates {
+			t.Errorf("%s: cause=%d regex=%d hint=%q candidates=%d, want %d %d %q %d", tc.host,
+				d.Cause, d.Regex, d.Extraction.Hint, d.Candidates, tc.cause, tc.regex, tc.hint, tc.candidates)
+		}
+		if (d.Learned != nil) != (tc.cause == CauseLearned) || (d.Loc != nil) != (tc.cause >= CauseLearned) {
+			t.Errorf("%s: learned=%v loc=%v for cause %d", tc.host, d.Learned, d.Loc, d.Cause)
+		}
+		g, ok := Geolocate(tc.nc, dict, tc.host)
+		if ok != (d.Loc != nil) || ok && (g.Loc.Key() != d.Loc.Key() || g.Learned != (d.Learned != nil) || g.Hint != tc.hint) {
+			t.Errorf("%s: Geolocate %+v, %v disagrees with Decide %+v", tc.host, g, ok, d)
+		}
 	}
 }
 

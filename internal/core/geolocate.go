@@ -18,50 +18,89 @@ type Geolocation struct {
 	Learned  bool // the hint resolved through a stage-4 learned geohint
 }
 
-// Geolocate applies a naming convention to a hostname: the first
-// matching regex extracts a geohint, which ResolveExtraction interprets.
-// It is a thin wrapper kept for one-off application; services applying
-// conventions at volume should compile them into a geoloc.Index, which
-// shares the exported resolution helpers below.
-func Geolocate(nc *NamingConvention, dict *geodict.Dictionary, host string) (*Geolocation, bool) {
+// Cause says how Decide reached its verdict.
+type Cause uint8
+
+// The five causes, in the order the decision procedure can stop.
+const (
+	CauseNoConvention Cause = iota // no convention for the hostname's suffix
+	CauseNoMatch                   // no regex of the convention matched
+	CauseUnresolved                // the first match's geohint resolves to no location
+	CauseLearned                   // located through a stage-4 learned geohint
+	CauseDictionary                // located through the reference dictionary
+)
+
+// Decision is the outcome of applying a naming convention to one
+// hostname, with the evidence a trace of it shows.
+type Decision struct {
+	Cause Cause
+	// Regex is the index of the first matching regex; no regex before
+	// it matched. Under CauseNoMatch it is the number of regexes tried.
+	Regex int
+	// Extraction is what the first matching regex captured.
+	Extraction rex.Extraction
+	// Learned is the learned geohint behind CauseLearned, else nil.
+	Learned *LearnedHint
+	// Candidates counts the dictionary interpretations that survived
+	// annotation filtering; the dictionary is consulted only when no
+	// learned geohint applies.
+	Candidates int
+	// Loc is the answer under CauseLearned and CauseDictionary.
+	Loc *geodict.Location
+}
+
+// Decide is the one procedure that applies a naming convention to a
+// hostname (§5.3). The first regex, in learned order, that matches
+// decides. Its geohint resolves through the convention's learned
+// geohints first, then through the dictionary, whose interpretations
+// PickLocation disambiguates. A first match that resolves to nothing is
+// a miss, not a fall-through to later regexes. nc may be nil.
+func Decide(nc *NamingConvention, dict *geodict.Dictionary, host string) Decision {
 	if nc == nil {
-		return nil, false
+		return Decision{Cause: CauseNoConvention}
 	}
-	for _, r := range nc.Regexes {
+	for i, r := range nc.Regexes {
 		ext, ok := r.Match(host)
 		if !ok {
 			continue
 		}
-		loc, learned, ok := ResolveExtraction(nc, dict, ext)
-		if !ok {
-			return nil, false
+		d := Decision{Regex: i, Extraction: ext}
+		for _, lh := range nc.Learned {
+			if lh.Type == ext.Type && lh.Hint == ext.Hint {
+				d.Cause, d.Learned, d.Loc = CauseLearned, lh, lh.Loc
+				return d
+			}
 		}
-		return &Geolocation{
-			Hostname: host, Suffix: nc.Suffix, Hint: ext.Hint, Type: ext.Type,
-			Loc: loc, Learned: learned,
-		}, true
+		locs := DictionaryLocations(dict, ext)
+		if d.Candidates = len(locs); d.Candidates == 0 {
+			d.Cause = CauseUnresolved
+		} else {
+			d.Cause, d.Loc = CauseDictionary, PickLocation(dict, locs)
+		}
+		return d
 	}
-	return nil, false
+	return Decision{Cause: CauseNoMatch, Regex: len(nc.Regexes)}
 }
 
-// ResolveExtraction interprets a regex extraction: first through the
-// convention's learned geohints and then through the reference
-// dictionary, disambiguating multiple interpretations by facility
-// presence and population (the paper's ranking for learned hints, which
-// Lakhina et al.'s population-density observation motivates). ok is
-// false when the extracted string resolves to no location.
-func ResolveExtraction(nc *NamingConvention, dict *geodict.Dictionary, ext rex.Extraction) (loc *geodict.Location, learned, ok bool) {
-	// Learned geohints take precedence over the dictionary.
-	for _, lh := range nc.Learned {
-		if lh.Type == ext.Type && lh.Hint == ext.Hint {
-			return lh.Loc, true, true
-		}
+// Geolocation returns the answer of a located decision about host
+// under nc, or nil when the decision located nothing.
+func (d Decision) Geolocation(nc *NamingConvention, host string) *Geolocation {
+	if d.Cause < CauseLearned {
+		return nil
 	}
-	locs := DictionaryLocations(dict, ext)
-	if len(locs) == 0 {
-		return nil, false, false
+	return &Geolocation{
+		Hostname: host, Suffix: nc.Suffix, Hint: d.Extraction.Hint, Type: d.Extraction.Type,
+		Loc: d.Loc, Learned: d.Cause == CauseLearned,
 	}
-	return PickLocation(dict, locs), false, true
+}
+
+// Geolocate applies a naming convention to a hostname through Decide.
+// It is a thin wrapper for one-off application; services applying
+// conventions at volume compile them into a geoloc.Index, which decides
+// the same way.
+func Geolocate(nc *NamingConvention, dict *geodict.Dictionary, host string) (*Geolocation, bool) {
+	g := Decide(nc, dict, host).Geolocation(nc, host)
+	return g, g != nil
 }
 
 // DictionaryLocations resolves an extraction against the reference

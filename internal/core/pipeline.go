@@ -130,8 +130,7 @@ func Run(in Inputs, cfg Config) (*Result, error) {
 
 	root := cfg.Tracer.Start("run")
 	root.Count("suffix_groups", int64(len(groups)))
-	compiled0, probed0 := rex.CompileCounts()
-	matchers0, _ := rex.MatcherCounts()
+	matchers0 := rex.MatchersCompiled()
 
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -165,15 +164,7 @@ func Run(in Inputs, cfg Config) (*Result, error) {
 		wg.Wait()
 	}
 
-	// Candidate regexes build specialized rexmatch programs on the probe
-	// path; the regexes/probes counters keep tracking the (now rare)
-	// stdlib-fallback compiles so the two engine families stay visible
-	// side by side in the bench fingerprint.
-	compiled1, probed1 := rex.CompileCounts()
-	matchers1, _ := rex.MatcherCounts()
-	root.Count("regexes_compiled", compiled1-compiled0)
-	root.Count("probes_compiled", probed1-probed0)
-	root.Count("matchers_compiled", matchers1-matchers0)
+	root.Count("matchers_compiled", rex.MatchersCompiled()-matchers0)
 	defer root.End()
 
 	// Merge per-suffix outcomes. GroupBySuffix returns groups sorted by

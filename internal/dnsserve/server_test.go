@@ -217,6 +217,47 @@ func TestAnswers(t *testing.T) {
 	if r.RCode != dnswire.RCodeNoError || len(r.Answers) != 0 || !r.Authoritative {
 		t.Errorf("NODATA response = %+v", r)
 	}
+
+	// Every golden hostname under the golden conventions: NXDOMAIN
+	// exactly when Lookup misses, otherwise the TXT of AnswerStrings.
+	dir := filepath.Join("..", "..", "testdata", "golden")
+	conventions, err := os.ReadFile(filepath.Join(dir, "conventions.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := os.ReadFile(filepath.Join(dir, "corpus.names"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := indexOf(t, string(conventions))
+	gs := New(ix, Config{})
+	hosts := 0
+	for _, line := range strings.Split(string(names), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 {
+			continue
+		}
+		host := f[len(f)-1]
+		hosts++
+		r := ask(t, gs, q(host+".", dnswire.TypeTXT))
+		g, ok := ix.Lookup(host)
+		if !ok {
+			if r.RCode != dnswire.RCodeNXDomain || len(r.Answers) != 0 {
+				t.Errorf("%s: Lookup misses, reply rcode %v with %d answers", host, r.RCode, len(r.Answers))
+			}
+			continue
+		}
+		if r.RCode != dnswire.RCodeNoError || len(r.Answers) != 1 {
+			t.Errorf("%s: located, reply rcode %v with %d answers", host, r.RCode, len(r.Answers))
+			continue
+		}
+		if txt, want := r.Answers[0].Data, dnswire.TXT(geoloc.AnswerStrings(g)); !reflect.DeepEqual(txt, want) {
+			t.Errorf("%s: TXT = %v, want %v", host, txt, want)
+		}
+	}
+	if hosts != 740 {
+		t.Errorf("checked %d golden hostnames, want 740", hosts)
+	}
 }
 
 // TestMalformedCorpusNoPanic replays the dnswire golden corpus — every

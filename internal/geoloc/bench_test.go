@@ -78,12 +78,11 @@ func BenchmarkIndexLookupBatch(b *testing.B) {
 
 // BenchmarkPerCallLookupWarm is the pre-index apply path in its best
 // case: psl dispatch plus core.Geolocate against conventions whose
-// regex caches are already warm, with the linear learned-hint scan on
-// every call.
+// matchers are already built.
 func BenchmarkPerCallLookupWarm(b *testing.B) {
 	res, dict, list := learnFixture(b)
 	for s, nc := range res.NCs {
-		core.Geolocate(nc, dict, "warm.core1.sjc1."+s) // warm the compile caches
+		core.Geolocate(nc, dict, "warm.core1.sjc1."+s) // build the matchers
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -119,8 +118,8 @@ func BenchmarkPerCallLookupColdCompile(b *testing.B) {
 }
 
 // BenchmarkIndexBuild measures New over an already-learned result; the
-// shared regex caches are warm after the first build, so this isolates
-// dispatch-map and learned-overlay construction.
+// shared matchers are built after the first build, so this isolates
+// dispatch-map construction.
 func BenchmarkIndexBuild(b *testing.B) {
 	res, dict, list := learnFixture(b)
 	b.ReportAllocs()

@@ -6,13 +6,12 @@ import (
 	"strings"
 
 	"hoiho/internal/core"
-	"hoiho/internal/geodict"
 )
 
 // Resolution names for an ExplainStep that matched.
 const (
 	// ResolutionLearned: the hint resolved through the convention's
-	// stage-4 learned-geohint overlay, which takes precedence over the
+	// stage-4 learned geohints, which take precedence over the
 	// dictionary.
 	ResolutionLearned = "learned-overlay"
 	// ResolutionDictionary: the hint resolved through the reference
@@ -24,6 +23,13 @@ const (
 	// fall-through to later regexes.
 	ResolutionUnresolved = "unresolved"
 )
+
+// resolutions names each cause of a decision whose regex matched.
+var resolutions = [...]string{
+	core.CauseUnresolved: ResolutionUnresolved,
+	core.CauseLearned:    ResolutionLearned,
+	core.CauseDictionary: ResolutionDictionary,
+}
 
 // ExplainLocation is the location payload of an explanation, with the
 // /v1 JSON field names so explain output is mechanically comparable to
@@ -58,7 +64,7 @@ type ExplainStep struct {
 	// annotation filtering, before disambiguation (dictionary path only).
 	Candidates int `json:"candidates,omitempty"`
 	// LearnedTP/LearnedFP/LearnedCollide echo the congruence evidence
-	// behind a learned-overlay resolution.
+	// behind a learned-geohint resolution.
 	LearnedTP      int  `json:"learned_tp,omitempty"`
 	LearnedFP      int  `json:"learned_fp,omitempty"`
 	LearnedCollide bool `json:"learned_collide,omitempty"`
@@ -103,12 +109,12 @@ type Explanation struct {
 	Location *ExplainLocation `json:"location,omitempty"`
 }
 
-// Explain runs the lookup decision procedure for one hostname and
-// records every stage. It mirrors Lookup exactly — same dispatch, same
-// regex order, same first-match-decides rule, same overlay-then-
-// dictionary resolution — but bypasses the result cache and the Stats
-// counters: an explanation is diagnostic traffic, not serving load,
-// and must show the decision even when the answer is memoized.
+// Explain traces the lookup decision for one hostname. It dispatches
+// as Lookup does and rebuilds its steps from the same core.Decide
+// verdict — every regex before the decision's did not match — but
+// bypasses the result cache and the Stats counters: an explanation is
+// diagnostic traffic, not serving load, and must show the decision even
+// when the answer is memoized.
 func (ix *Index) Explain(hostname string) *Explanation {
 	ex := &Explanation{Hostname: hostname, Normalized: normalize(hostname)}
 	ex.Suffix = ix.list.RegistrableDomain(ex.Normalized)
@@ -129,61 +135,39 @@ func (ix *Index) Explain(hostname string) *Explanation {
 		Regexes:     len(nc.Regexes),
 		Learned:     len(nc.Learned),
 	}
-	for _, r := range nc.Regexes {
-		step := ExplainStep{Pattern: r.String(), HintType: r.Hint.String()}
-		ext, ok := r.Match(ex.Normalized)
-		if !ok {
-			ex.Steps = append(ex.Steps, step)
-			continue
-		}
-		step.Matched = true
-		step.Hint, step.State, step.Country = ext.Hint, ext.State, ext.Country
-		if loc, ok := c.learned[hintKey{ext.Type, ext.Hint}]; ok {
-			step.Resolution = ResolutionLearned
-			step.Location = loc.String()
-			// Recover the congruence evidence behind the overlay entry;
-			// first match wins, the order the overlay map was built in.
-			for _, lh := range nc.Learned {
-				if lh.Type == ext.Type && lh.Hint == ext.Hint {
-					step.LearnedTP, step.LearnedFP, step.LearnedCollide = lh.TP, lh.FP, lh.Collide
-					break
-				}
-			}
-			ex.Steps = append(ex.Steps, step)
-			ex.finish(ext.Hint, ext.Type, true, loc)
-			return ex
-		}
-		locs := core.DictionaryLocations(ix.dict, ext)
-		step.Candidates = len(locs)
-		if len(locs) == 0 {
-			step.Resolution = ResolutionUnresolved
-			ex.Steps = append(ex.Steps, step)
-			return ex
-		}
-		loc := core.PickLocation(ix.dict, locs)
-		step.Resolution = ResolutionDictionary
-		step.Location = loc.String()
-		ex.Steps = append(ex.Steps, step)
-		ex.finish(ext.Hint, ext.Type, false, loc)
+	d := core.Decide(nc, ix.dict, ex.Normalized)
+	for _, r := range nc.Regexes[:d.Regex] {
+		ex.Steps = append(ex.Steps, ExplainStep{Pattern: r.String(), HintType: r.Hint.String()})
+	}
+	if d.Cause == core.CauseNoMatch {
 		return ex
 	}
-	return ex
-}
-
-// finish fills the answer fields of a located explanation.
-func (ex *Explanation) finish(hint string, typ geodict.HintType, learned bool, loc *geodict.Location) {
-	ex.Located = true
-	ex.Hint = hint
-	ex.HintType = typ.String()
-	ex.Learned = learned
-	ex.Location = &ExplainLocation{
-		City:       loc.City,
-		Region:     loc.Region,
-		Country:    loc.Country,
-		Lat:        loc.Pos.Lat,
-		Long:       loc.Pos.Long,
-		Population: loc.Population,
+	r, ext := nc.Regexes[d.Regex], d.Extraction
+	step := ExplainStep{
+		Pattern: r.String(), HintType: r.Hint.String(), Matched: true,
+		Hint: ext.Hint, State: ext.State, Country: ext.Country,
+		Resolution: resolutions[d.Cause], Candidates: d.Candidates,
 	}
+	if lh := d.Learned; lh != nil {
+		step.LearnedTP, step.LearnedFP, step.LearnedCollide = lh.TP, lh.FP, lh.Collide
+	}
+	if loc := d.Loc; loc != nil {
+		step.Location = loc.String()
+		ex.Located = true
+		ex.Hint = ext.Hint
+		ex.HintType = ext.Type.String()
+		ex.Learned = d.Cause == core.CauseLearned
+		ex.Location = &ExplainLocation{
+			City:       loc.City,
+			Region:     loc.Region,
+			Country:    loc.Country,
+			Lat:        loc.Pos.Lat,
+			Long:       loc.Pos.Long,
+			Population: loc.Population,
+		}
+	}
+	ex.Steps = append(ex.Steps, step)
+	return ex
 }
 
 // Text renders the explanation as a deterministic human-readable

@@ -6,28 +6,37 @@ import (
 	"testing"
 )
 
-// TestExplainMirrorsLookup: for every probe hostname, the explanation's
-// verdict and answer agree exactly with Lookup — Explain is the same
-// decision procedure with the trace recorded, never a second opinion.
+// TestExplainMirrorsLookup: for every probe hostname and every hostname
+// of the golden corpus, the explanation's verdict and answer agree
+// exactly with Lookup — Explain is the same decision procedure with the
+// trace recorded, never a second opinion.
 func TestExplainMirrorsLookup(t *testing.T) {
-	ix := newTestIndex(t, Options{})
-	for _, host := range probeHosts {
-		g, ok := ix.Lookup(host)
-		ex := ix.Explain(host)
-		if ex.Located != ok {
-			t.Errorf("%s: Explain located=%v, Lookup ok=%v", host, ex.Located, ok)
-			continue
-		}
-		if !ok {
-			continue
-		}
-		if ex.Location.City != g.Loc.City || ex.Location.Region != g.Loc.Region ||
-			ex.Location.Country != g.Loc.Country {
-			t.Errorf("%s: Explain %+v != Lookup %+v", host, ex.Location, g.Loc)
-		}
-		if ex.Hint != g.Hint || ex.HintType != g.Type.String() || ex.Learned != g.Learned ||
-			ex.Suffix != g.Suffix {
-			t.Errorf("%s: Explain answer fields diverge from Lookup", host)
+	_, golden := goldenIndex(t)
+	for _, tc := range []struct {
+		ix    *Index
+		hosts []string
+	}{
+		{newTestIndex(t, Options{}), probeHosts},
+		{golden, goldenHostnames(t)},
+	} {
+		for _, host := range tc.hosts {
+			g, ok := tc.ix.Lookup(host)
+			ex := tc.ix.Explain(host)
+			if ex.Located != ok {
+				t.Errorf("%s: Explain located=%v, Lookup ok=%v", host, ex.Located, ok)
+				continue
+			}
+			if !ok {
+				continue
+			}
+			if ex.Location.City != g.Loc.City || ex.Location.Region != g.Loc.Region ||
+				ex.Location.Country != g.Loc.Country {
+				t.Errorf("%s: Explain %+v != Lookup %+v", host, ex.Location, g.Loc)
+			}
+			if ex.Hint != g.Hint || ex.HintType != g.Type.String() || ex.Learned != g.Learned ||
+				ex.Suffix != g.Suffix {
+				t.Errorf("%s: Explain answer fields diverge from Lookup", host)
+			}
 		}
 	}
 }

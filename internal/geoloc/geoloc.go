@@ -6,11 +6,12 @@
 //
 // Compilation does all per-request-avoidable work up front: hostnames
 // dispatch to their convention by registrable domain (public suffix
-// list), every regex is compiled exactly once at build time, and
-// stage-4 learned geohints are resolved into O(1) overlay maps. Lookups
-// after New never compile a regex. A bounded, sharded LRU cache absorbs
-// repeated hostnames — the common shape of measurement traffic, where
-// the same router interfaces recur across traces.
+// list), and every regex builds its matcher exactly once at build time,
+// so lookups after New never build one. Each lookup then applies the
+// convention through core.Decide, the decision procedure core.Geolocate
+// and Explain share. A bounded, sharded LRU cache absorbs repeated
+// hostnames — the common shape of measurement traffic, where the same
+// router interfaces recur across traces.
 //
 // The Index is immutable after New: concurrent Lookup and LookupBatch
 // callers need no external synchronization, and identical inputs
@@ -57,16 +58,9 @@ type Options struct {
 	Tracer *obs.Tracer
 }
 
-// hintKey identifies a learned-geohint overlay entry.
-type hintKey struct {
-	typ  geodict.HintType
-	hint string
-}
-
-// convention is the compiled serving state for one suffix.
+// convention is the serving state for one suffix.
 type convention struct {
 	nc      *core.NamingConvention
-	learned map[hintKey]*geodict.Location
 	matches atomic.Uint64
 }
 
@@ -88,11 +82,9 @@ type Index struct {
 	byClass     [3]atomic.Uint64 // indexed by core.Classification
 }
 
-// New compiles a result's conventions into an Index. Every regex is
-// compiled here — a convention whose pattern does not compile fails the
-// build rather than silently never matching — and learned geohints are
-// flattened into per-convention overlay maps (first entry wins on
-// duplicates, matching Geolocate's scan order).
+// New compiles a result's conventions into an Index. Every regex builds
+// its matcher here — a convention with a regex that cannot build fails
+// the build rather than silently never matching.
 func New(res *core.Result, opts Options) (*Index, error) {
 	if res == nil {
 		return nil, fmt.Errorf("geoloc: nil result")
@@ -112,30 +104,18 @@ func New(res *core.Result, opts Options) (*Index, error) {
 		}
 	}
 	sp := opts.Tracer.Start("geoloc-compile")
-	compiled0, _ := rex.CompileCounts()
-	matchers0, _ := rex.MatcherCounts()
+	matchers0 := rex.MatchersCompiled()
 	ix := &Index{dict: dict, list: list, convs: make(map[string]*convention, len(res.NCs)), tracer: opts.Tracer}
 	for suffix, nc := range res.NCs {
 		if nc == nil || (opts.UsableOnly && !nc.Class.Usable()) {
 			continue
 		}
-		c := &convention{nc: nc, learned: make(map[hintKey]*geodict.Location, len(nc.Learned))}
 		for _, r := range nc.Regexes {
-			// Prepare builds the specialized rexmatch program (or, for a
-			// regex outside its dialect, compiles the stdlib form) so no
-			// Lookup ever pays compile cost — and a convention whose
-			// pattern is invalid still fails the build here.
 			if err := r.Prepare(); err != nil {
 				return nil, fmt.Errorf("geoloc: suffix %s: %w", suffix, err)
 			}
 		}
-		for _, lh := range nc.Learned {
-			k := hintKey{lh.Type, lh.Hint}
-			if _, dup := c.learned[k]; !dup {
-				c.learned[k] = lh.Loc
-			}
-		}
-		ix.convs[suffix] = c
+		ix.convs[suffix] = &convention{nc: nc}
 	}
 	size := opts.CacheSize
 	if size == 0 {
@@ -144,11 +124,8 @@ func New(res *core.Result, opts Options) (*Index, error) {
 	if size > 0 {
 		ix.cache = newCache(size)
 	}
-	compiled1, _ := rex.CompileCounts()
-	matchers1, _ := rex.MatcherCounts()
 	sp.Count("conventions", int64(len(ix.convs)))
-	sp.Count("regexes_compiled", compiled1-compiled0)
-	sp.Count("matchers_compiled", matchers1-matchers0)
+	sp.Count("matchers_compiled", rex.MatchersCompiled()-matchers0)
 	sp.End()
 	return ix, nil
 }
@@ -181,11 +158,10 @@ func (ix *Index) Convention(suffix string) *core.NamingConvention {
 }
 
 // Lookup geolocates one hostname: normalize, dispatch to the suffix's
-// convention, match its regexes in learned preference order, resolve
-// the extracted geohint (learned overlay first, then dictionary). ok is
-// false when no convention is indexed for the suffix, no regex matches,
-// or the extraction resolves to no location. The returned Geolocation
-// is shared with the cache and must not be mutated.
+// convention, and apply it with core.Decide. ok is false when no
+// convention is indexed for the suffix, no regex matches, or the first
+// match's geohint resolves to no location. The returned Geolocation is
+// shared with the cache and must not be mutated.
 func (ix *Index) Lookup(hostname string) (*core.Geolocation, bool) {
 	ix.lookups.Add(1)
 	g, _ := ix.lookup(normalize(hostname))
@@ -246,28 +222,7 @@ func (ix *Index) locate(host string) *core.Geolocation {
 	if c == nil {
 		return nil
 	}
-	for _, r := range c.nc.Regexes {
-		ext, ok := r.Match(host)
-		if !ok {
-			continue
-		}
-		g := &core.Geolocation{
-			Hostname: host, Suffix: c.nc.Suffix, Hint: ext.Hint, Type: ext.Type,
-		}
-		if loc, ok := c.learned[hintKey{ext.Type, ext.Hint}]; ok {
-			g.Loc, g.Learned = loc, true
-			return g
-		}
-		locs := core.DictionaryLocations(ix.dict, ext)
-		if len(locs) == 0 {
-			// Mirror core.Geolocate: the first matching regex decides;
-			// an unresolvable extraction is a miss, not a fall-through.
-			return nil
-		}
-		g.Loc = core.PickLocation(ix.dict, locs)
-		return g
-	}
-	return nil
+	return core.Decide(c.nc, ix.dict, host).Geolocation(c.nc, host)
 }
 
 // count records a lookup outcome in the index counters.

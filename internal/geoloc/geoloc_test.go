@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -201,27 +204,129 @@ func TestLookupNormalizesHostnames(t *testing.T) {
 	}
 }
 
-// TestIndexMatchesGeolocate pins the contract that the compiled index
-// is a pure optimization of the per-call core.Geolocate path.
-func TestIndexMatchesGeolocate(t *testing.T) {
-	res, dict, list := learnFixture(t)
-	ix := newTestIndex(t, Options{})
-	for _, host := range probeHosts {
-		want, wantOK := core.Geolocate(res.NCs[ix.Suffix(host)], dict, normalize(host))
-		got, gotOK := ix.Lookup(host)
-		if wantOK != gotOK {
-			t.Errorf("%s: index ok=%v, Geolocate ok=%v", host, gotOK, wantOK)
-			continue
-		}
-		if !gotOK {
-			continue
-		}
-		if got.Loc.Key() != want.Loc.Key() || got.Learned != want.Learned ||
-			got.Hint != want.Hint || got.Type != want.Type || got.Suffix != want.Suffix {
-			t.Errorf("%s: index %+v != Geolocate %+v", host, got, want)
+// goldenIndex compiles the committed golden conventions over the
+// embedded dictionary and public suffix list, as geoserve -nc does.
+func goldenIndex(t testing.TB) (*core.Result, *Index) {
+	t.Helper()
+	res, err := LoadConventions(filepath.Join("..", "..", "testdata", "golden", "conventions.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := New(res, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, ix
+}
+
+// goldenHostnames returns every hostname of the golden corpus.
+func goldenHostnames(t testing.TB) []string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "corpus.names"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hosts []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			hosts = append(hosts, f[len(f)-1])
 		}
 	}
-	_ = list
+	if len(hosts) != 740 {
+		t.Fatalf("read %d hostnames, want the whole corpus (740)", len(hosts))
+	}
+	return hosts
+}
+
+// TestIndexMatchesGeolocate pins the contract that the compiled index
+// answers as the per-call core.Geolocate path does, on the probe
+// hostnames and on every hostname of the golden corpus.
+func TestIndexMatchesGeolocate(t *testing.T) {
+	res, _, _ := learnFixture(t)
+	goldenRes, golden := goldenIndex(t)
+	for _, tc := range []struct {
+		res   *core.Result
+		ix    *Index
+		hosts []string
+	}{
+		{res, newTestIndex(t, Options{}), probeHosts},
+		{goldenRes, golden, goldenHostnames(t)},
+	} {
+		for _, host := range tc.hosts {
+			want, wantOK := core.Geolocate(tc.res.NCs[tc.ix.Suffix(host)], tc.ix.dict, normalize(host))
+			got, gotOK := tc.ix.Lookup(host)
+			if wantOK != gotOK {
+				t.Errorf("%s: index ok=%v, Geolocate ok=%v", host, gotOK, wantOK)
+				continue
+			}
+			if !gotOK {
+				continue
+			}
+			if got.Loc.Key() != want.Loc.Key() || got.Learned != want.Learned || got.Hostname != want.Hostname ||
+				got.Hint != want.Hint || got.Type != want.Type || got.Suffix != want.Suffix {
+				t.Errorf("%s: index %+v != Geolocate %+v", host, got, want)
+			}
+		}
+	}
+}
+
+// TestDecideCauses drives core.Decide through each of its five causes
+// on the probe hostnames, checking the regex it stopped at and the
+// dictionary interpretations it counted.
+func TestDecideCauses(t *testing.T) {
+	ix := newTestIndex(t, Options{})
+	type want struct {
+		cause      core.Cause
+		regex      int
+		candidates int
+	}
+	wants := map[string]want{
+		"100ge1-1.core1.sjc1.he.net":           {core.CauseDictionary, 0, 1},
+		"100ge3-1.core3.lhr1.he.net":           {core.CauseDictionary, 0, 1},
+		"te0-0-0.core1.sjc1.he.net":            {core.CauseDictionary, 0, 1},
+		"gcr-company.ve42.core9.ash1.he.net":   {core.CauseLearned, 0, 0},
+		"GCR-Company.VE42.Core9.ASH1.HE.NET.":  {core.CauseLearned, 0, 0},
+		"pos-0.munich0.de.alter.net":           {core.CauseDictionary, 0, 1},
+		"pos-9.hamburg77.de.alter.net":         {core.CauseDictionary, 0, 1},
+		"totally-unconventional.he.net":        {core.CauseNoMatch, 1, 0},
+		"core1.sjc1.example-no-convention.com": {core.CauseNoConvention, 0, 0},
+		"100ge1-1.core1.xxq1.he.net":           {core.CauseUnresolved, 0, 0},
+		"":                                     {core.CauseNoConvention, 0, 0},
+	}
+	var seen [core.CauseDictionary + 1]bool
+	for _, host := range probeHosts {
+		w, ok := wants[host]
+		if !ok {
+			t.Fatalf("probe %q has no expected decision", host)
+		}
+		d := core.Decide(ix.Convention(ix.Suffix(host)), ix.dict, normalize(host))
+		if got := (want{d.Cause, d.Regex, d.Candidates}); got != w {
+			t.Errorf("%q: decision %+v, want %+v", host, got, w)
+		}
+		if (d.Learned != nil) != (d.Cause == core.CauseLearned) {
+			t.Errorf("%q: learned hint %v under cause %d", host, d.Learned, d.Cause)
+		}
+		seen[d.Cause] = true
+	}
+	for cause, ok := range seen {
+		if !ok {
+			t.Errorf("no probe hostname decides cause %d", cause)
+		}
+	}
+}
+
+// TestDecideGoldenCauses pins how the golden corpus's hostnames spread
+// over the five causes under the committed conventions.
+func TestDecideGoldenCauses(t *testing.T) {
+	_, ix := goldenIndex(t)
+	var got [core.CauseDictionary + 1]int
+	for _, host := range goldenHostnames(t) {
+		got[core.Decide(ix.Convention(ix.Suffix(host)), ix.dict, normalize(host)).Cause]++
+	}
+	// no convention, no match, unresolved, learned, dictionary
+	if want := [...]int{47, 39, 5, 110, 539}; got != want {
+		t.Errorf("golden causes = %v, want %v", got, want)
+	}
 }
 
 // TestRoundTripServing is the conventions round-trip under serving: an

@@ -133,9 +133,7 @@ func parseOne(s string) (Component, int, error) {
 			return Component{}, 0, fmt.Errorf("rex: unterminated repeat in %q", s)
 		}
 		n, err := strconv.Atoi(s[len(`[a-z]{`):end])
-		// DNS labels are at most 63 bytes, so larger repeats cannot
-		// occur in a hostname regex (and RE2 rejects huge counts).
-		if err != nil || n < 1 || n > 63 {
+		if err != nil || n < 1 || n > maxFixed {
 			return Component{}, 0, fmt.Errorf("rex: bad repeat count in %q", s)
 		}
 		return Component{Kind: KindAlphaFixed, N: n}, end + 1, nil

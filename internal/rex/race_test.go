@@ -6,10 +6,10 @@ import (
 )
 
 // TestRegexConcurrentCaches hammers one shared *Regex from many
-// goroutines. The render, compile, and probe caches populate lazily, so
-// this locks in their sync.Once guards — a published NamingConvention's
-// regexes are shared by concurrent Geolocate callers, and the parallel
-// pipeline evaluates shared candidates the same way. Run with -race.
+// goroutines. The rendering and the matcher are built lazily, so this
+// locks in their sync.Once guards — a published NamingConvention's
+// regexes are shared by concurrent lookups, and the parallel pipeline
+// evaluates shared candidates the same way. Run with -race.
 func TestRegexConcurrentCaches(t *testing.T) {
 	regexes := []*Regex{alterIATA(), alterCity()}
 	hosts := []string{
@@ -26,7 +26,7 @@ func TestRegexConcurrentCaches(t *testing.T) {
 					if r.String() == "" {
 						t.Error("empty rendering")
 					}
-					if _, err := r.Compile(); err != nil {
+					if err := r.Prepare(); err != nil {
 						t.Error(err)
 					}
 					if _, ok := r.Match(hosts[ri]); !ok {
@@ -42,26 +42,41 @@ func TestRegexConcurrentCaches(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRegexConcurrentCompileError checks that a compile failure is also
-// cached race-free and returned consistently to every caller.
+// TestRegexConcurrentCompileError checks that a matcher build failure
+// is cached race-free, that Prepare reports the one error to every
+// caller, and that such a regex matches nothing.
 func TestRegexConcurrentCompileError(t *testing.T) {
-	// A fixed-count component beyond regexp's 1000-repeat limit renders
-	// `[a-z]{100000}`, which regexp.Compile rejects.
+	// A fixed count past rexmatch's repeat limit builds no matcher.
+	// Validate refuses it too; this regex skips Validate.
 	r := New(0, Component{Kind: KindAlphaFixed, N: 100000, Capture: true, Role: RoleHint})
+	errs := make([]error, 8)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if _, err := r.Compile(); err == nil {
-					t.Error("invalid pattern compiled")
+				err := r.Prepare()
+				if err == nil {
+					t.Error("out-of-dialect regex prepared")
 				}
+				errs[g] = err
 				if _, ok := r.Match("x"); ok {
-					t.Error("invalid pattern matched")
+					t.Error("out-of-dialect regex matched")
+				}
+				if _, ok := r.ComponentMatches("x"); ok {
+					t.Error("out-of-dialect regex probed")
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	for _, err := range errs[1:] {
+		if err != errs[0] {
+			t.Errorf("callers saw different errors: %v, %v", errs[0], err)
+		}
+	}
+	if r.Validate() == nil {
+		t.Error("Validate accepts a regex that builds no matcher")
+	}
 }

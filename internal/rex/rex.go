@@ -13,6 +13,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"hoiho/internal/geodict"
 	"hoiho/internal/rexmatch"
@@ -36,6 +37,11 @@ const (
 	KindDigitsOpt              // \d*
 	KindAlnum                  // [a-z\d]+
 )
+
+// maxFixed bounds KindAlphaFixed's repeat count: [a-z] excludes the
+// dot, so the run sits inside one DNS label, which holds at most 63
+// bytes.
+const maxFixed = 63
 
 // Role describes what a capture group extracts.
 type Role uint8
@@ -122,26 +128,21 @@ func (c Component) equal(o Component) bool { return c == o }
 // components ending in the suffix literal, plus the plan for decoding
 // the captures.
 //
-// The render/compile caches are guarded by sync.Once, so a shared
-// *Regex — e.g. one inside a published NamingConvention applied by
-// concurrent Geolocate callers, or candidates evaluated by the parallel
-// pipeline — is safe for concurrent use. Comps must not be mutated
-// after the first String, Compile, Match, or ComponentMatches call;
-// Clone returns a mutable copy with cold caches.
+// The rendering and the matcher are built on first use under
+// sync.Once, so a shared *Regex — e.g. one inside a published
+// NamingConvention applied by concurrent lookups, or candidates
+// evaluated by the parallel pipeline — is safe for concurrent use.
+// Comps must not be mutated after the first String, Prepare, Match, or
+// ComponentMatches call; Clone returns a mutable copy with cold caches.
 type Regex struct {
 	Comps []Component
 	Hint  geodict.HintType // dictionary that interprets the RoleHint capture
 
 	renderOnce  sync.Once
 	rendering   string
-	compileOnce sync.Once
-	compiled    *regexp.Regexp
-	compileErr  error
-	probeOnce   sync.Once
-	probe       *regexp.Regexp // every component captured, for specialization
-	probeErr    error
 	matcherOnce sync.Once
-	matcher     *rexmatch.Prog // specialized engine; nil when declined
+	matcher     *rexmatch.Prog // nil when the build failed
+	matcherErr  error
 }
 
 // New assembles a regex from components. The component list should
@@ -157,12 +158,19 @@ func (r *Regex) Clone() *Regex {
 	return c
 }
 
-// Validate checks structural invariants: at most one KindAny component,
-// at most one RoleHint capture, captures only on capturable kinds, and a
-// decodable capture plan.
+// Validate checks structural invariants: known component kinds, fixed
+// repeat counts of 1-63, at most one KindAny component, at most one
+// RoleHint capture, captures only on capturable kinds, and a decodable
+// capture plan. Every regex that passes builds a matcher (Prepare).
 func (r *Regex) Validate() error {
 	anies, hints := 0, 0
 	for _, c := range r.Comps {
+		if c.Kind > KindAlnum {
+			return fmt.Errorf("rex: unknown component kind %d", c.Kind)
+		}
+		if c.Kind == KindAlphaFixed && (c.N < 1 || c.N > maxFixed) {
+			return fmt.Errorf("rex: repeat count %d outside 1-%d", c.N, maxFixed)
+		}
 		if c.Kind == KindAny {
 			anies++
 			if c.Capture {
@@ -232,24 +240,9 @@ func (r *Regex) String() string {
 	return r.rendering
 }
 
-// Compile returns the compiled regex, caching the result.
-func (r *Regex) Compile() (*regexp.Regexp, error) {
-	r.compileOnce.Do(func() {
-		compiledTotal.Add(1)
-		re, err := regexp.Compile(r.String())
-		if err != nil {
-			r.compileErr = fmt.Errorf("rex: compile %q: %w", r.String(), err)
-			return
-		}
-		r.compiled = re
-	})
-	return r.compiled, r.compileErr
-}
-
 // matcherSpecs translates the component AST into the rexmatch dialect.
 // Every component kind has a direct translation; an unknown kind maps
-// to an op rexmatch.Compile rejects, which routes the regex to the
-// stdlib fallback.
+// to an op rexmatch.Compile rejects, which Prepare reports.
 func matcherSpecs(comps []Component) []rexmatch.Spec {
 	specs := make([]rexmatch.Spec, len(comps))
 	for i, c := range comps {
@@ -285,19 +278,28 @@ func matcherSpecs(comps []Component) []rexmatch.Spec {
 	return specs
 }
 
-// matcherProg returns the specialized one-pass matcher for the
-// component sequence, built on first use, or nil when the sequence is
-// outside the rexmatch dialect (the caller then uses the stdlib
-// engine). One program serves both Match and ComponentMatches — it
+// matchersCompiled counts matcher builds process-wide.
+var matchersCompiled atomic.Int64
+
+// MatchersCompiled returns how many matchers have been built
+// process-wide. Each Regex value builds at most once, so the count
+// measures distinct regexes prepared, not Match calls. The pipeline
+// and index builds report it as deltas around their work; being
+// process-global, the deltas overlap when builds run concurrently.
+func MatchersCompiled() int64 { return matchersCompiled.Load() }
+
+// matcherProg returns the one-pass matcher for the component sequence,
+// built on first use, or nil when the sequence is outside the rexmatch
+// dialect. One program serves both Match and ComponentMatches — it
 // records the span of every component, captured or not.
 func (r *Regex) matcherProg() *rexmatch.Prog {
 	r.matcherOnce.Do(func() {
 		p, err := rexmatch.Compile(matcherSpecs(r.Comps))
 		if err != nil {
-			matcherFallbacks.Add(1)
+			r.matcherErr = fmt.Errorf("rex: build matcher for %q: %w", r.String(), err)
 			return
 		}
-		matchersBuilt.Add(1)
+		matchersCompiled.Add(1)
 		r.matcher = p
 	})
 	return r.matcher
@@ -308,17 +310,13 @@ func (r *Regex) matcherProg() *rexmatch.Prog {
 // nothing.
 var resultPool = sync.Pool{New: func() any { return new(rexmatch.Result) }}
 
-// Prepare readies the regex for matching without running it: it builds
-// the specialized matcher, falling back to compiling the stdlib form
-// when the component sequence is outside the rexmatch dialect. The
-// returned error is the stdlib compile error of an invalid pattern —
-// the check index builds rely on.
+// Prepare builds the regex's matcher without running it, so no later
+// Match pays the build, and returns the error of a component sequence
+// the matcher cannot express — the check index builds rely on. Every
+// regex that passes Validate builds.
 func (r *Regex) Prepare() error {
-	if r.matcherProg() != nil {
-		return nil
-	}
-	_, err := r.Compile()
-	return err
+	r.matcherProg()
+	return r.matcherErr
 }
 
 // Extraction is the decoded result of matching a hostname.
@@ -330,54 +328,22 @@ type Extraction struct {
 }
 
 // Match applies the regex to a full hostname and decodes the captures
-// into an Extraction. ok is false when the hostname does not match.
-// The candidate-probe hot path: the specialized rexmatch engine runs
-// the match allocation-free; regexes outside its dialect fall back to
-// the stdlib engine with identical semantics.
+// into an Extraction. ok is false when the hostname does not match or
+// the regex builds no matcher (see Prepare). The match itself
+// allocates nothing.
 func (r *Regex) Match(hostname string) (Extraction, bool) {
-	if p := r.matcherProg(); p != nil {
-		res := resultPool.Get().(*rexmatch.Result)
-		ok := p.Run(hostname, res)
-		var ext Extraction
-		if ok {
-			ext = r.decodeParts(res)
-		}
-		resultPool.Put(res)
-		return ext, ok
-	}
-	re, err := r.Compile()
-	if err != nil {
+	p := r.matcherProg()
+	if p == nil {
 		return Extraction{}, false
 	}
-	m := re.FindStringSubmatch(hostname)
-	if m == nil {
-		return Extraction{}, false
+	res := resultPool.Get().(*rexmatch.Result)
+	ok := p.Run(hostname, res)
+	var ext Extraction
+	if ok {
+		ext = r.decodeParts(res)
 	}
-	ext := Extraction{Type: r.Hint}
-	var clli4, clli2 string
-	i := 0
-	for _, c := range r.Comps {
-		if !c.Capture {
-			continue
-		}
-		i++
-		switch c.Role {
-		case RoleHint:
-			ext.Hint = m[i]
-		case RoleCLLI4:
-			clli4 = m[i]
-		case RoleCLLI2:
-			clli2 = m[i]
-		case RoleState:
-			ext.State = m[i]
-		case RoleCountry:
-			ext.Country = m[i]
-		}
-	}
-	if clli4 != "" && clli2 != "" {
-		ext.Hint = clli4 + clli2
-	}
-	return ext, true
+	resultPool.Put(res)
+	return ext, ok
 }
 
 // decodeParts maps a successful rexmatch run onto an Extraction; part
@@ -409,56 +375,23 @@ func (r *Regex) decodeParts(res *rexmatch.Result) Extraction {
 	return ext
 }
 
-// probeRegexp renders a variant where every component is captured, used
-// to recover which substring each component matched (phase 3).
-func (r *Regex) probeRegexp() (*regexp.Regexp, error) {
-	r.probeOnce.Do(func() {
-		var b strings.Builder
-		b.WriteByte('^')
-		for _, c := range r.Comps {
-			pc := c
-			pc.Capture = true
-			// render adds parens for Capture; for components that were
-			// already captures this just re-wraps identically.
-			pc.render(&b)
-		}
-		b.WriteByte('$')
-		probedTotal.Add(1)
-		re, err := regexp.Compile(b.String())
-		if err != nil {
-			r.probeErr = fmt.Errorf("rex: compile probe %q: %w", b.String(), err)
-			return
-		}
-		r.probe = re
-	})
-	return r.probe, r.probeErr
-}
-
 // ComponentMatches returns the substring each component matched against
-// the hostname, or ok=false if the hostname does not match. The
-// specialized matcher already tracks every component's span, so the
-// probe path shares the Match program; only out-of-dialect regexes
-// compile the all-captures probe variant.
+// the hostname (phase 3's evidence), or ok=false if the hostname does
+// not match. The matcher tracks every component's span, so this shares
+// Match's program.
 func (r *Regex) ComponentMatches(hostname string) ([]string, bool) {
-	if p := r.matcherProg(); p != nil {
-		res := resultPool.Get().(*rexmatch.Result)
-		var parts []string
-		ok := p.Run(hostname, res)
-		if ok {
-			parts = res.Parts(make([]string, 0, len(r.Comps)))
-		}
-		resultPool.Put(res)
-		return parts, ok
-	}
-	re, err := r.probeRegexp()
-	if err != nil {
+	p := r.matcherProg()
+	if p == nil {
 		return nil, false
 	}
-	m := re.FindStringSubmatch(hostname)
-	if m == nil {
-		return nil, false
+	res := resultPool.Get().(*rexmatch.Result)
+	var parts []string
+	ok := p.Run(hostname, res)
+	if ok {
+		parts = res.Parts(make([]string, 0, len(r.Comps)))
 	}
-	return m[1:], true
+	resultPool.Put(res)
+	return parts, ok
 }
 
 // Equal reports whether two regexes render identically and share a hint

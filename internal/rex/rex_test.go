@@ -2,6 +2,7 @@ package rex
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"hoiho/internal/geodict"
@@ -143,6 +144,21 @@ func TestValidate(t *testing.T) {
 	)
 	if err := bad6.Validate(); err == nil {
 		t.Error("mixed hint and split CLLI should be invalid")
+	}
+	// Fixed repeats outside a DNS label's 1-63 bytes: invalid.
+	for _, n := range []int{0, 64} {
+		r := New(geodict.HintIATA, Component{Kind: KindAlphaFixed, N: n, Capture: true, Role: RoleHint})
+		if err := r.Validate(); err == nil {
+			t.Errorf("[a-z]{%d} should be invalid", n)
+		}
+	}
+	// Unknown component kind: invalid.
+	bad7 := New(geodict.HintIATA,
+		Component{Kind: KindAlnum + 1},
+		Component{Kind: KindAlphaFixed, N: 3, Capture: true, Role: RoleHint},
+	)
+	if err := bad7.Validate(); err == nil {
+		t.Error("unknown kind should be invalid")
 	}
 	// Valid one passes.
 	if err := alterCity().Validate(); err != nil {
@@ -290,6 +306,37 @@ func TestSpecializeFixedWidth(t *testing.T) {
 	s := Specialize(r, hosts)
 	if got := s.String(); got != `^.+\.([a-z]{6})\d+\.([a-z]{2})\.[a-z]{2}\.gin\.ntt\.net$` {
 		t.Errorf("specialized = %s", got)
+	}
+}
+
+// TestSpecializeLongLabelInvalid: phase 3 over a first label of 70
+// letters builds [a-z]{70}, which matches but which ParsePattern
+// refuses, so a conventions file holding it could not be read back.
+// Validate must refuse it, which drops the candidate from learning.
+func TestSpecializeLongLabelInvalid(t *testing.T) {
+	r := New(geodict.HintIATA,
+		Component{Kind: KindNotDot},
+		Component{Kind: KindDot},
+		Component{Kind: KindAlphaFixed, N: 3, Capture: true, Role: RoleHint},
+		Component{Kind: KindDigits},
+		Component{Kind: KindLiteral, Lit: ".he.net"},
+	)
+	hosts := []string{
+		strings.Repeat("a", 70) + ".lhr1.he.net",
+		strings.Repeat("b", 70) + ".sjc2.he.net",
+	}
+	s := Specialize(r, hosts)
+	if got := s.String(); got != `^[a-z]{70}\.([a-z]{3})\d+\.he\.net$` {
+		t.Fatalf("specialized = %s", got)
+	}
+	if _, ok := s.Match(hosts[0]); !ok {
+		t.Errorf("specialized regex should match %s", hosts[0])
+	}
+	if _, err := ParsePattern(s.Hint, s.String(), s.Roles()); err == nil {
+		t.Error("ParsePattern accepts a 70-letter repeat")
+	}
+	if err := s.Validate(); err == nil {
+		t.Error("Validate accepts a regex ParsePattern refuses")
 	}
 }
 

@@ -35,8 +35,8 @@
 //
 // Compile declines — returns an error rather than a wrong program —
 // any spec sequence outside the dialect (unknown ops, repeat counts
-// past the stdlib's {1000} limit); callers fall back to the stdlib
-// engine for those. Scratch state (span arrays and the visited bitset)
+// past the stdlib's {1000} limit); rex reports that as a Prepare error,
+// and its Validate keeps learned regexes inside the dialect. Scratch state (span arrays and the visited bitset)
 // lives in a caller-held Result that is reused across calls, so a
 // steady-state match allocates nothing.
 package rexmatch
@@ -129,8 +129,7 @@ type Prog struct {
 }
 
 // Compile translates a spec sequence into a program, or reports why the
-// sequence is outside the dialect (the caller's cue to fall back to the
-// stdlib engine).
+// sequence is outside the dialect.
 func Compile(specs []Spec) (*Prog, error) {
 	p := &Prog{specs: make([]cspec, 0, len(specs))}
 	for i, s := range specs {
