@@ -2,9 +2,9 @@
 // the registered benchmark suite (pipeline runs, stage-2 tagging,
 // serving-index batch lookups, golden-corpus end-to-end) against the
 // committed golden corpus, merges the testing.Benchmark timings with
-// the observability layer's aggregate counters and rex's count of
-// matchers built, and writes a schema-versioned, env/commit/date-stamped
-// BENCH_NNNN.json — the files committed at the repo root from PR 5 on.
+// the aggregate counters of one traced pass, and writes a
+// schema-versioned, env/commit/date-stamped BENCH_NNNN.json — the files
+// committed at the repo root from PR 5 on.
 //
 // Usage:
 //
@@ -23,6 +23,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -67,7 +68,7 @@ func main() {
 		"relative slowdown that counts as a regression (with the noise bound)")
 	runPat := flag.String("run", "", "run only benchmarks matching this regexp")
 	list := flag.Bool("list", false, "list the registered suite and exit")
-	commitFlag := flag.String("commit", "", "commit id to stamp (default: git rev-parse, best effort)")
+	commitFlag := flag.String("commit", "", "commit id to stamp (default: git rev-parse --short HEAD, with -dirty when tracked files differ; best effort)")
 	version := flag.Bool("version", false, "print build info and exit")
 	flag.Parse()
 	if *version {
@@ -162,7 +163,6 @@ func runSuite(src *geoloc.Source, quick bool, repeats int, runPat, commitFlag st
 		return nil, err
 	}
 	rec := benchrec.NewFile(time.Now().UTC().Format(time.RFC3339), commitID(commitFlag), quick)
-	matchers0 := rex.MatchersCompiled()
 	for _, def := range s.defs {
 		if filter != nil && !filter.MatchString(def.name) {
 			continue
@@ -177,9 +177,7 @@ func runSuite(src *geoloc.Source, quick bool, repeats int, runPat, commitFlag st
 	if len(rec.Benchmarks) == 0 {
 		return nil, fmt.Errorf("-run %q selects no benchmarks", runPat)
 	}
-	matchers := rex.MatchersCompiled() - matchers0
 	rec.Counters = s.tracedCounters()
-	rec.Counters["rex_matchers_compiled"] = matchers
 	return rec, nil
 }
 
@@ -581,17 +579,31 @@ func largestSuffix(in core.Inputs) string {
 	return best
 }
 
-// commitID returns the override, or a best-effort `git rev-parse
-// --short HEAD` ("" outside a checkout).
+// commitID returns the override, or the best-effort commit stamp of the
+// checkout in the working directory.
 func commitID(override string) string {
 	if override != "" {
 		return override
 	}
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	return gitCommit(".")
+}
+
+// gitCommit returns `git rev-parse --short HEAD` of the checkout at dir
+// ("" outside one), suffixed "-dirty" when tracked files differ from
+// HEAD, so a record made before its change is committed does not pass
+// for a record of the parent commit.
+func gitCommit(dir string) string {
+	out, err := exec.Command("git", "-C", dir, "rev-parse", "--short", "HEAD").Output()
 	if err != nil {
 		return ""
 	}
-	return strings.TrimSpace(string(out))
+	id := strings.TrimSpace(string(out))
+	// diff exits 1 when the tracked files differ from HEAD.
+	var ee *exec.ExitError
+	if err := exec.Command("git", "-C", dir, "diff", "--quiet", "HEAD", "--").Run(); errors.As(err, &ee) && ee.ExitCode() == 1 {
+		id += "-dirty"
+	}
+	return id
 }
 
 func fatal(err error) {

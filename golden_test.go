@@ -2,6 +2,7 @@ package hoiho_bench
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -61,28 +62,8 @@ func regenerateGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.CleanSpoofers()
-	if err := os.MkdirAll(goldenDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	write := func(name string, fn func(*os.File) error) {
-		f, err := os.Create(filepath.Join(goldenDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("corpus.nodes", func(f *os.File) error { return itdk.WriteNodes(f, w.Corpus) })
-	write("corpus.names", func(f *os.File) error { return itdk.WriteNames(f, w.Corpus) })
-	write("corpus.geo", func(f *os.File) error { return itdk.WriteGeo(f, w.Corpus) })
-	write("rtt.matrix", func(f *os.File) error { return rtt.WriteMatrix(f, w.Matrix) })
-
-	write("conventions.txt", func(f *os.File) error {
+	writeCorpus(t, goldenDir, w)
+	writeGoldenFile(t, "conventions.txt", func(f *os.File) error {
 		res, err := runGolden(t)
 		if err != nil {
 			return err
@@ -90,6 +71,52 @@ func regenerateGolden(t *testing.T) {
 		return core.WriteConventions(f, res)
 	})
 	t.Logf("regenerated %s; commit the new files if the change is intentional", goldenDir)
+}
+
+// corpusFiles names the files hoiho -corpus reads, in the order
+// writeCorpus writes them.
+var corpusFiles = []string{"corpus.nodes", "corpus.names", "corpus.geo", "rtt.matrix"}
+
+// writeCorpus writes a world's corpus to dir in the on-disk ITDK
+// format, with the writers geosynth uses.
+func writeCorpus(t *testing.T, dir string, w *synth.World) {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writers := []func(*os.File) error{
+		func(f *os.File) error { return itdk.WriteNodes(f, w.Corpus) },
+		func(f *os.File) error { return itdk.WriteNames(f, w.Corpus) },
+		func(f *os.File) error { return itdk.WriteGeo(f, w.Corpus) },
+		func(f *os.File) error { return rtt.WriteMatrix(f, w.Matrix) },
+	}
+	for i, name := range corpusFiles {
+		writeFile(t, filepath.Join(dir, name), writers[i])
+	}
+}
+
+// writeGoldenFile writes one file of testdata/golden.
+func writeGoldenFile(t *testing.T, name string, fn func(*os.File) error) {
+	t.Helper()
+	if err := os.MkdirAll(goldenDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, filepath.Join(goldenDir, name), fn)
+}
+
+func writeFile(t *testing.T, path string, fn func(*os.File) error) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fn(f); err != nil {
+		f.Close()
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // runGolden learns conventions from the on-disk golden corpus exactly
@@ -134,6 +161,100 @@ func TestGoldenPipeline(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("learned conventions drifted from %s/conventions.txt\n%s\n(if intentional, regenerate with -update)",
 			goldenDir, diffSummary(want, got.Bytes()))
+	}
+}
+
+// benchWorldSeed is the seed of the benchmark-shaped world that
+// TestGoldenBenchWorld learns. Its golden files sit beside the main
+// corpus: the learned conventions, and a SHA-256 manifest of the
+// generated corpus (in sha256sum's format) so that generator drift
+// fails apart from learning drift.
+const benchWorldSeed = 401
+
+const (
+	benchWorldConventions = "world401.conventions.txt"
+	benchWorldManifest    = "world401.sha256"
+)
+
+// benchWorld generates the world perfbench's workloads run on (its
+// newWorld in perfbench/world.go), at scale 1 and benchWorldSeed: the
+// ipv4-aug2020 preset with spoofing vantage points cleaned.
+func benchWorld(t *testing.T) *synth.World {
+	t.Helper()
+	p, err := synth.ITDKPreset("ipv4-aug2020")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Seed = benchWorldSeed
+	w, err := synth.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.CleanSpoofers()
+	return w
+}
+
+// corpusManifest renders the SHA-256 of each corpus file in dir, one
+// "digest  name" line each.
+func corpusManifest(t *testing.T, dir string) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, name := range corpusFiles {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "%x  %s\n", sha256.Sum256(b), name)
+	}
+	return buf.Bytes()
+}
+
+// TestGoldenBenchWorld pins learning beyond the golden corpus: the
+// benchmark's world at scale 1 (about 5k routers, 30 times the golden
+// corpus) is written to disk and learned the way hoiho -corpus learns
+// it, and the conventions must match the committed file byte for byte.
+// `go test -run TestGoldenBenchWorld -update` regenerates both files.
+func TestGoldenBenchWorld(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates and learns a 5k-router world")
+	}
+	dir := t.TempDir()
+	writeCorpus(t, dir, benchWorld(t))
+	manifest := corpusManifest(t, dir)
+	in, err := geoloc.LoadInputs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(in, (&geoloc.Source{Corpus: dir}).CoreConfig(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := core.WriteConventions(&got, res); err != nil {
+		t.Fatal(err)
+	}
+	if *updateGolden {
+		writeGoldenFile(t, benchWorldManifest, func(f *os.File) error { _, err := f.Write(manifest); return err })
+		writeGoldenFile(t, benchWorldConventions, func(f *os.File) error { _, err := got.WriteTo(f); return err })
+		t.Logf("regenerated %s and %s; commit them if the change is intentional",
+			benchWorldManifest, benchWorldConventions)
+		return
+	}
+	wantManifest, err := os.ReadFile(filepath.Join(goldenDir, benchWorldManifest))
+	if err != nil {
+		t.Fatalf("missing corpus manifest (run `go test -run TestGoldenBenchWorld -update`): %v", err)
+	}
+	if !bytes.Equal(manifest, wantManifest) {
+		t.Fatalf("synth generator drift: the seed-%d world no longer matches %s/%s, so the learning golden cannot be compared\n%s",
+			benchWorldSeed, goldenDir, benchWorldManifest, diffSummary(wantManifest, manifest))
+	}
+	want, err := os.ReadFile(filepath.Join(goldenDir, benchWorldConventions))
+	if err != nil {
+		t.Fatalf("missing golden output (run `go test -run TestGoldenBenchWorld -update`): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("learned conventions drifted from %s/%s\n%s\n(if intentional, regenerate with -update)",
+			goldenDir, benchWorldConventions, diffSummary(want, got.Bytes()))
 	}
 }
 

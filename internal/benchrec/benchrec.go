@@ -49,8 +49,8 @@ type File struct {
 	// should compare quick against quick and full against full.
 	Quick      bool        `json:"quick,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
-	// Counters are suite-wide observability totals captured around the
-	// run: rex compile counts, obs span aggregates, and friends.
+	// Counters are observability totals of the run, such as the span
+	// aggregates of one traced pass over the corpus.
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math"
+
 	"hoiho/internal/geo"
 	"hoiho/internal/geodict"
+	"hoiho/internal/itdk"
 	"hoiho/internal/rex"
 )
 
@@ -21,10 +24,11 @@ type resolveEntry struct {
 
 // consistKey identifies one RTT-consistency question: the matrix and
 // tolerance are fixed for the life of an evalCtx, so (router, position)
-// determines the verdict.
+// determines the verdict. The router is keyed by pointer and the
+// position by its coordinates' bits, so a probe hashes no string.
 type consistKey struct {
-	router string
-	pos    geo.LatLong
+	router    *itdk.Router
+	lat, long uint64
 }
 
 // evalCtx carries everything needed to classify regex extractions.
@@ -125,12 +129,12 @@ func (e *evalCtx) regexMemo(r *rex.Regex, tagged []*Tagged) []matchEntry {
 // consistent answers the RTT-consistency question through the memo.
 // Callers count rttChecks themselves: the counter measures questions
 // asked, which stays invariant whether or not the answer was cached.
-func (e *evalCtx) consistent(router string, pos geo.LatLong) bool {
-	k := consistKey{router, pos}
+func (e *evalCtx) consistent(router *itdk.Router, pos geo.LatLong) bool {
+	k := consistKey{router, math.Float64bits(pos.Lat), math.Float64bits(pos.Long)}
 	if v, ok := e.rttMemo[k]; ok {
 		return v
 	}
-	v := e.in.RTT.Consistent(router, pos, e.cfg.ToleranceMs)
+	v := e.in.RTT.Consistent(router.ID, pos, e.cfg.ToleranceMs)
 	e.rttMemo[k] = v
 	return v
 }
@@ -234,7 +238,7 @@ func (e *evalCtx) outcome(t *Tagged, ext rex.Extraction, matched bool) (Outcome,
 	consistent := false
 	for _, loc := range locs {
 		e.rttChecks++
-		if e.consistent(t.RH.Router.ID, loc.Pos) {
+		if e.consistent(t.RH.Router, loc.Pos) {
 			consistent = true
 			break
 		}
@@ -270,22 +274,43 @@ type hostOutcome struct {
 	Ext      rex.Extraction
 }
 
-// ncEval is the detailed evaluation of a regex set over a suffix group.
+// ncEval is the evaluation of a regex set over a suffix group.
 type ncEval struct {
 	Tally    Tally
-	PerHost  []hostOutcome
 	PerRegex []Tally // per-regex contribution, including unique hints
+	// PerHost holds one row per tagged hostname, and only candidate NCs
+	// carry it (detail): set building scores many more sets than it
+	// keeps, and only stage 4 and the geolocated list read the rows.
+	PerHost []hostOutcome
 }
 
 // evaluateSet applies an ordered regex set to every tagged hostname: the
 // first matching regex decides the hostname's outcome (paper §5.3's NC
 // semantics). Per-regex tallies support the set-building requirement
-// that every member extract at least three unique geohints.
+// that every member extract at least three unique geohints. The result
+// carries no per-host rows.
 func (e *evalCtx) evaluateSet(regexes []*rex.Regex, tagged []*Tagged) ncEval {
-	ev := ncEval{
-		PerHost:  make([]hostOutcome, len(tagged)),
-		PerRegex: make([]Tally, len(regexes)),
-	}
+	return e.evaluate(regexes, tagged, nil)
+}
+
+// detail returns the per-host outcomes of a regex set that set building
+// has already evaluated, re-applied through the match memo. The pass
+// re-derives outcomes the evaluations and rtt_checks counters already
+// counted, so it leaves both as they were. Overrides must not have
+// changed since the set's evaluation, or the rows would disagree with
+// its tally.
+func (e *evalCtx) detail(regexes []*rex.Regex, tagged []*Tagged) []hostOutcome {
+	evals, rttChecks := e.evals, e.rttChecks
+	perHost := make([]hostOutcome, len(tagged))
+	e.evaluate(regexes, tagged, perHost)
+	e.evals, e.rttChecks = evals, rttChecks
+	return perHost
+}
+
+// evaluate is the one evaluation loop behind evaluateSet and detail. It
+// records each hostname's outcome in perHost when perHost is not nil.
+func (e *evalCtx) evaluate(regexes []*rex.Regex, tagged []*Tagged, perHost []hostOutcome) ncEval {
+	ev := ncEval{PerRegex: make([]Tally, len(regexes)), PerHost: perHost}
 	for len(e.uniq) <= len(regexes) {
 		e.uniq = append(e.uniq, make(map[string]bool))
 	}
@@ -318,7 +343,9 @@ func (e *evalCtx) evaluateSet(regexes []*rex.Regex, tagged []*Tagged) ncEval {
 				continue
 			}
 			o, hint := e.outcome(t, ext, true)
-			ev.PerHost[hi] = hostOutcome{Outcome: o, Hint: hint, RegexIdx: ri, Ext: ext}
+			if perHost != nil {
+				perHost[hi] = hostOutcome{Outcome: o, Hint: hint, RegexIdx: ri, Ext: ext}
+			}
 			bump(&ev.Tally, o)
 			bump(&ev.PerRegex[ri], o)
 			if o == OutcomeTP {
@@ -330,7 +357,9 @@ func (e *evalCtx) evaluateSet(regexes []*rex.Regex, tagged []*Tagged) ncEval {
 		}
 		if !decided {
 			o, _ := e.outcome(t, rex.Extraction{}, false)
-			ev.PerHost[hi] = hostOutcome{Outcome: o, RegexIdx: -1}
+			if perHost != nil {
+				perHost[hi] = hostOutcome{Outcome: o, RegexIdx: -1}
+			}
 			bump(&ev.Tally, o)
 		}
 	}

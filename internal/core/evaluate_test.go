@@ -54,6 +54,7 @@ func TestOutcomeClassification(t *testing.T) {
 	e := newEvalCtx(f.inputs(), DefaultConfig())
 	re := mkIATARegex("out.net")
 	ev := e.evaluateSet([]*rex.Regex{re}, tagged)
+	perHost := e.detail([]*rex.Regex{re}, tagged)
 
 	want := map[string]Outcome{
 		"ae-1.cr1.lhr1.out.net": OutcomeTP,
@@ -61,7 +62,7 @@ func TestOutcomeClassification(t *testing.T) {
 		"ae-1.cr1.zzq1.out.net": OutcomeUNK,
 		"lhr-cr1.out.net":       OutcomeFN,
 	}
-	for hi, ho := range ev.PerHost {
+	for hi, ho := range perHost {
 		host := tagged[hi].H.Full
 		if ho.Outcome != want[host] {
 			t.Errorf("%s: outcome = %v, want %v", host, ho.Outcome, want[host])
@@ -85,9 +86,9 @@ func TestOutcomeNoneWithoutRTT(t *testing.T) {
 	}
 	tagged := tagAll(t, f)
 	e := newEvalCtx(f.inputs(), DefaultConfig())
-	ev := e.evaluateSet([]*rex.Regex{mkIATARegex("out.net")}, tagged)
-	if ev.PerHost[0].Outcome != OutcomeNone {
-		t.Errorf("no-RTT router outcome = %v, want none", ev.PerHost[0].Outcome)
+	perHost := e.detail([]*rex.Regex{mkIATARegex("out.net")}, tagged)
+	if perHost[0].Outcome != OutcomeNone {
+		t.Errorf("no-RTT router outcome = %v, want none", perHost[0].Outcome)
 	}
 }
 
@@ -106,9 +107,9 @@ func TestAnnotationContradictionIsFP(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newEvalCtx(f.inputs(), DefaultConfig())
-	ev := e.evaluateSet([]*rex.Regex{re}, tagged)
-	if ev.PerHost[0].Outcome != OutcomeFP {
-		t.Errorf("outcome = %v, want FP (annotation contradiction)", ev.PerHost[0].Outcome)
+	perHost := e.detail([]*rex.Regex{re}, tagged)
+	if perHost[0].Outcome != OutcomeFP {
+		t.Errorf("outcome = %v, want FP (annotation contradiction)", perHost[0].Outcome)
 	}
 }
 
@@ -126,9 +127,9 @@ func TestMissedAnnotationIsFN(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newEvalCtx(f.inputs(), DefaultConfig())
-	ev := e.evaluateSet([]*rex.Regex{re}, tagged)
-	if ev.PerHost[0].Outcome != OutcomeFN {
-		t.Errorf("outcome = %v, want FN (missed uk annotation)", ev.PerHost[0].Outcome)
+	perHost := e.detail([]*rex.Regex{re}, tagged)
+	if perHost[0].Outcome != OutcomeFN {
+		t.Errorf("outcome = %v, want FN (missed uk annotation)", perHost[0].Outcome)
 	}
 }
 

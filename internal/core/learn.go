@@ -86,7 +86,7 @@ func (e *evalCtx) learnOne(suffix string, k overrideKey, ext rex.Extraction, hos
 		s := &scored{loc: loc}
 		for _, hi := range hosts {
 			t := tagged[hi]
-			if e.consistent(t.RH.Router.ID, loc.Pos) {
+			if e.consistent(t.RH.Router, loc.Pos) {
 				s.tp++
 			} else {
 				s.fp++
@@ -137,7 +137,7 @@ func (e *evalCtx) learnOne(suffix string, k overrideKey, ext rex.Extraction, hos
 		for _, hi := range hosts {
 			t := tagged[hi]
 			for _, loc := range existing {
-				if e.consistent(t.RH.Router.ID, loc.Pos) {
+				if e.consistent(t.RH.Router, loc.Pos) {
 					existTP++
 					break
 				}

@@ -91,6 +91,11 @@ func selectNC(pool []*rex.Regex, tagged []*Tagged, e *evalCtx, cfg Config) ([]*r
 		}
 		candidates = append(candidates, ncCandidate{set: set, eval: ev})
 	}
+	// Stage 4 and the geolocated list read a candidate's per-host
+	// outcomes; derive them now, before stage 4 installs any override.
+	for i := range candidates {
+		candidates[i].eval.PerHost = e.detail(candidates[i].set, tagged)
+	}
 
 	// Stage 5: rank candidate NCs by ATP; prefer an NC with fewer
 	// regexes when it is within NCSlackTP true positives of the best.

@@ -48,6 +48,11 @@ const SnapshotVersion = 1
 // count from the file, so this can change without a version bump.
 const snapshotShards = 8
 
+// maxSnapshotSections caps the section count ReadSnapshot accepts. Each
+// section is parsed on its own goroutine, so the count is bounded far
+// above what Save writes rather than taken on trust.
+const maxSnapshotSections = 256
+
 var snapshotMagic = [8]byte{'H', 'O', 'I', 'H', 'O', 'S', 'N', 'P'}
 
 // Snapshot read failures are distinguishable with errors.Is so callers
@@ -65,6 +70,8 @@ var (
 	ErrSnapshotTruncated = errors.New("geoloc: snapshot: truncated")
 	// ErrSnapshotChecksum reports a section or trailer CRC mismatch.
 	ErrSnapshotChecksum = errors.New("geoloc: snapshot: checksum mismatch")
+	// ErrSnapshotSections reports a section count above the reader's cap.
+	ErrSnapshotSections = errors.New("geoloc: snapshot: too many sections")
 )
 
 // snapshotMeta is the JSON metadata header. The Result-level totals ride
@@ -134,8 +141,12 @@ func Save(w io.Writer, res *core.Result, tracer *obs.Tracer) error {
 
 // ReadSnapshot parses a snapshot back into a Result, verifying the
 // framing, every section CRC, and the trailer CRC, and decoding the
-// suffix shards concurrently. tracer may be nil; when set, a
-// "snapshot-load" span records section, convention, and byte counts.
+// suffix shards concurrently. The declared lengths and counts are
+// untrusted until the checksums pass: a length is read as its bytes
+// arrive, so a short input fails having allocated about what it holds,
+// and a section count above maxSnapshotSections is refused. tracer may
+// be nil; when set, a "snapshot-load" span records section, convention,
+// and byte counts.
 func ReadSnapshot(r io.Reader, tracer *obs.Tracer) (*core.Result, error) {
 	sp := tracer.Start("snapshot-load")
 	defer sp.End()
@@ -163,8 +174,8 @@ func ReadSnapshot(r io.Reader, tracer *obs.Tracer) (*core.Result, error) {
 	if err != nil {
 		return nil, ErrSnapshotTruncated
 	}
-	metaBytes := make([]byte, metaLen)
-	if _, err := io.ReadFull(cr, metaBytes); err != nil {
+	metaBytes, err := readBytes(cr, metaLen)
+	if err != nil {
 		return nil, ErrSnapshotTruncated
 	}
 	var meta snapshotMeta
@@ -174,6 +185,10 @@ func ReadSnapshot(r io.Reader, tracer *obs.Tracer) (*core.Result, error) {
 	nShards, err := readU32(cr)
 	if err != nil {
 		return nil, ErrSnapshotTruncated
+	}
+	if nShards > maxSnapshotSections {
+		return nil, fmt.Errorf("%w: header declares %d, this build reads at most %d",
+			ErrSnapshotSections, nShards, maxSnapshotSections)
 	}
 
 	payloads := make([][]byte, nShards)
@@ -186,8 +201,8 @@ func ReadSnapshot(r io.Reader, tracer *obs.Tracer) (*core.Result, error) {
 		if err != nil {
 			return nil, ErrSnapshotTruncated
 		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(cr, payload); err != nil {
+		payload, err := readBytes(cr, payloadLen)
+		if err != nil {
 			return nil, ErrSnapshotTruncated
 		}
 		if crc32.ChecksumIEEE(payload) != wantCRC {
@@ -217,26 +232,30 @@ func ReadSnapshot(r io.Reader, tracer *obs.Tracer) (*core.Result, error) {
 		}(i, payload)
 	}
 	wg.Wait()
+	conventions := 0
+	for i, shard := range results {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("geoloc: snapshot: section %d: %w", i, errs[i])
+		}
+		conventions += len(shard.NCs)
+	}
+	if conventions != meta.Conventions {
+		return nil, fmt.Errorf("geoloc: snapshot: metadata header promises %d conventions, sections hold %d",
+			meta.Conventions, conventions)
+	}
 	res := &core.Result{
-		NCs:                 make(map[string]*core.NamingConvention, meta.Conventions),
+		NCs:                 make(map[string]*core.NamingConvention, conventions),
 		SuffixesWithGeohint: meta.SuffixesWithGeohint,
 		RoutersWithGeohint:  meta.RoutersWithGeohint,
 		RoutersGeolocated:   meta.RoutersGeolocated,
 	}
 	for i, shard := range results {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("geoloc: snapshot: section %d: %w", i, errs[i])
-		}
 		for suffix, nc := range shard.NCs {
 			if _, dup := res.NCs[suffix]; dup {
-				return nil, fmt.Errorf("geoloc: snapshot: duplicate suffix %s across sections", suffix)
+				return nil, fmt.Errorf("geoloc: snapshot: section %d: duplicate suffix %s across sections", i, suffix)
 			}
 			res.NCs[suffix] = nc
 		}
-	}
-	if len(res.NCs) != meta.Conventions {
-		return nil, fmt.Errorf("geoloc: snapshot: header promises %d conventions, sections hold %d",
-			meta.Conventions, len(res.NCs))
 	}
 	sp.Count("sections", int64(nShards))
 	sp.Count("conventions", int64(len(res.NCs)))
@@ -289,6 +308,17 @@ func writeU32(w *bytes.Buffer, v uint32) {
 	var buf [4]byte
 	binary.LittleEndian.PutUint32(buf[:], v)
 	w.Write(buf[:])
+}
+
+// readBytes reads exactly n bytes from r into a buffer that grows as
+// they arrive, so a length field promising more than r holds costs
+// about what r holds, not what the field declares.
+func readBytes(r io.Reader, n uint32) ([]byte, error) {
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 func readU32(r io.Reader) (uint32, error) {
