@@ -284,7 +284,9 @@ func TestCLIWorkflow(t *testing.T) {
 
 // TestDaemonCountersSurviveReload scrapes both daemons' /metrics/prom,
 // reloads them with SIGHUP, and scrapes again: no *_index_*_total
-// sample, per-suffix and per-class series included, may go down.
+// sample, per-suffix and per-class series included, may go down. Run
+// with default flags, each exposition has its runtime gauges and no
+// span family.
 func TestDaemonCountersSurviveReload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binaries")
@@ -317,7 +319,14 @@ func TestDaemonCountersSurviveReload(t *testing.T) {
 		name, http string
 		proc       daemonProc
 	}{{"geoserve", web.addr, web}, {"geodns", dns.admin, dns}} {
-		before := indexCounters(t, d.http)
+		body := scrapeProm(t, d.http)
+		if strings.Contains(body, "_span_") {
+			t.Errorf("%s: /metrics/prom has a span family:\n%s", d.name, body)
+		}
+		if !strings.Contains(body, "\n"+d.name+"_runtime_goroutines ") {
+			t.Errorf("%s: /metrics/prom has no %s_runtime_goroutines sample:\n%s", d.name, d.name, body)
+		}
+		before := indexCounters(t, body)
 		if before[d.name+"_index_matched_total"] == 0 {
 			t.Fatalf("%s located none of the golden hostnames", d.name)
 		}
@@ -325,7 +334,7 @@ func TestDaemonCountersSurviveReload(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitGeneration(t, d.http, 2)
-		after := indexCounters(t, d.http)
+		after := indexCounters(t, scrapeProm(t, d.http))
 		for series, n := range before {
 			if after[series] < n {
 				t.Errorf("%s: %s went from %g to %g across a reload", d.name, series, n, after[series])
@@ -350,9 +359,8 @@ func goldenHostnames(t *testing.T, n int) []string {
 	return hosts
 }
 
-// indexCounters scrapes /metrics/prom at addr and returns every
-// *_index_*_total sample, keyed by series (name and labels).
-func indexCounters(t *testing.T, addr string) map[string]float64 {
+// scrapeProm returns the /metrics/prom exposition served at addr.
+func scrapeProm(t *testing.T, addr string) string {
 	t.Helper()
 	resp, err := http.Get("http://" + addr + "/metrics/prom")
 	if err != nil {
@@ -365,8 +373,15 @@ func indexCounters(t *testing.T, addr string) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return string(body)
+}
+
+// indexCounters returns every *_index_*_total sample of an exposition,
+// keyed by series (name and labels).
+func indexCounters(t *testing.T, body string) map[string]float64 {
+	t.Helper()
 	out := map[string]float64{}
-	for _, line := range strings.Split(string(body), "\n") {
+	for _, line := range strings.Split(body, "\n") {
 		i := strings.LastIndexByte(line, ' ')
 		if i < 0 || strings.HasPrefix(line, "#") {
 			continue

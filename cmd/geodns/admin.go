@@ -18,7 +18,8 @@ import (
 func newAdmin(s *dnsserve.Server, p *daemon.Plane) http.Handler {
 	m := dnsMetrics{s}
 	reg := promexp.NewRegistry()
-	reg.Register(m.queries, m.limiter, m.edns, p.IndexMetrics, p.ReloadMetrics, p.QlogMetrics)
+	reg.Register(m.queries, m.limiter, m.edns, p.IndexMetrics, p.ReloadMetrics, p.QlogMetrics,
+		p.RuntimeMetrics)
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics/prom", reg)
 	mux.HandleFunc("GET /healthz", p.Healthz)

@@ -16,7 +16,6 @@ import (
 	"hoiho/internal/dnswire"
 	"hoiho/internal/geodict"
 	"hoiho/internal/geoloc"
-	"hoiho/internal/obs"
 	"hoiho/internal/promexp"
 	"hoiho/internal/psl"
 	"hoiho/internal/qlog"
@@ -50,7 +49,7 @@ func adminFixture(t *testing.T) http.Handler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := dnsserve.New(ix, dnsserve.Config{Tracer: obs.New(obs.Options{}), QueryLog: ql})
+	s := dnsserve.New(ix, dnsserve.Config{QueryLog: ql})
 	ask := func(name string, response bool) {
 		m := &dnswire.Message{
 			ID:        0x4242,
@@ -109,6 +108,7 @@ func TestAdminPromConformance(t *testing.T) {
 		"geodns_index_generation 1",
 		"geodns_reloads_total 0",
 		"geodns_qlog_records_total 4",
+		"geodns_runtime_goroutines ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q\n%s", want, body)

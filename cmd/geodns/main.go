@@ -45,14 +45,14 @@
 //	                    counters, limiter refusals and evictions, the
 //	                    negotiated EDNS response-size histogram, index
 //	                    lookup counters (which carry across reloads),
-//	                    reload build/swap timings, and query-log
-//	                    counters
+//	                    reload build/swap timings, query-log counters,
+//	                    and Go runtime gauges read at scrape time
 //	GET /healthz        liveness, suffix count, serving generation,
 //	                    build commit and go version
 //	GET /debug/pprof/   net/http/pprof profiling
 //
-// /healthz, pprof, the index, reload and query-log families, the
-// admin serve loop, the SIGHUP loop and the -qlog flags are
+// /healthz, pprof, the index, reload, query-log and runtime families,
+// the admin serve loop, the SIGHUP loop and the -qlog flags are
 // internal/daemon's, shared with geoserve.
 //
 // With -qlog <path>, every handled query appends a sampled JSONL
@@ -78,7 +78,6 @@ import (
 	"hoiho/internal/daemon"
 	"hoiho/internal/dnsserve"
 	"hoiho/internal/geoloc"
-	"hoiho/internal/obs"
 )
 
 func main() {
@@ -110,8 +109,7 @@ func main() {
 		*burst = 2 * *rate
 	}
 
-	tracer := obs.New(obs.Options{})
-	opts := geoloc.Options{UsableOnly: *usableOnly, CacheSize: *cacheSize, Tracer: tracer}
+	opts := geoloc.Options{UsableOnly: *usableOnly, CacheSize: *cacheSize}
 	resolved, err := src.Resolve(opts)
 	if err != nil {
 		fatal(err)
@@ -133,7 +131,6 @@ func main() {
 		UDPSize:  uint16(*udpSize),
 		Rate:     *rate,
 		Burst:    *burst,
-		Tracer:   tracer,
 		QueryLog: ql,
 	})
 	plane := &daemon.Plane{Name: "geodns", Live: s.Live(), Qlog: ql, Start: time.Now()}

@@ -26,7 +26,8 @@
 //	GET  /metrics/prom      Prometheus text exposition: requests, latency
 //	                        histogram, index lookup counters (which carry
 //	                        across reloads), reload lifecycle, per-route
-//	                        counters with status classes, span aggregates
+//	                        counters with status classes, Go runtime
+//	                        gauges read at scrape time
 //	GET  /metrics           the same counters as one JSON document
 //	GET  /debug/pprof/      net/http/pprof profiling (heap, profile, trace, ...)
 //
@@ -38,21 +39,15 @@
 // /v1 share one JSON envelope: {"error":{"code":...,"message":...}};
 // a POST body past what a full batch can need is refused with 413.
 //
-// With -runtime-sample <interval>, a background sampler records heap
-// size, goroutine count, GC pause and scheduler-latency quantiles into
-// a fixed-size ring; the newest sample is exported as gauges in the
-// Prometheus rendering.
-//
 // With -qlog <path>, every handled request appends a sampled JSONL
 // record (timestamp, request id, route, status, duration, serving
 // generation) to a size-rotated access log; -qlog-sample keeps 1 in N.
-// A kept request also records an "http" span carrying its request id.
 // -version prints build info.
 //
-// /healthz, pprof, the index, reload and query-log families, the serve
-// loop, the SIGHUP loop and the -qlog flags are internal/daemon's,
-// shared with geodns. The process drains in-flight requests and exits
-// cleanly on SIGINT or SIGTERM.
+// /healthz, pprof, the index, reload, query-log and runtime families,
+// the serve loop, the SIGHUP loop and the -qlog flags are
+// internal/daemon's, shared with geodns. The process drains in-flight
+// requests and exits cleanly on SIGINT or SIGTERM.
 package main
 
 import (
@@ -68,7 +63,6 @@ import (
 	"hoiho/internal/buildinfo"
 	"hoiho/internal/daemon"
 	"hoiho/internal/geoloc"
-	"hoiho/internal/obs"
 )
 
 func main() {
@@ -78,8 +72,6 @@ func main() {
 	cacheSize := flag.Int("cache", geoloc.DefaultCacheSize,
 		"LRU result-cache entries (negative disables)")
 	usableOnly := flag.Bool("usable-only", false, "serve only good/promising conventions")
-	runtimeSample := flag.Duration("runtime-sample", 0,
-		"sample runtime telemetry (heap, goroutines, GC pauses) at this interval for /metrics (0 disables)")
 	qlogFlags := daemon.RegisterQlogFlags(flag.CommandLine)
 	version := flag.Bool("version", false, "print build info and exit")
 	flag.Parse()
@@ -93,24 +85,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	// One aggregate-only tracer spans the daemon's lifetime: learning
-	// (with -corpus), the index build, snapshot loads, reloads, per-batch
-	// lookups, and the requests the query log keeps all roll up into the
-	// span families of /metrics/prom.
-	tracer := obs.New(obs.Options{})
-	if *runtimeSample > 0 {
-		stop := tracer.StartRuntimeSampler(obs.RuntimeOptions{Interval: *runtimeSample})
-		defer stop()
-	}
-
-	opts := geoloc.Options{UsableOnly: *usableOnly, CacheSize: *cacheSize, Tracer: tracer}
+	opts := geoloc.Options{UsableOnly: *usableOnly, CacheSize: *cacheSize}
 	resolved, err := src.Resolve(opts)
 	if err != nil {
 		fatal(err)
 	}
 	log.Printf("geoserve: serving %d conventions from %s", resolved.Index.Len(), src.Describe())
 
-	s := newTracedServer(resolved.Index, tracer)
+	s := newServer(resolved.Index)
 	s.enableReload(src, opts)
 	ql, err := qlogFlags.Open("geoserve")
 	if err != nil {

@@ -5,31 +5,13 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-
-	"hoiho/internal/core"
-	"hoiho/internal/geodict"
-	"hoiho/internal/geoloc"
-	"hoiho/internal/obs"
-	"hoiho/internal/psl"
 )
 
 // TestMetricsRoutes exercises the per-route counters: after a mix of
 // requests, /metrics must report a row per route pattern with accurate
-// request counts, and /metrics/prom the index's lookup-batch span when
-// the server shares the index's tracer.
+// request counts, and /metrics/prom the same rows.
 func TestMetricsRoutes(t *testing.T) {
-	res, err := core.ReadConventions(strings.NewReader(testConventions))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.New(obs.Options{})
-	ix, err := geoloc.New(res, geoloc.Options{
-		Dict: geodict.MustDefault(), PSL: psl.MustDefault(), Tracer: tr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTracedServer(ix, tr)
+	s := newServer(testIndex(t))
 
 	postJSON(t, s, "/v1/geolocate", `{"hostname":"et-0.core1.sjc1.he.net"}`)
 	postJSON(t, s, "/v1/geolocate", `{"hostnames":["a.core1.lhr1.he.net","b.unknown.org"]}`)
@@ -56,14 +38,8 @@ func TestMetricsRoutes(t *testing.T) {
 		t.Error("in-flight /metrics request leaked into its own snapshot")
 	}
 	prom := get(t, s, "/metrics/prom").Body.String()
-	for _, want := range []string{
-		`geoserve_route_requests_total{route="GET /metrics"} 1`,
-		`geoserve_span_count_total{span="lookup-batch"} 1`,
-		`geoserve_span_count_total{span="geoloc-compile"} 1`,
-	} {
-		if !strings.Contains(prom, want) {
-			t.Errorf("exposition missing %q\n%s", want, prom)
-		}
+	if want := `geoserve_route_requests_total{route="GET /metrics"} 1`; !strings.Contains(prom, want) {
+		t.Errorf("exposition missing %q\n%s", want, prom)
 	}
 }
 

@@ -2,12 +2,11 @@
 //
 // The collectors here render the geoserve-only families — server
 // totals, the /v1/geolocate latency histogram (as a proper cumulative
-// `le`-bucketed histogram), per-route counters with status classes,
-// span aggregates, and the runtime-telemetry sampler's latest snapshot
-// — through the shared internal/promexp registry. The index, reload
-// and query-log families come from internal/daemon, the same code
-// cmd/geodns serves them with, so both daemons speak one exposition
-// dialect under one conformance test.
+// `le`-bucketed histogram), and per-route counters with status classes
+// — through the shared internal/promexp registry. The index, reload,
+// query-log and runtime families come from internal/daemon, the same
+// code cmd/geodns serves them with, so both daemons speak one
+// exposition dialect under one conformance test.
 package main
 
 import (
@@ -43,10 +42,7 @@ func (s *server) promLatency(pw *promexp.Writer) {
 
 // promRoutes renders the per-route counters of every route that has
 // served a request — request counts, cumulative handler seconds, and
-// status-class counts — in registration order. Span-name ("stage") rows
-// from the shared tracer are exported too — lookup-batch,
-// geoloc-compile, reload, and the http spans of requests the query log
-// keeps — so index and pipeline cost is scrapeable.
+// status-class counts — in registration order.
 func (s *server) promRoutes(pw *promexp.Writer) {
 	pw.Family("geoserve_route_requests_total", "Requests handled per route.", "counter")
 	for _, rt := range s.routes {
@@ -69,34 +65,4 @@ func (s *server) promRoutes(pw *promexp.Writer) {
 			}
 		}
 	}
-	stages := s.tracer.Summary().Stages
-	pw.Family("geoserve_span_count_total", "Finished spans per stage.", "counter")
-	for _, row := range stages {
-		pw.Sample("geoserve_span_count_total", promexp.Labels("span", row.Name), float64(row.Count))
-	}
-	pw.Family("geoserve_span_seconds_total", "Cumulative span time per stage.", "counter")
-	for _, row := range stages {
-		pw.Sample("geoserve_span_seconds_total", promexp.Labels("span", row.Name), float64(row.TotalUS)/1e6)
-	}
-}
-
-// promRuntime renders the newest runtime-telemetry sample as gauges.
-// Nothing is emitted when the sampler is off (families with no samples
-// are omitted entirely, per the format).
-func (s *server) promRuntime(pw *promexp.Writer) {
-	samples := s.tracer.RuntimeSamples()
-	if len(samples) == 0 {
-		return
-	}
-	latest := samples[len(samples)-1]
-	pw.Gauge("geoserve_runtime_heap_bytes", "Heap bytes in use at the last runtime sample.",
-		float64(latest.HeapBytes))
-	pw.Gauge("geoserve_runtime_goroutines", "Goroutines at the last runtime sample.",
-		float64(latest.Goroutines))
-	pw.Family("geoserve_runtime_gc_pause_seconds", "GC pause quantiles at the last runtime sample.", "gauge")
-	pw.Sample("geoserve_runtime_gc_pause_seconds", promexp.Labels("quantile", "0.5"), latest.GCPauseP50US/1e6)
-	pw.Sample("geoserve_runtime_gc_pause_seconds", promexp.Labels("quantile", "0.99"), latest.GCPauseP99US/1e6)
-	pw.Family("geoserve_runtime_sched_latency_seconds", "Scheduler latency quantiles at the last runtime sample.", "gauge")
-	pw.Sample("geoserve_runtime_sched_latency_seconds", promexp.Labels("quantile", "0.5"), latest.SchedLatP50US/1e6)
-	pw.Sample("geoserve_runtime_sched_latency_seconds", promexp.Labels("quantile", "0.99"), latest.SchedLatP99US/1e6)
 }

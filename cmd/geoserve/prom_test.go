@@ -7,35 +7,15 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
-	"hoiho/internal/core"
-	"hoiho/internal/geodict"
-	"hoiho/internal/geoloc"
-	"hoiho/internal/obs"
 	"hoiho/internal/promexp"
-	"hoiho/internal/psl"
 )
 
-// promServer builds a traced server with the runtime sampler on and a
-// request mix behind it: 3 geolocate hits (one batch), one 400, one
-// health check.
+// promServer builds a server with a request mix behind it: 3 geolocate
+// hits (one batch), one 400, one health check.
 func promServer(t *testing.T) *server {
 	t.Helper()
-	res, err := core.ReadConventions(strings.NewReader(testConventions))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.New(obs.Options{})
-	stop := tr.StartRuntimeSampler(obs.RuntimeOptions{Interval: time.Hour})
-	t.Cleanup(stop)
-	ix, err := geoloc.New(res, geoloc.Options{
-		Dict: geodict.MustDefault(), PSL: psl.MustDefault(), Tracer: tr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newTracedServer(ix, tr)
+	s := newServer(testIndex(t))
 	postJSON(t, s, "/v1/geolocate", `{"hostname":"et-0.core1.sjc1.he.net"}`)
 	postJSON(t, s, "/v1/geolocate", `{"hostnames":["a.core1.lhr1.he.net","b.unknown.org"]}`)
 	postJSON(t, s, "/v1/geolocate", `{}`) // 400
@@ -67,19 +47,25 @@ func TestPromConformance(t *testing.T) {
 	}
 
 	// The request mix must be visible: 5 requests, 1 bad, 3 hostnames,
-	// 3 histogram observations, runtime gauges from the live sampler.
+	// 3 histogram observations. The runtime gauges are read at scrape
+	// time, with no sampler started, and no span family remains.
 	for _, want := range []string{
 		"geoserve_requests_total 5",
 		"geoserve_bad_requests_total 1",
 		"geoserve_hostnames_total 3",
 		`geoserve_request_duration_seconds_bucket{le="+Inf"} 3`,
-		"geoserve_runtime_heap_bytes",
-		"geoserve_runtime_goroutines",
+		"geoserve_runtime_heap_bytes ",
+		"geoserve_runtime_goroutines ",
+		`geoserve_runtime_gc_pause_seconds{quantile="0.99"} `,
+		`geoserve_runtime_sched_latency_seconds{quantile="0.99"} `,
 		`geoserve_index_suffix_matches_total{suffix="he.net"} 2`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q\n%s", want, body)
 		}
+	}
+	if strings.Contains(body, "_span_") {
+		t.Errorf("exposition still has a span family\n%s", body)
 	}
 }
 

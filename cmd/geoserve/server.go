@@ -12,7 +12,6 @@ import (
 
 	"hoiho/internal/daemon"
 	"hoiho/internal/geoloc"
-	"hoiho/internal/obs"
 	"hoiho/internal/promexp"
 	"hoiho/internal/qlog"
 )
@@ -44,7 +43,6 @@ type server struct {
 	src    *geoloc.Source // reload input; nil disables /v1/admin/reload
 	ixOpts geoloc.Options // options every reload compiles with
 	mux    *http.ServeMux
-	tracer *obs.Tracer       // aggregate-only: sampled requests, index builds, reloads
 	prom   *promexp.Registry // /metrics/prom collectors
 	routes []*routeCounters  // registered routes, in registration order
 
@@ -66,23 +64,13 @@ type routeCounters struct {
 }
 
 func newServer(ix *geoloc.Index) *server {
-	// Aggregate-only tracing: the daemon keeps span rollups forever but
-	// never retains raw spans, so memory stays constant no matter how
-	// long it serves.
-	return newTracedServer(ix, obs.New(obs.Options{}))
-}
-
-// newTracedServer wires an externally-built tracer, letting main share
-// one tracer between the index (compile + batch spans) and the routes.
-func newTracedServer(ix *geoloc.Index, tr *obs.Tracer) *server {
 	s := &server{
-		plane:  daemon.Plane{Name: "geoserve", Live: geoloc.NewLive(ix), Start: time.Now()},
-		mux:    http.NewServeMux(),
-		tracer: tr,
+		plane: daemon.Plane{Name: "geoserve", Live: geoloc.NewLive(ix), Start: time.Now()},
+		mux:   http.NewServeMux(),
+		prom:  promexp.NewRegistry(),
 	}
-	s.prom = promexp.NewRegistry()
 	s.prom.Register(s.promTotals, s.promLatency, s.plane.IndexMetrics, s.plane.ReloadMetrics,
-		s.promRoutes, s.plane.QlogMetrics, s.promRuntime)
+		s.promRoutes, s.plane.QlogMetrics, s.plane.RuntimeMetrics)
 	s.route("POST /v1/geolocate", s.handleGeolocate)
 	s.route("GET /v1/explain", s.handleExplain)
 	s.route("POST /v1/explain", s.handleExplain)
@@ -115,18 +103,10 @@ func (s *server) route(pattern string, h http.HandlerFunc) {
 	rt := &routeCounters{pattern: pattern}
 	s.routes = append(s.routes, rt)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		// A request the query log keeps gets an id, stamped on both its
-		// record and an "http" span, so a slow span in a trace joins
-		// against the access-log line that caused it. Other requests, and
-		// all of them with qlog off, open no span: NextID returns "" and
-		// nothing allocates.
+		// Only a request the query log keeps gets an id and a record;
+		// for the rest, and for all of them with qlog off, NextID
+		// returns "" and nothing allocates.
 		id := s.plane.Qlog.NextID()
-		var sp *obs.Span
-		if id != "" {
-			sp = s.tracer.Start("http")
-			sp.SetKey(pattern)
-			sp.SetAttr("request_id", id)
-		}
 		t0 := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
@@ -138,7 +118,6 @@ func (s *server) route(pattern string, h http.HandlerFunc) {
 		if id == "" {
 			return
 		}
-		sp.End()
 		s.plane.Qlog.Log(qlog.Record{
 			Front:      "http",
 			Op:         pattern,

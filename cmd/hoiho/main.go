@@ -80,8 +80,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// One tracer covers the whole invocation: the learning run, the
-	// serving-index build, and any -geolocate lookup all record into it.
+	// One tracer covers the whole invocation: the learning run or
+	// snapshot load and the serving-index build record into it (lookups
+	// open no span).
 	// Raw spans are only retained when a -trace file will consume them;
 	// -tracesummary alone runs in constant memory off the aggregates.
 	var tracer *obs.Tracer

@@ -24,11 +24,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
-	"regexp"
 	"runtime"
 	"sort"
-	"strconv"
 	"testing"
 )
 
@@ -206,31 +203,4 @@ func ReadFile(path string) (*File, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return f, nil
-}
-
-// benchFilePat matches the repo's trajectory files: BENCH_NNNN.json.
-var benchFilePat = regexp.MustCompile(`^BENCH_(\d{4})\.json$`)
-
-// Latest returns the highest-numbered BENCH_NNNN.json in dir ("" when
-// the trajectory is empty).
-func Latest(dir string) (string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return "", err
-	}
-	best, bestN := "", -1
-	for _, e := range entries {
-		m := benchFilePat.FindStringSubmatch(e.Name())
-		if m == nil {
-			continue
-		}
-		n, err := strconv.Atoi(m[1])
-		if err != nil {
-			continue // unreachable: the pattern admits only digits
-		}
-		if n > bestN {
-			best, bestN = filepath.Join(dir, e.Name()), n
-		}
-	}
-	return best, nil
 }

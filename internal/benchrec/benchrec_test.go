@@ -2,8 +2,6 @@ package benchrec
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -181,25 +179,6 @@ func TestRecordFromBenchmarkResults(t *testing.T) {
 	}
 	if len(b.Samples) != 3 {
 		t.Errorf("samples = %v", b.Samples)
-	}
-}
-
-func TestLatest(t *testing.T) {
-	dir := t.TempDir()
-	if got, err := Latest(dir); err != nil || got != "" {
-		t.Fatalf("Latest(empty) = %q, %v", got, err)
-	}
-	for _, name := range []string{"BENCH_0004.json", "BENCH_0005.json", "BENCH_003.json", "notes.txt"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := Latest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(got) != "BENCH_0005.json" {
-		t.Fatalf("Latest = %q, want BENCH_0005.json", got)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package daemon is the serving core geoserve and geodns share: the
 // operational surface around a geoloc.Live that does not depend on the
 // wire protocol. It holds one copy each of /healthz, the pprof routes,
-// the index, reload and query-log Prometheus collectors (named under
-// the daemon's prefix), the graceful HTTP serve loop, the SIGHUP reload
-// loop and the query-log flags.
+// the index, reload, query-log and Go runtime Prometheus collectors
+// (named under the daemon's prefix), the graceful HTTP serve loop, the
+// SIGHUP reload loop and the query-log flags.
 package daemon
 
 import (
@@ -23,6 +23,7 @@ import (
 
 	"hoiho/internal/buildinfo"
 	"hoiho/internal/geoloc"
+	"hoiho/internal/obs"
 	"hoiho/internal/promexp"
 	"hoiho/internal/qlog"
 )
@@ -122,6 +123,27 @@ func (p *Plane) QlogMetrics(pw *promexp.Writer) {
 	pw.Counter(p.Name+"_qlog_records_total", "Query-log records written.", float64(st.Logged))
 	pw.Counter(p.Name+"_qlog_sampled_out_total", "Queries skipped by the sampling rate.", float64(st.Skipped))
 	pw.Counter(p.Name+"_qlog_rotations_total", "Query-log file rotations.", float64(st.Rotations))
+}
+
+// RuntimeMetrics renders the Go runtime's health, read at scrape time:
+// heap bytes in use, goroutines, and the p50 and p99 of GC pauses and
+// scheduler latency over the life of the process.
+func (p *Plane) RuntimeMetrics(pw *promexp.Writer) {
+	rt := obs.ReadRuntime()
+	pw.Gauge(p.Name+"_runtime_heap_bytes", "Heap bytes in use.", float64(rt.HeapBytes))
+	pw.Gauge(p.Name+"_runtime_goroutines", "Live goroutines.", float64(rt.Goroutines))
+	for _, q := range []struct {
+		name, help string
+		p50, p99   float64
+	}{
+		{"gc_pause_seconds", "GC pause quantiles since the process started.", rt.GCPauseP50US, rt.GCPauseP99US},
+		{"sched_latency_seconds", "Scheduler latency quantiles since the process started.", rt.SchedLatP50US, rt.SchedLatP99US},
+	} {
+		name := p.Name + "_runtime_" + q.name
+		pw.Family(name, q.help, "gauge")
+		pw.Sample(name, promexp.Labels("quantile", "0.5"), q.p50/1e6)
+		pw.Sample(name, promexp.Labels("quantile", "0.99"), q.p99/1e6)
+	}
 }
 
 // ReloadOnHangup reloads p.Live from src with opts on every SIGHUP and

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hoiho/internal/dnswire"
-	"hoiho/internal/obs"
 )
 
 // fakeClock drives a limiter deterministically.
@@ -103,7 +102,7 @@ func TestLimiterEviction(t *testing.T) {
 // TestRefusedAccounting runs the limiter through the full handler:
 // queries over budget get REFUSED and the refused counter moves.
 func TestRefusedAccounting(t *testing.T) {
-	s := New(testIndex(t), Config{Rate: 1, Burst: 2, Tracer: obs.New(obs.Options{})})
+	s := New(testIndex(t), Config{Rate: 1, Burst: 2})
 	clk := &fakeClock{t: time.Unix(1_700_000_000, 0)}
 	s.limiter.now = clk.now
 	pkt, err := q(locatedName, dnswire.TypeTXT).Pack()

@@ -14,7 +14,6 @@ import (
 	"hoiho/internal/dnswire"
 	"hoiho/internal/geodict"
 	"hoiho/internal/geoloc"
-	"hoiho/internal/obs"
 	"hoiho/internal/psl"
 	"hoiho/internal/qlog"
 )
@@ -56,7 +55,7 @@ func TestReloadSwapsGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(resolved.Index, Config{Tracer: obs.New(obs.Options{}), QueryLog: ql})
+	s := New(resolved.Index, Config{QueryLog: ql})
 	st, err := s.Live().Reload(src, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +82,7 @@ func TestReloadUnderQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(resolved.Index, Config{Tracer: obs.New(obs.Options{})})
+	s := New(resolved.Index, Config{})
 	pkt, err := q(locatedName, dnswire.TypeTXT).Pack()
 	if err != nil {
 		t.Fatal(err)

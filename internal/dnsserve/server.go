@@ -24,9 +24,6 @@ const (
 	tcpIdleTimeout = 10 * time.Second // deadline on a TCP read that may block
 )
 
-// queryStage names the span a query the query log keeps records.
-const queryStage = "dnsquery"
-
 // Config tunes a Server. The zero value serves with defaults: TTL 300,
 // UDP payload 1232, rate limiting off.
 type Config struct {
@@ -40,12 +37,12 @@ type Config struct {
 	// second with Burst headroom. Rate 0 disables limiting.
 	Rate  float64
 	Burst float64
-	// Tracer records a span for each query the query log keeps; nil is
-	// inert.
+	// Deprecated: Tracer is ignored; the server opens no spans. It
+	// remains only so that callers which still set it compile.
 	Tracer *obs.Tracer
 	// QueryLog, when non-nil, receives one sampled JSONL record per
-	// handled packet; its request id is also stamped on the query span.
-	// Nil (the zero value) disables logging at zero cost.
+	// handled packet. Nil (the zero value) disables logging at zero
+	// cost.
 	QueryLog *qlog.Logger
 }
 
@@ -96,7 +93,6 @@ type Server struct {
 	cfg     Config
 	live    *geoloc.Live
 	limiter *limiter
-	tracer  *obs.Tracer
 	qlog    *qlog.Logger
 
 	// Query counters: every handled packet, each by its outcome, and
@@ -126,7 +122,6 @@ func New(ix *geoloc.Index, cfg Config) *Server {
 		cfg:     cfg,
 		live:    geoloc.NewLive(ix),
 		limiter: newLimiter(cfg.Rate, cfg.Burst),
-		tracer:  cfg.Tracer,
 		qlog:    cfg.QueryLog,
 	}
 }
@@ -197,20 +192,17 @@ func (s *Server) HandlePacket(pkt []byte, src netip.Addr, tcp bool) []byte {
 // as it returns.
 func (s *Server) appendReply(b, pkt []byte, src netip.Addr, tcp bool) (out []byte) {
 	s.queries.Add(1)
-	// Only a query the log keeps gets a record and a span; for the rest
-	// (and with logging off) NextID returns "" and nothing allocates.
-	// The deferred function also converts panics to SERVFAIL, so a
-	// crashed handler still counts and logs its query.
+	// Only a query the log keeps gets a record; for the rest (and with
+	// logging off) NextID returns "" and nothing allocates. The deferred
+	// function also converts panics to SERVFAIL, so a crashed handler
+	// still counts and logs its query.
 	var qr qlog.Record
-	var sp *obs.Span
 	var t0 time.Time
 	if id := s.qlog.NextID(); id != "" {
 		qr = qlog.Record{Front: "dns", ID: id}
 		if src.IsValid() {
 			qr.Source = src.String()
 		}
-		sp = s.tracer.Start(queryStage)
-		sp.SetAttr("request_id", id)
 		t0 = time.Now()
 	}
 	var oc outcome
@@ -226,9 +218,6 @@ func (s *Server) appendReply(b, pkt []byte, src netip.Addr, tcp bool) (out []byt
 			qr.DurUS = int64(time.Since(t0) / time.Microsecond)
 			qr.Generation = s.live.Generation()
 			s.qlog.Log(qr)
-			sp.SetKey(qr.Op)
-			sp.Count(qr.Outcome, 1)
-			sp.End()
 		}
 	}()
 	out, oc = s.handle(b, pkt, src, tcp, &qr)

@@ -20,7 +20,6 @@ import (
 	"hoiho/internal/dnswire"
 	"hoiho/internal/geodict"
 	"hoiho/internal/geoloc"
-	"hoiho/internal/obs"
 	"hoiho/internal/psl"
 )
 
@@ -61,7 +60,7 @@ func indexOf(t testing.TB, conventions string) *geoloc.Index {
 
 func testServer(t testing.TB) *Server {
 	t.Helper()
-	return New(testIndex(t), Config{Tracer: obs.New(obs.Options{})})
+	return New(testIndex(t), Config{})
 }
 
 var testSrc = netip.MustParseAddr("192.0.2.1")

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"hoiho/internal/dnswire"
-	"hoiho/internal/obs"
 	"hoiho/internal/qlog"
 )
 
@@ -18,7 +17,7 @@ import (
 // query lands in the band of its negotiated response limit, TCP
 // queries are never observed, and the byte sum tracks the limits.
 func TestEDNSSizeHistogram(t *testing.T) {
-	s := New(testIndex(t), Config{UDPSize: 8192, Tracer: obs.New(obs.Options{})})
+	s := New(testIndex(t), Config{UDPSize: 8192})
 	send := func(udpSize uint16, tcp bool) {
 		m := q(locatedName, dnswire.TypeTXT)
 		if udpSize == 0 {
@@ -82,7 +81,7 @@ func TestQueryLogWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(testIndex(t), Config{Tracer: obs.New(obs.Options{}), QueryLog: ql})
+	s := New(testIndex(t), Config{QueryLog: ql})
 
 	pack := func(m *dnswire.Message) []byte {
 		t.Helper()

@@ -32,8 +32,9 @@ func TestMultilaterateSingleConstraint(t *testing.T) {
 }
 
 func TestMultilaterateIntersection(t *testing.T) {
-	// Target at the midpoint of two VPs; constraints just covering it.
-	target := Midpoint(london, newYork)
+	// Target at the great-circle midpoint of two VPs (2,785 km from
+	// each); constraints just covering it.
+	target := LatLong{52.3684, -41.2903}
 	rtt := MinRTTms(london, target) * 1.2
 	cs := []Constraint{
 		{VP: london, RTTms: rtt},
@@ -139,7 +140,7 @@ func TestFeasible(t *testing.T) {
 		{VP: london, RTTms: 100},
 		{VP: newYork, RTTms: 100},
 	}
-	if !Feasible(Midpoint(london, newYork), cs) {
+	if !Feasible(LatLong{52.3684, -41.2903}, cs) { // the London–New York midpoint
 		t.Error("midpoint should satisfy generous constraints")
 	}
 	if Feasible(sydney, []Constraint{{VP: london, RTTms: 1}}) {

@@ -130,20 +130,6 @@ func Destination(origin LatLong, bearingDeg, distanceKm float64) LatLong {
 	return LatLong{Lat: degrees(lat2), Long: lonDeg}
 }
 
-// Midpoint returns the great-circle midpoint of a and b.
-func Midpoint(a, b LatLong) LatLong {
-	lat1, lon1 := radians(a.Lat), radians(a.Long)
-	lat2, lon2 := radians(b.Lat), radians(b.Long)
-	dLon := lon2 - lon1
-	bx := math.Cos(lat2) * math.Cos(dLon)
-	by := math.Cos(lat2) * math.Sin(dLon)
-	lat3 := math.Atan2(math.Sin(lat1)+math.Sin(lat2),
-		math.Sqrt((math.Cos(lat1)+bx)*(math.Cos(lat1)+bx)+by*by))
-	lon3 := lon1 + math.Atan2(by, math.Cos(lat1)+bx)
-	lonDeg := math.Mod(degrees(lon3)+540, 360) - 180
-	return LatLong{Lat: degrees(lat3), Long: lonDeg}
-}
-
 // Centroid returns the spherical centroid of the given points. It returns
 // an error when points is empty or when the points are spread so evenly
 // that the centroid is undefined (the mean vector vanishes).

@@ -193,15 +193,6 @@ func TestDestinationProperty(t *testing.T) {
 	}
 }
 
-func TestMidpoint(t *testing.T) {
-	m := Midpoint(london, newYork)
-	d1 := DistanceKm(london, m)
-	d2 := DistanceKm(newYork, m)
-	if math.Abs(d1-d2) > 1 {
-		t.Errorf("midpoint not equidistant: %.1f vs %.1f", d1, d2)
-	}
-}
-
 func TestCentroid(t *testing.T) {
 	c, err := Centroid([]LatLong{{10, 10}, {10, 10}})
 	if err != nil {

@@ -51,10 +51,9 @@ type Options struct {
 	// CacheSize bounds the LRU result cache in entries. 0 means
 	// DefaultCacheSize; negative disables caching.
 	CacheSize int
-	// Tracer, when non-nil, records a compile span at New and per-batch
-	// spans in LookupBatch. Single-hostname Lookup is deliberately not
-	// spanned — it is the nanosecond-scale hot path — but all its work
-	// still lands in the atomic Stats counters.
+	// Tracer, when non-nil, records a compile span at New (and, through
+	// Source, learning and snapshot spans). Lookups open no span; they
+	// count in the atomic Stats counters.
 	Tracer *obs.Tracer
 }
 
@@ -68,11 +67,10 @@ type convention struct {
 // geolocate hostnames. Build one with New; methods are safe for
 // concurrent use.
 type Index struct {
-	dict   *geodict.Dictionary
-	list   *psl.List
-	convs  map[string]*convention
-	cache  *cache      // nil when disabled
-	tracer *obs.Tracer // nil when tracing disabled
+	dict  *geodict.Dictionary
+	list  *psl.List
+	convs map[string]*convention
+	cache *cache // nil when disabled
 
 	lookups     atomic.Uint64
 	cacheHits   atomic.Uint64
@@ -105,7 +103,7 @@ func New(res *core.Result, opts Options) (*Index, error) {
 	}
 	sp := opts.Tracer.Start("geoloc-compile")
 	matchers0 := rex.MatchersCompiled()
-	ix := &Index{dict: dict, list: list, convs: make(map[string]*convention, len(res.NCs)), tracer: opts.Tracer}
+	ix := &Index{dict: dict, list: list, convs: make(map[string]*convention, len(res.NCs))}
 	for suffix, nc := range res.NCs {
 		if nc == nil || (opts.UsableOnly && !nc.Class.Usable()) {
 			continue
@@ -164,55 +162,31 @@ func (ix *Index) Convention(suffix string) *core.NamingConvention {
 // shared with the cache and must not be mutated.
 func (ix *Index) Lookup(hostname string) (*core.Geolocation, bool) {
 	ix.lookups.Add(1)
-	g, _ := ix.lookup(normalize(hostname))
-	return g, g != nil
-}
-
-// lookup runs the cache-then-locate path for an already-normalized
-// hostname, reporting whether the answer came from the cache so batch
-// callers can count hits locally (reading the shared atomic counters
-// per-batch would race with concurrent batches).
-func (ix *Index) lookup(host string) (g *core.Geolocation, cacheHit bool) {
+	host := normalize(hostname)
 	if ix.cache != nil {
 		if g, ok := ix.cache.get(host); ok {
 			ix.cacheHits.Add(1)
 			ix.count(g)
-			return g, true
+			return g, g != nil
 		}
 		ix.cacheMisses.Add(1)
 	}
-	g = ix.locate(host)
+	g := ix.locate(host)
 	if ix.cache != nil {
 		ix.cache.put(host, g)
 	}
 	ix.count(g)
-	return g, false
+	return g, g != nil
 }
 
 // LookupBatch geolocates hostnames in order. The result slice is
 // aligned with the input; entries are nil where the hostname did not
-// resolve. Safe to call from many goroutines concurrently. When the
-// index was built with a tracer, each batch records a span counting
-// hostnames, located answers, and cache hits.
+// resolve. Safe to call from many goroutines concurrently.
 func (ix *Index) LookupBatch(hostnames []string) []*core.Geolocation {
-	sp := ix.tracer.Start("lookup-batch")
 	out := make([]*core.Geolocation, len(hostnames))
-	var located, hits int64
 	for i, h := range hostnames {
-		ix.lookups.Add(1)
-		g, hit := ix.lookup(normalize(h))
-		out[i] = g
-		if g != nil {
-			located++
-		}
-		if hit {
-			hits++
-		}
+		out[i], _ = ix.Lookup(h)
 	}
-	sp.Count("hostnames", int64(len(hostnames)))
-	sp.Count("located", located)
-	sp.Count("cache_hits", hits)
-	sp.End()
 	return out
 }
 

@@ -100,13 +100,10 @@ type ReloadStatus struct {
 // names are re-read), validates it against the serving one with
 // SpotCheck, and swaps it in. Reloads serialize; lookups are never
 // blocked. A failed reload leaves the serving index in place and
-// counts a failure. With opts.Tracer set, each reload records a
-// "reload" span.
+// counts a failure.
 func (l *Live) Reload(src *Source, opts Options) (ReloadStatus, error) {
 	l.reloadMu.Lock()
 	defer l.reloadMu.Unlock()
-	sp := opts.Tracer.Start("reload")
-	defer sp.End()
 	t0 := time.Now()
 	resolved, err := src.Resolve(opts)
 	t1 := time.Now()
@@ -115,7 +112,6 @@ func (l *Live) Reload(src *Source, opts Options) (ReloadStatus, error) {
 	}
 	if err != nil {
 		l.failures.Add(1)
-		sp.Count("failures", 1)
 		return ReloadStatus{}, err
 	}
 	_, gen := l.Swap(resolved.Index)
@@ -128,7 +124,6 @@ func (l *Live) Reload(src *Source, opts Options) (ReloadStatus, error) {
 	l.reloads.Add(1)
 	l.lastBuildUS.Store(st.BuildUS)
 	l.lastSwapUS.Store(st.SwapUS)
-	sp.Count("suffixes", int64(st.Suffixes))
 	return st, nil
 }
 

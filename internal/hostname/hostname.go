@@ -160,18 +160,6 @@ func (h *Hostname) AdjacentRunPairs() [][2]string {
 func isAlpha(b byte) bool { return b >= 'a' && b <= 'z' }
 func isDigit(b byte) bool { return b >= '0' && b <= '9' }
 
-// StripDigits returns s with all decimal digits removed.
-func StripDigits(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		if !isDigit(s[i]) {
-			b.WriteByte(s[i])
-		}
-	}
-	return b.String()
-}
-
 // IsAlnum reports whether s consists solely of lower-case letters and
 // digits (the character set of hostname spans).
 func IsAlnum(s string) bool {

@@ -142,22 +142,6 @@ func TestAdjacentRunPairsOnlyCrossesOneBoundary(t *testing.T) {
 	}
 }
 
-func TestStripDigits(t *testing.T) {
-	cases := map[string]string{
-		"lhr15":  "lhr",
-		"rd3tx":  "rdtx",
-		"123":    "",
-		"abc":    "abc",
-		"":       "",
-		"a1b2c3": "abc",
-	}
-	for in, want := range cases {
-		if got := StripDigits(in); got != want {
-			t.Errorf("StripDigits(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestIsAlnum(t *testing.T) {
 	if !IsAlnum("abc123") {
 		t.Error("abc123 should be alnum")

@@ -22,11 +22,6 @@ type TraceRecord struct {
 	StartUS  int64            `json:"start_us"`
 	DurUS    int64            `json:"dur_us"`
 	Counters map[string]int64 `json:"counters,omitempty"`
-	// Attrs carry per-span string annotations (request ids). Spans
-	// without attrs omit the field, so traces from code that never calls
-	// SetAttr — the whole learning pipeline — are byte-identical to
-	// those from before the field existed.
-	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
 // Export returns all finished spans in canonical order: by path (the
@@ -73,12 +68,6 @@ func (t *Tracer) Export() []TraceRecord {
 			tr.Counters = make(map[string]int64, len(r.counts))
 			for _, kv := range r.counts {
 				tr.Counters[kv.name] = kv.n
-			}
-		}
-		if len(r.attrs) > 0 {
-			tr.Attrs = make(map[string]string, len(r.attrs))
-			for _, kv := range r.attrs {
-				tr.Attrs[kv.name] = kv.value
 			}
 		}
 		out[i] = tr

@@ -23,9 +23,9 @@
 //
 // A Tracer is safe for concurrent use: spans may start and end on any
 // goroutine (each span itself belongs to one goroutine, matching the
-// worker-pool shape of the pipeline). Long-running servers that only
-// need aggregates set RetainSpans to false, bounding memory regardless
-// of request volume while Summary keeps working.
+// worker-pool shape of the pipeline). A caller that only needs
+// aggregates leaves RetainSpans false, bounding memory regardless of
+// span volume while Summary keeps working.
 package obs
 
 import (
@@ -43,7 +43,7 @@ type Options struct {
 
 	// RetainSpans keeps every finished span for WriteJSONL. When false
 	// only the running aggregates behind Summary are maintained —
-	// constant memory, the geoserve configuration.
+	// constant memory, the hoiho -tracesummary configuration.
 	RetainSpans bool
 }
 
@@ -99,17 +99,11 @@ type Span struct {
 	seq    uint64
 	start  time.Duration
 	counts []counterKV // small, append-only; most spans carry <8 counters
-	attrs  []attrKV    // string annotations (request ids); most spans carry none
 }
 
 type counterKV struct {
 	name string
 	n    int64
-}
-
-type attrKV struct {
-	name  string
-	value string
 }
 
 // Start begins a root span. Returns nil (safely inert) on a nil Tracer.
@@ -165,24 +159,6 @@ func (s *Span) SetWorker(w int) {
 	s.worker = w
 }
 
-// SetAttr attaches a string annotation to the span — a query-log
-// request id, a client identity. Attrs ride along into retained-span
-// export (sorted keys, like counters) but are deliberately excluded
-// from aggregation: they identify one span, they don't accumulate.
-// Setting the same name again overwrites.
-func (s *Span) SetAttr(name, value string) {
-	if s == nil {
-		return
-	}
-	for i := range s.attrs {
-		if s.attrs[i].name == name {
-			s.attrs[i].value = value
-			return
-		}
-	}
-	s.attrs = append(s.attrs, attrKV{name, value})
-}
-
 // Count adds n to the span's named counter.
 func (s *Span) Count(name string, n int64) {
 	if s == nil {
@@ -214,7 +190,6 @@ func (s *Span) End() {
 		startNS: int64(s.start),
 		durNS:   int64(end - s.start),
 		counts:  s.counts,
-		attrs:   s.attrs,
 	}
 	if s.parent != nil {
 		rec.parentSeq = s.parent.seq
@@ -233,7 +208,6 @@ type spanRecord struct {
 	startNS   int64
 	durNS     int64
 	counts    []counterKV
-	attrs     []attrKV
 }
 
 // aggregate is the running per-name (or per-key) rollup behind Summary.

@@ -210,71 +210,3 @@ func TestConcurrentSpans(t *testing.T) {
 		t.Fatalf("exported %d lines, want %d", lines, workers*perWorker+1)
 	}
 }
-
-// TestSetAttrExport checks both halves of the attrs contract: attrs
-// ride into TraceRecord.Attrs with last-write-wins semantics, and
-// spans that never call SetAttr serialize without the field at all —
-// so pre-attr golden traces stay byte-identical.
-func TestSetAttrExport(t *testing.T) {
-	tr := New(Options{Clock: FrozenClock, RetainSpans: true})
-	s := tr.Start("query")
-	s.SetAttr("request_id", "q1")
-	s.SetAttr("client", "127.0.0.1")
-	s.SetAttr("request_id", "q2") // overwrite, not duplicate
-	s.End()
-	plain := tr.Start("query")
-	plain.Count("hits", 1)
-	plain.End()
-
-	recs := tr.Export()
-	if len(recs) != 2 {
-		t.Fatalf("Export returned %d records, want 2", len(recs))
-	}
-	var withAttrs, without *TraceRecord
-	for i := range recs {
-		if len(recs[i].Attrs) > 0 {
-			withAttrs = &recs[i]
-		} else {
-			without = &recs[i]
-		}
-	}
-	if withAttrs == nil || without == nil {
-		t.Fatalf("expected one span with attrs and one without, got %+v", recs)
-	}
-	want := map[string]string{"request_id": "q2", "client": "127.0.0.1"}
-	if len(withAttrs.Attrs) != len(want) {
-		t.Fatalf("Attrs = %v, want %v", withAttrs.Attrs, want)
-	}
-	for k, v := range want {
-		if withAttrs.Attrs[k] != v {
-			t.Errorf("Attrs[%q] = %q, want %q", k, withAttrs.Attrs[k], v)
-		}
-	}
-
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("WriteJSONL produced %d lines, want 2", len(lines))
-	}
-	var sawAttr, sawPlain bool
-	for _, ln := range lines {
-		if strings.Contains(ln, `"attrs"`) {
-			sawAttr = true
-			if !strings.Contains(ln, `"request_id":"q2"`) {
-				t.Errorf("attr line missing overwritten request_id: %s", ln)
-			}
-		} else {
-			sawPlain = true
-		}
-	}
-	if !sawAttr || !sawPlain {
-		t.Errorf("want one line with attrs and one without:\n%s", buf.String())
-	}
-
-	// SetAttr on a nil span is a no-op, like every other span method.
-	var nilSpan *Span
-	nilSpan.SetAttr("k", "v")
-}

@@ -10,11 +10,13 @@ import (
 )
 
 // RuntimeSample is one snapshot of the Go runtime's health metrics, as
-// read from runtime/metrics. Elapsed time comes from the tracer's clock
-// (so FrozenClock pins it to zero); the metric values themselves are
-// inherently nondeterministic and are therefore never part of the
-// deterministic span export — WriteJSONL and golden traces exclude them
-// by construction.
+// read from runtime/metrics. The quantiles cover the whole life of the
+// process, because the runtime's GC-pause and scheduler-latency
+// histograms are cumulative. Elapsed time comes from the sampling
+// tracer's clock (so FrozenClock pins it to zero); the metric values
+// themselves are inherently nondeterministic and are therefore never
+// part of the deterministic span export — WriteJSONL and golden traces
+// exclude them by construction.
 type RuntimeSample struct {
 	ElapsedUS     int64   `json:"elapsed_us"`
 	HeapBytes     uint64  `json:"heap_bytes"`
@@ -29,19 +31,16 @@ type RuntimeSample struct {
 type RuntimeOptions struct {
 	// Interval between samples. Zero means DefaultRuntimeInterval.
 	Interval time.Duration
-	// RingSize bounds the retained samples (oldest overwritten). Zero
-	// means DefaultRuntimeRing.
-	RingSize int
 }
 
-// Defaults for RuntimeOptions: a sample every 10 seconds, keeping the
-// last 120 (twenty minutes of history in a long-running daemon).
-const (
-	DefaultRuntimeInterval = 10 * time.Second
-	DefaultRuntimeRing     = 120
-)
+// DefaultRuntimeInterval is the sampling interval when
+// RuntimeOptions.Interval is zero.
+const DefaultRuntimeInterval = 10 * time.Second
 
-// runtimeMetricNames are the runtime/metrics keys the sampler reads.
+// runtimeRing bounds the retained samples; the oldest is overwritten.
+const runtimeRing = 120
+
+// runtimeMetricNames are the runtime/metrics keys ReadRuntime reads.
 var runtimeMetricNames = []string{
 	"/memory/classes/heap/objects:bytes",
 	"/sched/goroutines:goroutines",
@@ -67,22 +66,12 @@ func (t *Tracer) StartRuntimeSampler(opts RuntimeOptions) (stop func()) {
 	if interval <= 0 {
 		interval = DefaultRuntimeInterval
 	}
-	size := opts.RingSize
-	if size <= 0 {
-		size = DefaultRuntimeRing
-	}
 	t.rtMu.Lock()
-	if t.rtRing == nil || len(t.rtRing) != size {
-		t.rtRing = make([]RuntimeSample, size)
-		t.rtNext, t.rtCount = 0, 0
+	if t.rtRing == nil {
+		t.rtRing = make([]RuntimeSample, runtimeRing)
 	}
 	t.rtMu.Unlock()
-
-	samples := make([]metrics.Sample, len(runtimeMetricNames))
-	for i, name := range runtimeMetricNames {
-		samples[i].Name = name
-	}
-	t.sampleRuntime(samples)
+	t.sampleRuntime()
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -96,7 +85,7 @@ func (t *Tracer) StartRuntimeSampler(opts RuntimeOptions) (stop func()) {
 			case <-done:
 				return
 			case <-ticker.C:
-				t.sampleRuntime(samples)
+				t.sampleRuntime()
 			}
 		}
 	}()
@@ -109,12 +98,29 @@ func (t *Tracer) StartRuntimeSampler(opts RuntimeOptions) (stop func()) {
 	}
 }
 
-// sampleRuntime reads the metric set and pushes one sample onto the
-// ring. The samples slice is owned by one sampler goroutine (plus the
-// synchronous first read before it starts), so reads never race.
-func (t *Tracer) sampleRuntime(samples []metrics.Sample) {
+// sampleRuntime reads the runtime and pushes one sample onto the ring.
+func (t *Tracer) sampleRuntime() {
+	s := ReadRuntime()
+	s.ElapsedUS = int64(t.clock() / time.Microsecond)
+	t.rtMu.Lock()
+	t.rtRing[t.rtNext] = s
+	t.rtNext = (t.rtNext + 1) % len(t.rtRing)
+	if t.rtCount < len(t.rtRing) {
+		t.rtCount++
+	}
+	t.rtMu.Unlock()
+}
+
+// ReadRuntime reads the runtime metric set once and returns it with
+// ElapsedUS zero. It is the one reader behind both the sampler and the
+// daemons' scrape-time runtime gauges, and is safe for concurrent use.
+func ReadRuntime() RuntimeSample {
+	samples := make([]metrics.Sample, len(runtimeMetricNames))
+	for i, name := range runtimeMetricNames {
+		samples[i].Name = name
+	}
 	metrics.Read(samples)
-	s := RuntimeSample{ElapsedUS: int64(t.clock() / time.Microsecond)}
+	var s RuntimeSample
 	for _, m := range samples {
 		switch m.Name {
 		case "/memory/classes/heap/objects:bytes":
@@ -139,13 +145,7 @@ func (t *Tracer) sampleRuntime(samples []metrics.Sample) {
 			}
 		}
 	}
-	t.rtMu.Lock()
-	t.rtRing[t.rtNext] = s
-	t.rtNext = (t.rtNext + 1) % len(t.rtRing)
-	if t.rtCount < len(t.rtRing) {
-		t.rtCount++
-	}
-	t.rtMu.Unlock()
+	return s
 }
 
 // histQuantile extracts an approximate quantile from a runtime/metrics

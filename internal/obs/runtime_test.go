@@ -71,19 +71,15 @@ func TestRuntimeSamplerTicks(t *testing.T) {
 	}
 }
 
-// TestRuntimeSamplerRingWraps: the ring keeps only the newest RingSize
-// samples, oldest first.
+// TestRuntimeSamplerRingWraps: the ring keeps only the newest samples
+// it has room for, oldest first.
 func TestRuntimeSamplerRingWraps(t *testing.T) {
 	tr := New(Options{})
-	samples := make([]metrics.Sample, len(runtimeMetricNames))
-	for i, name := range runtimeMetricNames {
-		samples[i].Name = name
-	}
 	tr.rtMu.Lock()
 	tr.rtRing = make([]RuntimeSample, 3)
 	tr.rtMu.Unlock()
 	for i := 0; i < 7; i++ {
-		tr.sampleRuntime(samples)
+		tr.sampleRuntime()
 		tr.rtMu.Lock()
 		tr.rtRing[(tr.rtNext+len(tr.rtRing)-1)%len(tr.rtRing)].ElapsedUS = int64(i)
 		tr.rtMu.Unlock()

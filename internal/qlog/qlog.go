@@ -23,10 +23,9 @@
 //     twice MaxBytes regardless of uptime.
 //
 // NextID decides sampling: it mints a request id only for a query the
-// log keeps. The serving layers log, and open an obs span stamped with
-// the same id (Span.SetAttr), only for those queries, which is what
-// makes a slow span in a trace joinable against the query that caused
-// it.
+// log keeps. The serving layers build and log a record only for those
+// queries, so a sampled-out query allocates nothing; the id names the
+// logged query in the daemon's own output.
 package qlog
 
 import (
@@ -48,8 +47,7 @@ type Record struct {
 	// Op is the operation: an HTTP route pattern ("POST /v1/geolocate")
 	// or a DNS query type ("TXT").
 	Op string
-	// ID is the request id minted by NextID, joining this record to the
-	// query's obs span.
+	// ID is the request id minted by NextID, naming the query.
 	ID string
 	// Hostname is the looked-up hostname, when the operation has one.
 	Hostname string
@@ -149,8 +147,8 @@ func (l *Logger) Enabled() bool { return l != nil }
 
 // NextID counts one query and mints its request id ("q1", "q2", ...)
 // when the sampler keeps it. It returns "" for a query sampled out, and
-// always when logging is disabled, so callers log, and span, only the
-// queries that got an id. Under Sample N the kept ids are q1, qN+1, ...
+// always when logging is disabled, so callers log only the queries
+// that got an id. Under Sample N the kept ids are q1, qN+1, ...
 func (l *Logger) NextID() string {
 	if l == nil {
 		return ""

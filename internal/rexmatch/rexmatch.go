@@ -44,7 +44,6 @@ package rexmatch
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"unicode/utf8"
 )
 
@@ -109,11 +108,10 @@ func init() {
 // cspec is a compiled component: either a literal or a greedy
 // class repetition with inclusive length bounds.
 type cspec struct {
-	lit     string
-	cls     uint8 // clsLit for literals
-	min     int32
-	max     int32 // -1 = unbounded
-	capture bool
+	lit string
+	cls uint8 // clsLit for literals
+	min int32
+	max int32 // -1 = unbounded
 }
 
 // Prog is a compiled dialect program. Immutable and safe for
@@ -134,7 +132,6 @@ func Compile(specs []Spec) (*Prog, error) {
 	p := &Prog{specs: make([]cspec, 0, len(specs))}
 	for i, s := range specs {
 		var c cspec
-		c.capture = s.Capture
 		switch s.Op {
 		case OpLit:
 			c.lit = s.Lit
@@ -240,30 +237,6 @@ func (r *Result) Parts(dst []string) []string {
 		dst = append(dst, r.Part(i))
 	}
 	return dst
-}
-
-// Captures appends the captured components' substrings to dst, in
-// component order — the submatches regexp.FindStringSubmatch would
-// report (minus the full-match element).
-func (r *Result) Captures(dst []string) []string {
-	for i, c := range r.prog.specs {
-		if c.capture {
-			dst = append(dst, r.Part(i))
-		}
-	}
-	return dst
-}
-
-// resultPool backs the convenience MatchString entry point; hot-path
-// callers hold their own Results.
-var resultPool = sync.Pool{New: func() any { return new(Result) }}
-
-// MatchString reports whether the program matches the whole input.
-func (p *Prog) MatchString(in string) bool {
-	res := resultPool.Get().(*Result)
-	ok := p.Run(in, res)
-	resultPool.Put(res)
-	return ok
 }
 
 // Run matches the program against the whole input (the dialect is

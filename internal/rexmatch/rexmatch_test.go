@@ -242,9 +242,8 @@ func TestCapturesSubset(t *testing.T) {
 	if !p.Run("0.xe-1.gw1.sfo16.alter.net", &res) {
 		t.Fatal("no match")
 	}
-	caps := res.Captures(nil)
-	if len(caps) != 1 || caps[0] != "sfo" {
-		t.Fatalf("captures = %q, want [sfo]", caps)
+	if got := res.Part(2); got != "sfo" {
+		t.Fatalf("captured component = %q, want sfo", got)
 	}
 }
 
@@ -258,13 +257,13 @@ func TestResultReuse(t *testing.T) {
 		if !p1.Run("aaaa.bbbb.cccc.x", &res) {
 			t.Fatal("p1 no match")
 		}
-		if got := res.Captures(nil)[0]; got != "aaaa.bbbb.cccc" {
+		if got := res.Part(0); got != "aaaa.bbbb.cccc" {
 			t.Fatalf("p1 capture %q", got)
 		}
 		if !p2.Run("zz", &res) {
 			t.Fatal("p2 no match")
 		}
-		if got := res.Captures(nil)[0]; got != "zz" {
+		if got := res.Part(0); got != "zz" {
 			t.Fatalf("p2 capture %q", got)
 		}
 		if p2.Run("z9", &res) {

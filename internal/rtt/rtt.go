@@ -249,25 +249,6 @@ func (m *Matrix) measurements(t *table, router string) []Measurement {
 	return out
 }
 
-// MinPing returns the smallest followup ping RTT for router and the VP
-// that measured it.
-func (m *Matrix) MinPing(router string) (Measurement, bool) {
-	ms := m.PingMeasurements(router)
-	if len(ms) == 0 {
-		return Measurement{}, false
-	}
-	return ms[0], true
-}
-
-// MinTrace returns the smallest traceroute-observed RTT for router.
-func (m *Matrix) MinTrace(router string) (Measurement, bool) {
-	ms := m.TraceMeasurements(router)
-	if len(ms) == 0 {
-		return Measurement{}, false
-	}
-	return ms[0], true
-}
-
 // HasPing reports whether any VP has a ping sample for router. Stage 2
 // calls it once per hostname and keeps the answer for stage 3. A table
 // keeps a row only while it holds a sample, so the row's presence is

@@ -113,16 +113,15 @@ func TestMinPingAndSorting(t *testing.T) {
 	_ = m.SetPing("N1", "lon-gb", Sample{RTTms: 80})
 	_ = m.SetPing("N1", "nyc-us", Sample{RTTms: 6})
 	_ = m.SetPing("N1", "tyo-jp", Sample{RTTms: 160})
-	min, ok := m.MinPing("N1")
-	if !ok || min.VP.Name != "nyc-us" || min.Sample.RTTms != 6 {
-		t.Errorf("MinPing = %+v, %v", min, ok)
-	}
 	ms := m.PingMeasurements("N1")
 	if len(ms) != 3 || ms[0].Sample.RTTms > ms[1].Sample.RTTms || ms[1].Sample.RTTms > ms[2].Sample.RTTms {
 		t.Errorf("measurements unsorted: %+v", ms)
 	}
-	if _, ok := m.MinPing("N9"); ok {
-		t.Error("MinPing of unknown router should be false")
+	if min := ms[0]; min.VP.Name != "nyc-us" || min.Sample.RTTms != 6 {
+		t.Errorf("minimum ping = %+v, want 6 ms from nyc-us", min)
+	}
+	if ms := m.PingMeasurements("N9"); len(ms) != 0 {
+		t.Errorf("unknown router has ping measurements %+v", ms)
 	}
 }
 
@@ -177,8 +176,8 @@ func TestTraceSeparateFromPing(t *testing.T) {
 	if !ok || tr.RTTms != 40 {
 		t.Errorf("Trace = %+v, %v", tr, ok)
 	}
-	if min, ok := m.MinTrace("N1"); !ok || min.Sample.RTTms != 40 {
-		t.Errorf("MinTrace = %+v, %v", min, ok)
+	if ms := m.TraceMeasurements("N1"); len(ms) != 1 || ms[0].Sample.RTTms != 40 {
+		t.Errorf("TraceMeasurements = %+v", ms)
 	}
 }
 
