@@ -1,365 +1,110 @@
-// Package hoiho_bench regenerates every table and figure of the paper's
-// evaluation as Go benchmarks. Each benchmark prints the rows it
-// reproduces once (so `go test -bench . -benchmem` doubles as the
-// experiment harness; `cmd/geoeval` prints the same rows without the
-// timing) and then measures the experiment's computation over cached
-// worlds.
+// Package hoiho_bench holds the repo's end-to-end tests and runs its
+// two benchmark tables:
 //
-// Experiment index (see DESIGN.md §3):
+//	BenchmarkExperiments/<name>  every entry of eval.Experiments: the
+//	                             paper's tables, figures and ablations
+//	                             over the four preset worlds, each
+//	                             printed once as `geoeval -experiment
+//	                             <name>` prints it, then timed
+//	BenchmarkSuite/<name>        every entry of benchsuite.Table over
+//	                             testdata/golden: the suite geobench
+//	                             records into BENCH_NNNN.json
 //
-//	BenchmarkTable1_ITDKSummary        paper Table 1
-//	BenchmarkTable2_Coverage           paper Table 2
-//	BenchmarkTable3_Classification     paper Table 3
-//	BenchmarkTable4_GeohintTypes       paper Table 4
-//	BenchmarkTable5_LearnedHints       paper Table 5
-//	BenchmarkTable6_HintValidation     paper Table 6
-//	BenchmarkFig5_RTTCDF               paper Figure 5
-//	BenchmarkFig9_MethodComparison     paper Figure 9
-//	BenchmarkFig10_LearnedHintProps    paper Figure 10
-//	BenchmarkFig11_HintCorrectness     paper Figure 11
-//	BenchmarkAblation_NoLearnedHints       §6.1 ablation
-//	BenchmarkAblation_TracerouteOnly       DRoP-style constraint ablation (§3.3 critique)
-//	BenchmarkAblation_RankingPriors        facility/population prior ablation (§5.4)
-//	BenchmarkAblation_PPVThreshold         usability threshold sweep (§5.5)
-//	BenchmarkAblation_CongruenceThreshold  congruent-router threshold sweep (§5.4)
-//	BenchmarkPipeline_FullRun              end-to-end pipeline cost, sequential (Workers=1)
-//	BenchmarkRunParallel                   same corpus, Workers=GOMAXPROCS worker pool
-//	BenchmarkRunParallelTraced             worker pool with span tracing enabled
-//	BenchmarkStage2                        stage-2 tagging of one suffix group
-//	BenchmarkGeolocBatch                   geoloc.Index batch lookups, warm cache
-//	BenchmarkGoldenEndToEnd                load + learn + write over testdata/golden
-//	                                       (the corpus cmd/geobench records trajectories on)
+// (see DESIGN.md §3 and §8). The benchmarks below them time workloads
+// no table defines.
 package hoiho_bench
 
 import (
 	"fmt"
-	"io"
-	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
 
+	"hoiho/internal/benchsuite"
 	"hoiho/internal/core"
 	"hoiho/internal/eval"
-	"hoiho/internal/geoloc"
 	"hoiho/internal/obs"
-	"hoiho/internal/rtt"
 	"hoiho/internal/synth"
 )
 
 var (
-	suiteOnce sync.Once
-	suite     *eval.Suite
-	suiteErr  error
+	evalOnce  sync.Once
+	evalSuite *eval.Suite
+	evalErr   error
+
+	benchOnce  sync.Once
+	benchSuite *benchsuite.Suite
+	benchErr   error
 )
 
-func loadSuite(b *testing.B) *eval.Suite {
+// loadEval learns the four preset worlds at full scale, once.
+func loadEval(b *testing.B) *eval.Suite {
 	b.Helper()
-	suiteOnce.Do(func() {
-		suite, suiteErr = eval.Run(eval.PresetNames, 1.0, core.DefaultConfig())
+	evalOnce.Do(func() {
+		evalSuite, evalErr = eval.Run(eval.PresetNames, 1.0, core.DefaultConfig())
 	})
-	if suiteErr != nil {
-		b.Fatal(suiteErr)
+	if evalErr != nil {
+		b.Fatal(evalErr)
 	}
-	return suite
+	return evalSuite
 }
 
-var printOnce sync.Map
-
-// printExperiment emits an experiment's rows exactly once per process.
-func printExperiment(name, body string) {
-	if _, dup := printOnce.LoadOrStore(name, true); dup {
-		return
+// loadBench loads the golden corpus for the benchmark table, once.
+func loadBench(b *testing.B) *benchsuite.Suite {
+	b.Helper()
+	benchOnce.Do(func() {
+		benchSuite, benchErr = benchsuite.New(benchsuite.DefaultCorpus)
+	})
+	if benchErr != nil {
+		b.Fatal(benchErr)
 	}
-	fmt.Printf("\n== %s ==\n%s", name, body)
+	return benchSuite
 }
 
-func BenchmarkTable1_ITDKSummary(b *testing.B) {
-	s := loadSuite(b)
-	printExperiment("Table 1: ITDK summaries", eval.ComputeTable1(s.Worlds).Format())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eval.ComputeTable1(s.Worlds)
-	}
-}
-
-func BenchmarkTable2_Coverage(b *testing.B) {
-	s := loadSuite(b)
-	printExperiment("Table 2: coverage of usable NCs",
-		eval.ComputeTable2(s.Worlds, s.Results).Format())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eval.ComputeTable2(s.Worlds, s.Results)
-	}
-}
-
-func BenchmarkTable3_Classification(b *testing.B) {
-	s := loadSuite(b)
-	printExperiment("Table 3: classification of NCs",
-		eval.ComputeTable3(s.Worlds, s.Results).Format())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eval.ComputeTable3(s.Worlds, s.Results)
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range eval.Experiments {
+		printed := false
+		b.Run(e.Name, func(b *testing.B) {
+			s := loadEval(b)
+			if !printed {
+				rows, err := e.Rows(s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				fmt.Printf("\n== %s ==\n%s", e.Header, rows)
+				printed = true
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Rows(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-func BenchmarkTable4_GeohintTypes(b *testing.B) {
-	s := loadSuite(b)
-	printExperiment("Table 4: geohint types and annotations",
-		eval.ComputeTable4(s.Results[0]).Format())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eval.ComputeTable4(s.Results[0])
+func BenchmarkSuite(b *testing.B) {
+	s := loadBench(b)
+	for _, e := range benchsuite.Table {
+		b.Run(e.Name, func(b *testing.B) { e.Run(s, b) })
 	}
 }
 
-func BenchmarkTable5_LearnedHints(b *testing.B) {
-	s := loadSuite(b)
-	printExperiment("Table 5: most frequently learned 3-letter geohints",
-		eval.ComputeTable5Multi(s.Results, s.Worlds[0].Dict, 1).Format())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eval.ComputeTable5Multi(s.Results, s.Worlds[0].Dict, 1)
-	}
-}
-
-func BenchmarkTable6_HintValidation(b *testing.B) {
-	s := loadSuite(b)
-	printExperiment("Table 6: validation of learned geohints",
-		eval.ComputeTable6(s.Worlds[0], s.Results[0]).Format())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eval.ComputeTable6(s.Worlds[0], s.Results[0])
-	}
-}
-
-func BenchmarkFig5_RTTCDF(b *testing.B) {
-	s := loadSuite(b)
-	printExperiment("Figure 5: ping vs traceroute RTTs",
-		eval.ComputeFig5(s.Worlds[0]).Format())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eval.ComputeFig5(s.Worlds[0])
-	}
-}
-
-func BenchmarkFig9_MethodComparison(b *testing.B) {
-	s := loadSuite(b)
-	f := eval.ComputeFig9(s.Worlds[0], s.Results[0])
-	printExperiment("Figure 9: method comparison (40 km criterion)", f.Format())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eval.ComputeFig9(s.Worlds[0], s.Results[0])
-	}
-}
-
-func BenchmarkFig10_LearnedHintProps(b *testing.B) {
-	s := loadSuite(b)
-	printExperiment("Figure 10: learned geohint properties",
-		eval.ComputeFig10Multi(s.Worlds, s.Results).Format())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eval.ComputeFig10Multi(s.Worlds, s.Results)
-	}
-}
-
-func BenchmarkFig11_HintCorrectness(b *testing.B) {
-	s := loadSuite(b)
-	printExperiment("Figure 11: learned hint correctness vs closest-VP RTT",
-		eval.ComputeFig11Multi(s.Worlds, s.Results).Format())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eval.ComputeFig11Multi(s.Worlds, s.Results)
-	}
-}
-
-func BenchmarkAblation_NoLearnedHints(b *testing.B) {
-	s := loadSuite(b)
-	noLearn, err := eval.RunWorldNoLearn(s.Worlds[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	printExperiment("Ablation (§6.1): learned geohints on/off",
-		eval.ComputeAblation(s.Worlds[0], s.Results[0], noLearn).Format())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		cfg.LearnHints = false
-		if _, err := core.Run(s.Worlds[0].Inputs(), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblation_TracerouteOnly replays the DRoP-era constraint
-// regime: the pipeline sees only traceroute-observed RTTs instead of
-// the followup ping campaign, demonstrating why the paper added
-// dedicated pings (§3.3, fig. 5).
-func BenchmarkAblation_TracerouteOnly(b *testing.B) {
-	s := loadSuite(b)
-	w := s.Worlds[0]
-	traceWorld := traceOnlyWorld(w)
-	res, err := core.Run(traceWorld.Inputs(), core.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	withPings := eval.ComputeFig9Hoiho(w, s.Results[0])
-	traceOnly := eval.ComputeFig9Hoiho(traceWorld, res)
-	printExperiment("Ablation: followup pings vs traceroute-only RTTs",
-		fmt.Sprintf("%-22s %8s %8s\n%-22s %7.1f%% %7.1f%%\n%-22s %7.1f%% %7.1f%%\n",
-			"", "pings", "trace-only",
-			"correct (TP%)", withPings.TPPct(), traceOnly.TPPct(),
-			"PPV", 100*withPings.PPV(), 100*traceOnly.PPV()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(traceWorld.Inputs(), core.DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// traceOnlyWorld clones a world with its ping matrix replaced by the
-// traceroute observations.
-func traceOnlyWorld(w *synth.World) *synth.World {
-	m := rtt.NewMatrix(w.Matrix.VPs())
-	for _, r := range w.Corpus.Routers {
-		for _, me := range w.Matrix.TraceMeasurements(r.ID) {
-			_ = m.SetPing(r.ID, me.VP.Name, me.Sample)
-			_ = m.SetTrace(r.ID, me.VP.Name, me.Sample)
-		}
-	}
-	clone := *w
-	clone.Matrix = m
-	return &clone
-}
-
-func BenchmarkPipeline_FullRun(b *testing.B) {
-	s := loadSuite(b)
-	in := s.Worlds[0].Inputs()
-	cfg := core.DefaultConfig()
-	cfg.Workers = 1 // sequential baseline for BenchmarkRunParallel
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(in, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunParallel is BenchmarkPipeline_FullRun with the bounded
-// worker pool at GOMAXPROCS — compare the two to see the per-suffix
-// parallel speedup on multi-core hardware (results are identical; see
-// TestRunParallelMatchesSequential).
-func BenchmarkRunParallel(b *testing.B) {
-	s := loadSuite(b)
-	in := s.Worlds[0].Inputs()
-	cfg := core.DefaultConfig()
-	cfg.Workers = runtime.GOMAXPROCS(0)
-	b.ReportMetric(float64(cfg.Workers), "workers")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(in, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunParallelTraced is BenchmarkRunParallel with a live
-// tracer. The delta against BenchmarkRunParallel is the enabled-tracing
-// cost; the disabled-tracing cost is zero by construction (nil-receiver
-// no-ops, proven by obs.TestNilTracerZeroAlloc).
+// BenchmarkRunParallelTraced is BenchmarkSuite/CoreRunParallel with a
+// live tracer, over the same inputs and worker count. The delta between
+// the two is the enabled-tracing cost; the disabled-tracing cost is
+// zero by construction (nil-receiver no-ops, proven by
+// obs.TestNilTracerZeroAlloc).
 func BenchmarkRunParallelTraced(b *testing.B) {
-	s := loadSuite(b)
-	in := s.Worlds[0].Inputs()
-	cfg := core.DefaultConfig()
-	cfg.Workers = runtime.GOMAXPROCS(0)
+	in := loadBench(b).Inputs()
+	cfg := benchsuite.ParallelConfig()
+	// ResetTimer also clears reported metrics, so it comes first.
 	b.ResetTimer()
+	b.ReportMetric(float64(cfg.Workers), "workers")
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg.Tracer = obs.New(obs.Options{RetainSpans: true})
 		if _, err := core.Run(in, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkStage2 measures apparent-geohint tagging (parse + dictionary
-// + RTT consistency) over the corpus's largest suffix group, isolated
-// from regex learning.
-func BenchmarkStage2(b *testing.B) {
-	s := loadSuite(b)
-	w := s.Worlds[0]
-	in := w.Inputs()
-	cfg := core.DefaultConfig()
-	// Measure the suffix with the most hostnames (ties broken by name so
-	// every run benchmarks the same group).
-	counts := make(map[string]int)
-	for _, sfx := range w.HintHostnames {
-		counts[sfx]++
-	}
-	var suffix string
-	for sfx, n := range counts {
-		if suffix == "" || n > counts[suffix] || (n == counts[suffix] && sfx < suffix) {
-			suffix = sfx
-		}
-	}
-	tagged, err := core.TagSuffix(in, cfg, suffix)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(len(tagged)), "hostnames")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.TagSuffix(in, cfg, suffix); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGeolocBatch measures Index.LookupBatch over every hostname
-// the corpus knows to carry a geohint, after one warming pass — the
-// serving layer's steady state where the LRU absorbs repeats.
-func BenchmarkGeolocBatch(b *testing.B) {
-	s := loadSuite(b)
-	w, res := s.Worlds[0], s.Results[0]
-	ix, err := geoloc.New(res, geoloc.Options{Dict: w.Dict, PSL: w.PSL})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hosts := make([]string, 0, len(w.HintHostnames))
-	for h := range w.HintHostnames {
-		hosts = append(hosts, h)
-	}
-	sort.Strings(hosts)
-	if len(hosts) > geoloc.DefaultCacheSize {
-		hosts = hosts[:geoloc.DefaultCacheSize]
-	}
-	ix.LookupBatch(hosts) // warm the cache
-	b.ReportMetric(float64(len(hosts)), "hostnames")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.LookupBatch(hosts)
-	}
-}
-
-// BenchmarkGoldenEndToEnd is the full published-conventions round trip
-// over the committed golden corpus: load inputs from disk, learn, and
-// render the conventions file. cmd/geobench runs the same workload (as
-// "GoldenEndToEnd") when recording BENCH_NNNN.json trajectory files, so
-// this benchmark is the local, `go test -bench`-native view of the
-// number the regression gate tracks.
-func BenchmarkGoldenEndToEnd(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		in, err := geoloc.LoadInputs("testdata/golden")
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := core.Run(in, core.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := core.WriteConventions(io.Discard, res); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -379,7 +124,7 @@ func BenchmarkWorldGeneration(b *testing.B) {
 }
 
 func BenchmarkGeolocateHostname(b *testing.B) {
-	s := loadSuite(b)
+	s := loadEval(b)
 	w, res := s.Worlds[0], s.Results[0]
 	// Pick a usable NC and one of its hostnames.
 	var host string
@@ -399,99 +144,6 @@ func BenchmarkGeolocateHostname(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := core.Geolocate(nc, w.Dict, host); !ok {
 			b.Fatal("geolocate failed")
-		}
-	}
-}
-
-// BenchmarkAblation_RankingPriors disables stage 4's facility/population
-// candidate priors (DESIGN.md §4, item 4) and reports learned-hint
-// validation with and without them.
-func BenchmarkAblation_RankingPriors(b *testing.B) {
-	s := loadSuite(b)
-	w := s.Worlds[0]
-	cfg := core.DefaultConfig()
-	cfg.LearnRankFacility = false
-	cfg.LearnRankPopulation = false
-	res, err := core.Run(w.Inputs(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	withPriors := eval.ComputeTable6(w, s.Results[0])
-	without := eval.ComputeTable6(w, res)
-	printExperiment("Ablation: facility/population ranking priors",
-		fmt.Sprintf("with priors:    %d/%d learned hints verified\nwithout priors: %d/%d learned hints verified\n",
-			withPriors.Correct, withPriors.Total, without.Correct, without.Total))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(w.Inputs(), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblation_PPVThreshold sweeps the usability thresholds of
-// §5.5 (DESIGN.md §4, item 3) and reports the classification mix.
-func BenchmarkAblation_PPVThreshold(b *testing.B) {
-	s := loadSuite(b)
-	w := s.Worlds[0]
-	var report strings.Builder
-	fmt.Fprintf(&report, "%-12s %6s %10s %6s\n", "good-PPV", "good", "promising", "poor")
-	for _, goodPPV := range []float64{0.80, 0.90, 0.95, 0.99} {
-		cfg := core.DefaultConfig()
-		cfg.GoodPPV = goodPPV
-		res, err := core.Run(w.Inputs(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		good, prom, poor := 0, 0, 0
-		for _, nc := range res.NCs {
-			switch nc.Class {
-			case core.Good:
-				good++
-			case core.Promising:
-				prom++
-			default:
-				poor++
-			}
-		}
-		fmt.Fprintf(&report, "%-12.2f %6d %10d %6d\n", goodPPV, good, prom, poor)
-	}
-	printExperiment("Ablation: NC usability PPV threshold sweep", report.String())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		cfg.GoodPPV = 0.95
-		if _, err := core.Run(w.Inputs(), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblation_CongruenceThreshold sweeps the congruent-router
-// requirement for learning hints without an annotation (DESIGN.md §4,
-// item 5) and reports how many hints are learned and verified.
-func BenchmarkAblation_CongruenceThreshold(b *testing.B) {
-	s := loadSuite(b)
-	w := s.Worlds[0]
-	var report strings.Builder
-	fmt.Fprintf(&report, "%-12s %8s %10s\n", "threshold", "learned", "verified")
-	for _, n := range []int{1, 2, 3, 5} {
-		cfg := core.DefaultConfig()
-		cfg.LearnCongruentNoCC = n
-		res, err := core.Run(w.Inputs(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		t6 := eval.ComputeTable6(w, res)
-		fmt.Fprintf(&report, "%-12d %8d %6d/%d\n", n, t6.Total, t6.Correct, t6.Total)
-	}
-	printExperiment("Ablation: congruent-router threshold sweep", report.String())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		cfg.LearnCongruentNoCC = 1
-		if _, err := core.Run(w.Inputs(), cfg); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

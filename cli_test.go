@@ -343,6 +343,38 @@ func TestDaemonCountersSurviveReload(t *testing.T) {
 	}
 }
 
+// TestHoihoTelemetryOnLookupMiss asks hoiho to geolocate a hostname
+// whose suffix has no convention: it must exit 1 and still leave the
+// learning run's trace file and -tracesummary table behind.
+func TestHoihoTelemetryOnLookupMiss(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binaries")
+	}
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "t.jsonl")
+	cmd := exec.Command(buildBinary(t, dir, "hoiho"), "-corpus", goldenDir,
+		"-trace", trace, "-tracesummary", "-geolocate", "xe-1.core9.ash1.he.net")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("hoiho exited with %v, want exit status 1\n%s", err, stderr.Bytes())
+	}
+	if !strings.Contains(stderr.String(), `no convention learned for suffix "he.net"`) {
+		t.Errorf("stderr lacks the lookup error:\n%s", stderr.Bytes())
+	}
+	if !strings.Contains(stderr.String(), "suffix_groups=") {
+		t.Errorf("stderr lacks the -tracesummary table:\n%s", stderr.Bytes())
+	}
+	spans, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(spans), `"name":"run"`) {
+		t.Errorf("trace lacks the learning run's span:\n%s", spans)
+	}
+}
+
 // goldenHostnames returns the first n hostnames of the golden corpus.
 func goldenHostnames(t *testing.T, n int) []string {
 	t.Helper()

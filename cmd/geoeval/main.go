@@ -1,5 +1,6 @@
-// Command geoeval regenerates the paper's tables and figures over
-// synthetic ITDK worlds (see DESIGN.md for the experiment index).
+// Command geoeval regenerates the paper's tables, figures and ablations
+// over synthetic ITDK worlds, one section per entry of
+// eval.Experiments (see DESIGN.md §3 and §4 for the experiment index).
 //
 // Usage:
 //
@@ -9,23 +10,29 @@
 //	geoeval -experiment all -workers 8   # parallel per-suffix learning
 //
 // Experiments: table1 table2 table3 table4 table5 table6 fig5 fig9
-// fig10 fig11 ablation all.
+// fig10 fig11 ablation ablation-trace ablation-priors ablation-ppv
+// ablation-congruence, or all.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"hoiho/internal/buildinfo"
 	"hoiho/internal/core"
 	"hoiho/internal/eval"
 	"hoiho/internal/geoloc"
-	"hoiho/internal/synth"
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "which table/figure to regenerate")
+	names := make([]string, len(eval.Experiments))
+	for i, e := range eval.Experiments {
+		names[i] = e.Name
+	}
+	experiment := flag.String("experiment", "all", "which experiment to print: all, or one of "+strings.Join(names, " "))
 	scale := flag.Float64("scale", 1.0, "world size multiplier")
 	// geoeval generates its own worlds, so it shares only the learning
 	// half of the Source flag cluster (-workers, -no-learn).
@@ -37,95 +44,40 @@ func main() {
 		buildinfo.Print(os.Stdout, "geoeval")
 		return
 	}
-	cfg := src.CoreConfig(nil)
-
-	runAll := *experiment == "all"
-	need4 := runAll
-	for _, e := range []string{"table1", "table2", "table3", "table5", "fig10", "fig11"} {
-		if *experiment == e {
-			need4 = true
-		}
-	}
-
-	var worlds []*synth.World
-	var results []*core.Result
-	var err error
-	if need4 {
-		var s *eval.Suite
-		s, err = eval.Run(eval.PresetNames, *scale, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		worlds, results = s.Worlds, s.Results
-	} else {
-		var w *synth.World
-		var res *core.Result
-		w, res, err = eval.RunOne("ipv4-aug2020", *scale, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		worlds = []*synth.World{w}
-		results = []*core.Result{res}
-	}
-	w0, res0 := worlds[0], results[0]
-
-	show := func(name string) bool { return runAll || *experiment == name }
-
-	if show("table1") {
-		header("Table 1: ITDK summaries")
-		fmt.Print(eval.ComputeTable1(worlds).Format())
-	}
-	if show("table2") {
-		header("Table 2: coverage of usable NCs")
-		fmt.Print(eval.ComputeTable2(worlds, results).Format())
-	}
-	if show("table3") {
-		header("Table 3: classification of NCs")
-		fmt.Print(eval.ComputeTable3(worlds, results).Format())
-	}
-	if show("table4") {
-		header("Table 4: geohint types and annotations (" + w0.Name + ")")
-		fmt.Print(eval.ComputeTable4(res0).Format())
-	}
-	if show("table5") {
-		header("Table 5: most frequently learned 3-letter geohints (all ITDKs)")
-		fmt.Print(eval.ComputeTable5Multi(results, w0.Dict, 1).Format())
-	}
-	if show("table6") {
-		header("Table 6: validation of learned geohints")
-		fmt.Print(eval.ComputeTable6(w0, res0).Format())
-	}
-	if show("fig5") {
-		header("Figure 5: ping vs traceroute RTTs")
-		fmt.Print(eval.ComputeFig5(w0).Format())
-	}
-	if show("fig9") {
-		header("Figure 9: method comparison (40 km criterion)")
-		fmt.Print(eval.ComputeFig9(w0, res0).Format())
-	}
-	if show("fig10") {
-		header("Figure 10: learned geohint properties (all ITDKs)")
-		fmt.Print(eval.ComputeFig10Multi(worlds, results).Format())
-	}
-	if show("fig11") {
-		header("Figure 11: learned hint correctness vs closest-VP RTT (all ITDKs)")
-		fmt.Print(eval.ComputeFig11Multi(worlds, results).Format())
-	}
-	if show("ablation") {
-		header("Ablation (§6.1): learned geohints on/off")
-		noLearn, err := eval.RunWorldNoLearn(w0)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(eval.ComputeAblation(w0, res0, noLearn).Format())
+	if err := run(os.Stdout, *experiment, *scale, src.CoreConfig(nil)); err != nil {
+		fmt.Fprintln(os.Stderr, "geoeval:", err)
+		os.Exit(1)
 	}
 }
 
-func header(s string) {
-	fmt.Printf("\n== %s ==\n", s)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "geoeval:", err)
-	os.Exit(1)
+// run prints the named experiment, or every one for "all", learning
+// the worlds they read with cfg.
+func run(w io.Writer, experiment string, scale float64, cfg core.Config) error {
+	var selected []eval.Experiment
+	worlds := eval.PresetNames[:1]
+	for _, e := range eval.Experiments {
+		if experiment == "all" || experiment == e.Name {
+			selected = append(selected, e)
+			if e.AllWorlds {
+				worlds = eval.PresetNames
+			}
+		}
+	}
+	if len(selected) == 0 {
+		return fmt.Errorf("unknown experiment %q", experiment)
+	}
+	s, err := eval.Run(worlds, scale, cfg)
+	if err != nil {
+		return err
+	}
+	for _, e := range selected {
+		rows, err := e.Rows(s)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
+		if _, err := fmt.Fprintf(w, "\n== %s ==\n%s", e.Header, rows); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -177,6 +177,33 @@ func main() {
 		}
 	}
 
+	// The telemetry is complete here: lookups open no span, so it is
+	// written before -geolocate and -explain, whose misses exit 1.
+	if *traceOut != "" {
+		f, err := os.Create(*traceOut)
+		if err != nil {
+			fatal(err)
+		}
+		if err := tracer.WriteJSONL(f); err != nil {
+			fatal(err) // exits; the OS reclaims the half-written file's fd
+		}
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "hoiho: wrote %d spans to %s\n", tracer.SpanCount(), *traceOut)
+	}
+	if *traceSummary {
+		if err := tracer.Summary().Format(os.Stderr); err != nil {
+			fatal(err)
+		}
+	}
+	if *runtimeStats {
+		stopSampler()
+		if err := obs.FormatRuntimeSamples(os.Stderr, tracer.RuntimeSamples()); err != nil {
+			fatal(err)
+		}
+	}
+
 	if *locate != "" {
 		ix := resolved.Index
 		suffix := ix.Suffix(*locate)
@@ -205,31 +232,6 @@ func main() {
 			}
 		} else {
 			fmt.Print(ex.Text())
-		}
-	}
-
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := tracer.WriteJSONL(f); err != nil {
-			fatal(err) // exits; the OS reclaims the half-written file's fd
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "hoiho: wrote %d spans to %s\n", tracer.SpanCount(), *traceOut)
-	}
-	if *traceSummary {
-		if err := tracer.Summary().Format(os.Stderr); err != nil {
-			fatal(err)
-		}
-	}
-	if *runtimeStats {
-		stopSampler()
-		if err := obs.FormatRuntimeSamples(os.Stderr, tracer.RuntimeSamples()); err != nil {
-			fatal(err)
 		}
 	}
 }

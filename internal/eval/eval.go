@@ -1,8 +1,9 @@
 // Package eval reproduces the paper's evaluation: every table and figure
-// in §6 (plus fig. 5 from §5.1.4 and the §6.1 ablation), computed over
-// synthetic ITDK worlds with retained ground truth. Each experiment has
-// a Compute function returning a typed result and a Format method that
-// prints rows shaped like the paper's.
+// in §6 (plus fig. 5 from §5.1.4, the §6.1 ablation and the design
+// ablations of DESIGN.md §4), computed over synthetic ITDK worlds with
+// retained ground truth. Each table or figure has a Compute function
+// returning a typed result and a Format method that prints rows shaped
+// like the paper's; Experiments lists every experiment in print order.
 package eval
 
 import (

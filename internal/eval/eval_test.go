@@ -20,11 +20,11 @@ var (
 func sharedWorld(t *testing.T) (*synth.World, *core.Result) {
 	t.Helper()
 	worldOnce.Do(func() {
-		w, res, err := RunOne("ipv4-aug2020", 1.0, core.DefaultConfig())
+		s, err := Run(PresetNames[:1], 1.0, core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		testWorld, testRes = w, res
+		testWorld, testRes = s.Worlds[0], s.Results[0]
 	})
 	if testWorld == nil {
 		t.Fatal("world init failed")
@@ -224,7 +224,7 @@ func TestFig9Shapes(t *testing.T) {
 
 func TestFig10(t *testing.T) {
 	w, res := sharedWorld(t)
-	f := ComputeFig10(w, res)
+	f := ComputeFig10Multi([]*synth.World{w}, []*core.Result{res})
 	if f.ClosestVPRTT.N == 0 {
 		t.Fatal("no learned hints")
 	}
@@ -243,7 +243,7 @@ func TestFig10(t *testing.T) {
 
 func TestFig11(t *testing.T) {
 	w, res := sharedWorld(t)
-	f := ComputeFig11(w, res)
+	f := ComputeFig11Multi([]*synth.World{w}, []*core.Result{res})
 	if len(f.Buckets) != 4 {
 		t.Fatalf("buckets = %d", len(f.Buckets))
 	}
@@ -264,7 +264,9 @@ func TestFig11(t *testing.T) {
 
 func TestAblation(t *testing.T) {
 	w, res := sharedWorld(t)
-	noLearn, err := RunWorldNoLearn(w)
+	cfg := core.DefaultConfig()
+	cfg.LearnHints = false
+	noLearn, err := core.Run(w.Inputs(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,23 +281,6 @@ type Fig10 struct {
 	AirportKm    CDF // km, for hints colliding with an IATA code
 }
 
-// ComputeFig10 evaluates the learned hints of a result.
-func ComputeFig10(w *synth.World, res *core.Result) Fig10 {
-	var rtts, kms []float64
-	//lint:ignore maporder order-insensitive: makeCDF sorts the pooled samples before use
-	for _, nc := range res.NCs {
-		for _, lh := range nc.Learned {
-			rtts = append(rtts, closestVPRTTms(w, lh.Loc.Pos))
-			if lh.Type == geodict.HintIATA {
-				for _, a := range w.Dict.IATA(lh.Hint) {
-					kms = append(kms, geo.DistanceKm(a.Loc.Pos, lh.Loc.Pos))
-				}
-			}
-		}
-	}
-	return Fig10{ClosestVPRTT: makeCDF(rtts), AirportKm: makeCDF(kms)}
-}
-
 // Format renders the figure's series.
 func (f Fig10) Format() string {
 	var b strings.Builder
@@ -324,40 +307,6 @@ func (b Fig11Bucket) Frac() float64 {
 // Fig11 relates learned-hint correctness to VP proximity (paper fig. 11:
 // <=7ms 90% correct, <=11ms 84%, <=16ms 80%).
 type Fig11 struct{ Buckets []Fig11Bucket }
-
-// ComputeFig11 validates learned hints against generator truth, bucketed
-// by the closest-VP RTT.
-func ComputeFig11(w *synth.World, res *core.Result) Fig11 {
-	type sample struct {
-		rtt     float64
-		correct bool
-	}
-	var samples []sample
-	//lint:ignore maporder order-insensitive: samples are only counted into RTT buckets, never emitted in slice order
-	for suffix, nc := range res.NCs {
-		truth := w.TruthHints[suffix]
-		for _, lh := range nc.Learned {
-			want, ok := truth[lh.Hint]
-			correct := ok && Within(lh.Loc.Pos, want.Pos)
-			samples = append(samples, sample{closestVPRTTms(w, lh.Loc.Pos), correct})
-		}
-	}
-	var f Fig11
-	for _, max := range []float64{7, 11, 16, 1e9} {
-		var b Fig11Bucket
-		b.MaxRTTms = max
-		for _, s := range samples {
-			if s.rtt <= max {
-				b.Total++
-				if s.correct {
-					b.Correct++
-				}
-			}
-		}
-		f.Buckets = append(f.Buckets, b)
-	}
-	return f
-}
 
 // Format renders the buckets.
 func (f Fig11) Format() string {
@@ -427,9 +376,12 @@ func ComputeFig9Hoiho(w *synth.World, res *core.Result) MethodResult {
 }
 
 // Format renders the ablation comparison.
-func (a Ablation) Format() string {
+func (a Ablation) Format() string { return a.formatAs("with", "without") }
+
+// formatAs renders the comparison under the given column labels.
+func (a Ablation) formatAs(with, without string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-22s %8s %8s\n", "", "with", "without")
+	fmt.Fprintf(&b, "%-22s %8s %8s\n", "", with, without)
 	fmt.Fprintf(&b, "%-22s %7.1f%% %7.1f%%\n", "correct (TP%)", a.With.TPPct(), a.Without.TPPct())
 	fmt.Fprintf(&b, "%-22s %7.1f%% %7.1f%%\n", "PPV", 100*a.With.PPV(), 100*a.Without.PPV())
 	return b.String()
@@ -448,10 +400,11 @@ func ComputeTable5Multi(results []*core.Result, dict *geodict.Dictionary, minSuf
 	return ComputeTable5(merged, dict, minSuffixes)
 }
 
-// ComputeFig10Multi pools learned-hint properties across worlds. The
-// NCs map iteration order does not matter here: makeCDF sorts its
+// ComputeFig10Multi evaluates the learned hints of results[i] over
+// worlds[i], pooled across worlds; one world is a one-element slice.
+// The NCs map iteration order does not matter here: makeCDF sorts its
 // samples, so the pooled CDFs are order-insensitive (the same holds for
-// ComputeFig10, ComputeFig11, and the bucket counting below).
+// the bucket counting of ComputeFig11Multi).
 func ComputeFig10Multi(worlds []*synth.World, results []*core.Result) Fig10 {
 	var rtts, kms []float64
 	for i, w := range worlds {
@@ -470,7 +423,8 @@ func ComputeFig10Multi(worlds []*synth.World, results []*core.Result) Fig10 {
 	return Fig10{ClosestVPRTT: makeCDF(rtts), AirportKm: makeCDF(kms)}
 }
 
-// ComputeFig11Multi pools learned-hint correctness across worlds.
+// ComputeFig11Multi validates learned hints against generator truth,
+// bucketed by the closest-VP RTT and pooled across worlds.
 func ComputeFig11Multi(worlds []*synth.World, results []*core.Result) Fig11 {
 	type sample struct {
 		rtt     float64

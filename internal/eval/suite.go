@@ -14,6 +14,9 @@ var PresetNames = []string{"ipv4-aug2020", "ipv4-mar2021", "ipv6-nov2020", "ipv6
 type Suite struct {
 	Worlds  []*synth.World
 	Results []*core.Result
+	// Config is the pipeline configuration the results were learned
+	// with; the ablations re-learn with modified copies of it.
+	Config core.Config
 }
 
 // Run generates each named world (scaled by scale, 1.0 = preset size),
@@ -21,18 +24,12 @@ type Suite struct {
 // is unaffected by cfg, so results differ across configurations only as
 // the pipeline thresholds dictate. Callers without threshold overrides
 // pass core.DefaultConfig().
-//
-// When cfg.Tracer is set, each world records an "eval-world" span keyed
-// by the world name with a "generate" child covering synthesis, and the
-// pipeline's own "run" spans land in the same tracer.
 func Run(names []string, scale float64, cfg core.Config) (*Suite, error) {
 	if scale <= 0 {
 		scale = 1
 	}
-	s := &Suite{}
+	s := &Suite{Config: cfg}
 	for _, name := range names {
-		ws := cfg.Tracer.Start("eval-world")
-		ws.SetKey(name)
 		p, err := synth.ITDKPreset(name)
 		if err != nil {
 			return nil, err
@@ -43,41 +40,27 @@ func Run(names []string, scale float64, cfg core.Config) (*Suite, error) {
 		if p.SpoofVPs >= p.VPs {
 			p.SpoofVPs = 0
 		}
-		gs := ws.Child("generate")
 		w, err := synth.Generate(p)
 		if err != nil {
 			return nil, err
 		}
 		w.CleanSpoofers()
-		gs.Count("routers", int64(w.Inputs().Corpus.Len()))
-		gs.End()
 		res, err := core.Run(w.Inputs(), cfg)
 		if err != nil {
 			return nil, fmt.Errorf("eval: pipeline on %s: %w", name, err)
 		}
-		ws.Count("suffixes_learned", int64(len(res.NCs)))
-		ws.End()
 		s.Worlds = append(s.Worlds, w)
 		s.Results = append(s.Results, res)
 	}
 	return s, nil
 }
 
-// RunOne generates and evaluates one preset world with cfg.
-func RunOne(name string, scale float64, cfg core.Config) (*synth.World, *core.Result, error) {
-	s, err := Run([]string{name}, scale, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.Worlds[0], s.Results[0], nil
-}
-
-// RunWorldNoLearn re-runs the pipeline on an existing world with stage-4
-// hint learning disabled (the §6.1 ablation).
-func RunWorldNoLearn(w *synth.World) (*core.Result, error) {
-	cfg := core.DefaultConfig()
-	cfg.LearnHints = false
-	return core.Run(w.Inputs(), cfg)
+// relearn runs the pipeline on the first world again, with the suite's
+// configuration as edit changes it: one ablated setting.
+func (s *Suite) relearn(edit func(*core.Config)) (*core.Result, error) {
+	cfg := s.Config
+	edit(&cfg)
+	return core.Run(s.Worlds[0].Inputs(), cfg)
 }
 
 func max1(n int) int {

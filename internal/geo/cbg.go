@@ -3,7 +3,6 @@ package geo
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // Constraint is a single delay-derived distance constraint: the target is
@@ -121,23 +120,4 @@ func Multilaterate(cs []Constraint, samplesPerAxis int) (Region, error) {
 		AreaKm2:       area,
 		Samples:       len(feasible),
 	}, nil
-}
-
-// ShortestPing returns the index of the constraint with the smallest RTT,
-// implementing the Shortest Ping geolocation heuristic of Katz-Bassett et
-// al. (the target is assumed co-located with the closest vantage point).
-// It returns -1 for an empty slice.
-func ShortestPing(cs []Constraint) int {
-	best := -1
-	for i, c := range cs {
-		if best == -1 || c.RTTms < cs[best].RTTms {
-			best = i
-		}
-	}
-	return best
-}
-
-// SortByRTT sorts constraints in ascending RTT order, in place.
-func SortByRTT(cs []Constraint) {
-	sort.Slice(cs, func(i, j int) bool { return cs[i].RTTms < cs[j].RTTms })
 }

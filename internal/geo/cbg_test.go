@@ -109,32 +109,6 @@ func TestMultilaterateTighterConstraintsShrinkRegion(t *testing.T) {
 	}
 }
 
-func TestShortestPing(t *testing.T) {
-	cs := []Constraint{
-		{VP: london, RTTms: 30},
-		{VP: newYork, RTTms: 5},
-		{VP: tokyo, RTTms: 80},
-	}
-	if got := ShortestPing(cs); got != 1 {
-		t.Errorf("ShortestPing = %d, want 1", got)
-	}
-	if got := ShortestPing(nil); got != -1 {
-		t.Errorf("ShortestPing(nil) = %d, want -1", got)
-	}
-}
-
-func TestSortByRTT(t *testing.T) {
-	cs := []Constraint{
-		{VP: london, RTTms: 30},
-		{VP: newYork, RTTms: 5},
-		{VP: tokyo, RTTms: 80},
-	}
-	SortByRTT(cs)
-	if cs[0].RTTms != 5 || cs[1].RTTms != 30 || cs[2].RTTms != 80 {
-		t.Errorf("SortByRTT produced %v", cs)
-	}
-}
-
 func TestFeasible(t *testing.T) {
 	cs := []Constraint{
 		{VP: london, RTTms: 100},

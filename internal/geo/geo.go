@@ -104,14 +104,6 @@ func RTTConsistent(vp, candidate LatLong, measuredMs, toleranceMs float64) bool 
 	return measuredMs+toleranceMs >= MinRTTms(vp, candidate)
 }
 
-// AreaForRTTkm2 returns the area in square kilometres of the disc that an
-// RTT constraint of rttMs confines a target to (πr²), the figure of merit
-// the paper uses when comparing ping and traceroute RTTs (Fig. 5).
-func AreaForRTTkm2(rttMs float64) float64 {
-	r := MaxDistanceKm(rttMs)
-	return math.Pi * r * r
-}
-
 // Destination returns the point reached by travelling distanceKm from
 // origin along the given initial bearing (degrees clockwise from north).
 func Destination(origin LatLong, bearingDeg, distanceKm float64) LatLong {

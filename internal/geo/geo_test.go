@@ -155,9 +155,12 @@ func TestAreaForRTT(t *testing.T) {
 	if r < 1500 || r < 0 || r > 1700 {
 		t.Errorf("MaxDistanceKm(16) = %.0f, want ≈1600", r)
 	}
-	a16 := AreaForRTTkm2(16)
-	a68 := AreaForRTTkm2(68)
-	ratio := a68 / a16
+	// The disc an RTT confines a target to, πr².
+	area := func(rttMs float64) float64 {
+		r := MaxDistanceKm(rttMs)
+		return math.Pi * r * r
+	}
+	ratio := area(68) / area(16)
 	// Paper: 68ms vs 16ms is a 4.25x radius ratio and ~18x area... the paper
 	// says 180x larger which includes their probing radius conventions; pure
 	// πr² with RTT ratio 4.25 gives 18.06x.

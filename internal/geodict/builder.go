@@ -144,10 +144,6 @@ func (b *Builder) AddState(country, code, name string) error {
 		return fmt.Errorf("geodict: duplicate state %s-%s", country, code)
 	}
 	m[code] = name
-	if name != "" {
-		key := NormalizeName(name)
-		b.d.stateIx[key] = append(b.d.stateIx[key], StateRef{Country: country, Code: code})
-	}
 	return nil
 }
 

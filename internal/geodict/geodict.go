@@ -121,19 +121,12 @@ type Dictionary struct {
 	alpha3     map[string]string            // alpha3 -> alpha2
 	countryIx  map[string]string            // normalized name -> alpha2
 	states     map[string]map[string]string // country -> code -> name
-	stateIx    map[string][]StateRef        // normalized name -> refs
 
 	// placeList is every place sorted by key, built by the first Places
 	// call, which learning workers may make at the same time, and reset
 	// by AddPlace.
 	placeMu   sync.Mutex
 	placeList []*Location
-}
-
-// StateRef names a state within a country.
-type StateRef struct {
-	Country string
-	Code    string
 }
 
 // NewDictionary returns an empty dictionary ready for population via a
@@ -149,7 +142,6 @@ func NewDictionary() *Dictionary {
 		alpha3:    make(map[string]string),
 		countryIx: make(map[string]string),
 		states:    make(map[string]map[string]string),
-		stateIx:   make(map[string][]StateRef),
 	}
 }
 
@@ -239,26 +231,6 @@ func (d *Dictionary) StateName(country, code string) (string, bool) {
 	}
 	n, ok := m[strings.ToLower(code)]
 	return n, ok
-}
-
-// StateRefs returns the states whose code or normalized name matches the
-// token, across all countries.
-func (d *Dictionary) StateRefs(token string) []StateRef {
-	t := strings.ToLower(strings.TrimSpace(token))
-	var out []StateRef
-	for country, m := range d.states {
-		if _, ok := m[t]; ok {
-			out = append(out, StateRef{Country: country, Code: t})
-		}
-	}
-	out = append(out, d.stateIx[NormalizeName(t)]...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Country != out[j].Country {
-			return out[i].Country < out[j].Country
-		}
-		return out[i].Code < out[j].Code
-	})
-	return dedupeStateRefs(out)
 }
 
 // StateEquivalent reports whether a token denotes the (country, region)
@@ -372,16 +344,4 @@ func containsDigit(s string) bool {
 		}
 	}
 	return false
-}
-
-func dedupeStateRefs(refs []StateRef) []StateRef {
-	out := refs[:0]
-	seen := make(map[StateRef]bool, len(refs))
-	for _, r := range refs {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	return out
 }

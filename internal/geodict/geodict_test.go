@@ -265,11 +265,6 @@ func TestStates(t *testing.T) {
 	if _, ok := d.StateName("us", "zz"); ok {
 		t.Error("StateName(us,zz) should not exist")
 	}
-	refs := d.StateRefs("wa")
-	// "wa" is both Washington (US) and Western Australia (AU).
-	if len(refs) < 2 {
-		t.Errorf("StateRefs(wa) = %v, want both us and au", refs)
-	}
 	if !d.StateEquivalent("va", "us", "va") {
 		t.Error("va should match va")
 	}

@@ -1,13 +1,13 @@
 package geoloc
 
 // The unified Source API: every command that stands up conventions —
-// hoiho, geoserve, geoeval, geobench, geosnap — used to carry its own
-// copy of the -nc/-corpus/-no-learn/-workers flag cluster and the
-// resolution logic behind it. Source is that cluster, once: a value the
-// command registers onto its FlagSet, then resolves into a compiled
-// Index (plus the Result it came from and, for corpus sources, the
-// loaded inputs). Snapshots (-snapshot) are a first-class input
-// alongside published conventions and corpus learning.
+// hoiho, geoserve, geodns, geosnap, and geoeval for its learning flags —
+// used to carry its own copy of the -nc/-corpus/-no-learn/-workers flag
+// cluster and the resolution logic behind it. Source is that cluster,
+// once: a value the command registers onto its FlagSet, then resolves
+// into a compiled Index (plus the Result it came from and, for corpus
+// sources, the loaded inputs). Snapshots (-snapshot) are a first-class
+// input alongside published conventions and corpus learning.
 
 import (
 	"flag"

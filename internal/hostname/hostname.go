@@ -38,11 +38,6 @@ func (s *Span) HasDigit() bool {
 	return false
 }
 
-// AllAlpha reports whether the span is purely alphabetic.
-func (s *Span) AllAlpha() bool {
-	return len(s.Runs) == 1 && len(s.Runs[0].Text) == len(s.Text)
-}
-
 // Hostname is a tokenized router hostname.
 type Hostname struct {
 	Full   string   // complete lower-case hostname
@@ -125,51 +120,5 @@ func alphaRuns(s string) []Run {
 	return runs
 }
 
-// AlphaStrings returns every maximal alphabetic run across the hostname's
-// spans, in left-to-right order — the candidate geohint strings of §5.2.
-func (h *Hostname) AlphaStrings() []string {
-	var out []string
-	for i := range h.Spans {
-		for _, r := range h.Spans[i].Runs {
-			out = append(out, r.Text)
-		}
-	}
-	return out
-}
-
-// AdjacentRunPairs returns pairs of alphabetic runs that appear in
-// consecutive spans (split by punctuation) — used to detect split CLLI
-// prefixes like "mtgm"+"al" (paper fig. 6e, Windstream splitting a
-// 6-letter CLLI prefix into its 4- and 2-letter components).
-func (h *Hostname) AdjacentRunPairs() [][2]string {
-	var out [][2]string
-	var prev *Run
-	prevSpan := -1
-	for i := range h.Spans {
-		for j := range h.Spans[i].Runs {
-			r := &h.Spans[i].Runs[j]
-			if prev != nil && prevSpan == i-1 && j == 0 {
-				out = append(out, [2]string{prev.Text, r.Text})
-			}
-			prev, prevSpan = r, i
-		}
-	}
-	return out
-}
-
 func isAlpha(b byte) bool { return b >= 'a' && b <= 'z' }
 func isDigit(b byte) bool { return b >= '0' && b <= '9' }
-
-// IsAlnum reports whether s consists solely of lower-case letters and
-// digits (the character set of hostname spans).
-func IsAlnum(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if !isAlpha(s[i]) && !isDigit(s[i]) {
-			return false
-		}
-	}
-	return true
-}

@@ -20,9 +20,14 @@ func TestParseZayoExample(t *testing.T) {
 	if !reflect.DeepEqual(h.Labels, wantLabels) {
 		t.Errorf("Labels = %v", h.Labels)
 	}
-	want := []string{"zayo", "ntt", "mpr", "lhr", "uk", "zip"}
-	if got := h.AlphaStrings(); !reflect.DeepEqual(got, want) {
-		t.Errorf("AlphaStrings = %v, want %v", got, want)
+	var runs []string
+	for _, sp := range h.Spans {
+		for _, r := range sp.Runs {
+			runs = append(runs, r.Text)
+		}
+	}
+	if want := []string{"zayo", "ntt", "mpr", "lhr", "uk", "zip"}; !reflect.DeepEqual(runs, want) {
+		t.Errorf("alphabetic runs = %v, want %v", runs, want)
 	}
 }
 
@@ -49,20 +54,18 @@ func TestParseCaseAndTrailingDot(t *testing.T) {
 }
 
 func TestSpansWindstreamSplitCLLI(t *testing.T) {
-	// Paper fig. 6e: Windstream splits a CLLI prefix across punctuation.
+	// Paper fig. 6e: Windstream splits a CLLI prefix across punctuation,
+	// so its 4- and 2-letter halves are consecutive spans.
 	h, err := Parse("ae2-0.agr2.mtgm-al.windstream.net", "windstream.net")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := h.AdjacentRunPairs()
-	found := false
-	for _, p := range pairs {
-		if p[0] == "mtgm" && p[1] == "al" {
-			found = true
-		}
+	var spans []string
+	for _, sp := range h.Spans {
+		spans = append(spans, sp.Text)
 	}
-	if !found {
-		t.Errorf("AdjacentRunPairs = %v, want to include [mtgm al]", pairs)
+	if want := []string{"ae2", "0", "agr2", "mtgm", "al"}; !reflect.DeepEqual(spans, want) {
+		t.Errorf("spans = %v, want %v", spans, want)
 	}
 }
 
@@ -93,11 +96,8 @@ func TestSpanFlags(t *testing.T) {
 	if !h.Spans[0].HasDigit() {
 		t.Error("lhr15 should have a digit")
 	}
-	if h.Spans[0].AllAlpha() {
-		t.Error("lhr15 is not all-alpha")
-	}
-	if !h.Spans[1].AllAlpha() {
-		t.Error("abc should be all-alpha")
+	if h.Spans[1].HasDigit() {
+		t.Error("abc has no digit")
 	}
 }
 
@@ -127,27 +127,6 @@ func TestConsecutiveDelimiters(t *testing.T) {
 	}
 	if len(h.Spans) != 2 || h.Spans[0].Text != "a" || h.Spans[1].Text != "b" {
 		t.Errorf("spans = %+v", h.Spans)
-	}
-}
-
-func TestAdjacentRunPairsOnlyCrossesOneBoundary(t *testing.T) {
-	h, err := Parse("aaaa-bb-cc.example.com", "example.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := h.AdjacentRunPairs()
-	want := [][2]string{{"aaaa", "bb"}, {"bb", "cc"}}
-	if !reflect.DeepEqual(pairs, want) {
-		t.Errorf("pairs = %v, want %v", pairs, want)
-	}
-}
-
-func TestIsAlnum(t *testing.T) {
-	if !IsAlnum("abc123") {
-		t.Error("abc123 should be alnum")
-	}
-	if IsAlnum("") || IsAlnum("a-b") || IsAlnum("A") {
-		t.Error("empty, punctuated, and upper-case strings are not alnum")
 	}
 }
 

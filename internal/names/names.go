@@ -58,14 +58,6 @@ func (c *Convention) ExtractName(host string) (string, bool) {
 	return m[1], true
 }
 
-// SameRouter reports whether two hostnames extract the same router name
-// under the convention — the alias signal downstream tools consume.
-func (c *Convention) SameRouter(hostA, hostB string) bool {
-	a, okA := c.ExtractName(hostA)
-	b, okB := c.ExtractName(hostB)
-	return okA && okB && a == b
-}
-
 // Learn infers router-name conventions for every suffix in the corpus
 // with at least minRouters multi-hostname routers, sorted by suffix.
 func Learn(corpus *itdk.Corpus, list *psl.List, minRouters int) []*Convention {

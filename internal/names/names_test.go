@@ -74,12 +74,6 @@ func TestLearnLabelStyle(t *testing.T) {
 	if !ok || name != "cr1-lhr1" {
 		t.Errorf("ExtractName = %q, %v", name, ok)
 	}
-	if !conv.SameRouter("ae-1.cr1-lhr1.example.net", "ae-9.cr1-lhr1.example.net") {
-		t.Error("interfaces of the same router should match")
-	}
-	if conv.SameRouter("ae-1.cr1-lhr1.example.net", "ae-1.cr2-lhr1.example.net") {
-		t.Error("different routers should not match")
-	}
 }
 
 func TestLearnDashStyle(t *testing.T) {

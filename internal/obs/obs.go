@@ -11,8 +11,8 @@
 //     *Tracer or nil *Span and returns immediately without allocating;
 //     instrumented code needs no "is tracing on?" branches. The hot
 //     paths of core.Run therefore run at full speed with a nil tracer
-//     (proved by TestNilTracerZeroAlloc and the BenchmarkRunParallel
-//     comparison).
+//     (proved by TestNilTracerZeroAlloc and by comparing
+//     BenchmarkSuite/CoreRunParallel with BenchmarkRunParallelTraced).
 //
 //   - Deterministic export. Finished spans are canonically ordered
 //     (by path, key, then start sequence), ids are renumbered in output

@@ -118,7 +118,6 @@ type cspec struct {
 // concurrent use; per-match scratch lives in the caller's Result.
 type Prog struct {
 	specs  []cspec
-	ncap   int
 	minLen int    // sum of minimum component widths: quick length reject
 	maxLen int    // sum of maximum widths, -1 when any is unbounded
 	head   string // leading literal, "" when the program starts elsewhere
@@ -160,9 +159,6 @@ func Compile(specs []Spec) (*Prog, error) {
 		default:
 			return nil, fmt.Errorf("rexmatch: spec %d: unknown op %d", i, s.Op)
 		}
-		if s.Capture {
-			p.ncap++
-		}
 		p.specs = append(p.specs, c)
 	}
 	p.minLen, p.maxLen = 0, 0
@@ -187,12 +183,6 @@ func Compile(specs []Spec) (*Prog, error) {
 	}
 	return p, nil
 }
-
-// NumSpec returns the number of components in the program.
-func (p *Prog) NumSpec() int { return len(p.specs) }
-
-// NumCapture returns the number of captured components.
-func (p *Prog) NumCapture() int { return p.ncap }
 
 // Result holds the component spans of a successful Run plus the
 // engine's scratch state. A Result may be reused across calls (that is

@@ -316,7 +316,7 @@ func TestResponsivenessDraw(t *testing.T) {
 	responding := 0
 	n := 2000
 	for i := 0; i < n; i++ {
-		if dm.DrawResponsiveness(rng).Responds() {
+		if r := dm.DrawResponsiveness(rng); r.ICMP || r.UDP || r.TCP {
 			responding++
 		}
 	}

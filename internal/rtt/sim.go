@@ -81,9 +81,6 @@ type Responsiveness struct {
 	TCP  bool
 }
 
-// Responds reports whether the router answers any probe method.
-func (r Responsiveness) Responds() bool { return r.ICMP || r.UDP || r.TCP }
-
 // DrawResponsiveness samples a router's probe-method responsiveness.
 func (dm *DelayModel) DrawResponsiveness(rng *rand.Rand) Responsiveness {
 	return Responsiveness{

@@ -74,23 +74,6 @@ func (s Style) String() string {
 	return fmt.Sprintf("style(%d)", int(s))
 }
 
-// HintType returns the geodict hint type a style embeds.
-func (s Style) HintType() geodict.HintType {
-	switch s {
-	case StyleIATA, StyleIATACC:
-		return geodict.HintIATA
-	case StyleCLLI, StyleSplitCLLI:
-		return geodict.HintCLLI
-	case StyleLocode:
-		return geodict.HintLocode
-	case StyleCity, StyleCityState:
-		return geodict.HintPlace
-	case StyleFacility:
-		return geodict.HintFacility
-	}
-	return geodict.HintNone
-}
-
 // Site is one operator presence: a city and the code the operator uses
 // for it.
 type Site struct {

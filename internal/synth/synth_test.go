@@ -12,7 +12,6 @@ import (
 	"hoiho/internal/abbrev"
 	"hoiho/internal/core"
 	"hoiho/internal/geo"
-	"hoiho/internal/geodict"
 	"hoiho/internal/rtt"
 )
 
@@ -238,9 +237,6 @@ func TestStyleStrings(t *testing.T) {
 	for s := StyleIATA; s < numStyles; s++ {
 		if s.String() == "" || strings.HasPrefix(s.String(), "style(") {
 			t.Errorf("style %d has no name", s)
-		}
-		if s.HintType() == geodict.HintNone {
-			t.Errorf("style %s has no hint type", s)
 		}
 	}
 }

@@ -21,8 +21,9 @@ var (
 func world(t *testing.T) (*synth.World, *core.Result, Anchors) {
 	t.Helper()
 	worldOnce.Do(func() {
-		cachedWorld, cachedRes, worldErr = eval.RunOne("ipv4-aug2020", 0.5, core.DefaultConfig())
-		if worldErr == nil {
+		var s *eval.Suite
+		if s, worldErr = eval.Run(eval.PresetNames[:1], 0.5, core.DefaultConfig()); worldErr == nil {
+			cachedWorld, cachedRes = s.Worlds[0], s.Results[0]
 			cachedAnchor = BuildAnchors(cachedWorld.Inputs(), cachedRes, cachedWorld.PSL)
 		}
 	})
