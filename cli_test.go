@@ -375,6 +375,30 @@ func TestHoihoTelemetryOnLookupMiss(t *testing.T) {
 	}
 }
 
+// TestHoihoASNMapCheckedFirst asks for ASN conventions from a corpus
+// without asn.map: hoiho must exit 1 on the missing file before it
+// learns, so no convention is printed.
+func TestHoihoASNMapCheckedFirst(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binaries")
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(buildBinary(t, dir, "hoiho"), "-corpus", goldenDir,
+		"-asn", "-trace", filepath.Join(dir, "t.jsonl"))
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("hoiho exited with %v, want exit status 1\n%s", err, stderr.Bytes())
+	}
+	if !strings.Contains(stderr.String(), "asn.map: no such file or directory") {
+		t.Errorf("stderr lacks the asn.map error:\n%s", stderr.Bytes())
+	}
+	if strings.Contains(stdout.String(), "TP=") {
+		t.Errorf("hoiho printed conventions before failing:\n%s", stdout.Bytes())
+	}
+}
+
 // goldenHostnames returns the first n hostnames of the golden corpus.
 func goldenHostnames(t *testing.T, n int) []string {
 	t.Helper()

@@ -13,8 +13,6 @@ import (
 	"hoiho/internal/promexp"
 )
 
-const promContentType = promexp.ContentType
-
 // promTotals renders the server-wide request counters.
 func (s *server) promTotals(pw *promexp.Writer) {
 	pw.Counter("geoserve_requests_total", "HTTP requests received, any route.",

@@ -35,8 +35,8 @@ func TestPromConformance(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d", w.Code)
 	}
-	if ct := w.Header().Get("Content-Type"); ct != promContentType {
-		t.Errorf("Content-Type = %q, want %q", ct, promContentType)
+	if ct := w.Header().Get("Content-Type"); ct != promexp.ContentType {
+		t.Errorf("Content-Type = %q, want %q", ct, promexp.ContentType)
 	}
 	body := w.Body.String()
 	if err := promexp.Conform(w.Body.Bytes()); err != nil {

@@ -74,10 +74,22 @@ func main() {
 		buildinfo.Print(os.Stdout, "hoiho")
 		return
 	}
-	if _, err := src.Kind(); err != nil {
+	kind, err := src.Kind()
+	if err == nil && (*showNames || *showASN) && kind != geoloc.FromCorpus {
+		err = fmt.Errorf("-names and -asn require -corpus")
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "hoiho:", err)
 		flag.Usage()
 		os.Exit(2)
+	}
+	// asn.map is read before learning, so a missing or malformed file
+	// fails in milliseconds, not after a full run.
+	var asnMap asn.AddrMap
+	if *showASN {
+		if asnMap, err = loadASNMap(filepath.Join(src.Corpus, "asn.map")); err != nil {
+			fatal(err)
+		}
 	}
 
 	// One tracer covers the whole invocation: the learning run or
@@ -104,12 +116,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	res := resolved.Result
-	var in core.Inputs
-	haveCorpus := resolved.Inputs != nil
-	if haveCorpus {
-		in = *resolved.Inputs
-	}
+	res, in := resolved.Result, resolved.Inputs
 
 	if *writeNC != "" {
 		f, err := os.Create(*writeNC)
@@ -153,9 +160,6 @@ func main() {
 		res.SuffixesWithGeohint, res.RoutersWithGeohint, res.RoutersGeolocated)
 
 	if *showNames {
-		if !haveCorpus {
-			fatal(fmt.Errorf("-names requires -corpus"))
-		}
 		fmt.Println("\nrouter-name conventions:")
 		for _, c := range names.Learn(in.Corpus, in.PSL, 2) {
 			fmt.Printf("  %s: %s (routers=%d collisions=%d missed=%d)\n",
@@ -163,15 +167,8 @@ func main() {
 		}
 	}
 	if *showASN {
-		if !haveCorpus {
-			fatal(fmt.Errorf("-asn requires -corpus"))
-		}
-		mapping, err := loadASNMap(filepath.Join(src.Corpus, "asn.map"))
-		if err != nil {
-			fatal(err)
-		}
 		fmt.Println("\nASN conventions:")
-		for _, c := range asn.Learn(in.Corpus, in.PSL, mapping, asn.DefaultConfig()) {
+		for _, c := range asn.Learn(in.Corpus, in.PSL, asnMap, asn.DefaultConfig()) {
 			fmt.Printf("  %s: %s (tp=%d fp=%d ppv=%.0f%%)\n",
 				c.Suffix, c.Pattern, c.TP, c.FP, 100*c.PPV())
 		}

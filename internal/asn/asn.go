@@ -36,35 +36,6 @@ func (m AddrMap) ASN(addr netip.Addr) (uint32, bool) {
 	return a, ok
 }
 
-// PrefixMap is a Mapping backed by prefix entries, longest prefix wins —
-// the shape of a real IP-to-AS table.
-type PrefixMap struct {
-	entries []prefixEntry
-}
-
-type prefixEntry struct {
-	prefix netip.Prefix
-	asn    uint32
-}
-
-// Add registers a prefix. Later longer prefixes take precedence.
-func (m *PrefixMap) Add(prefix netip.Prefix, asn uint32) {
-	m.entries = append(m.entries, prefixEntry{prefix.Masked(), asn})
-	sort.SliceStable(m.entries, func(i, j int) bool {
-		return m.entries[i].prefix.Bits() > m.entries[j].prefix.Bits()
-	})
-}
-
-// ASN implements Mapping with longest-prefix matching.
-func (m *PrefixMap) ASN(addr netip.Addr) (uint32, bool) {
-	for _, e := range m.entries {
-		if e.prefix.Contains(addr) {
-			return e.asn, true
-		}
-	}
-	return 0, false
-}
-
 // Convention is a learned ASN-extraction convention for a suffix.
 type Convention struct {
 	Suffix  string

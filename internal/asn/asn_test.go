@@ -100,21 +100,6 @@ func TestExtractRejectsZeroASN(t *testing.T) {
 	}
 }
 
-func TestPrefixMap(t *testing.T) {
-	var pm PrefixMap
-	pm.Add(netip.MustParsePrefix("10.0.0.0/8"), 100)
-	pm.Add(netip.MustParsePrefix("10.1.0.0/16"), 200)
-	if a, ok := pm.ASN(netip.MustParseAddr("10.1.2.3")); !ok || a != 200 {
-		t.Errorf("longest prefix should win: %d %v", a, ok)
-	}
-	if a, ok := pm.ASN(netip.MustParseAddr("10.9.0.1")); !ok || a != 100 {
-		t.Errorf("fallback to shorter prefix: %d %v", a, ok)
-	}
-	if _, ok := pm.ASN(netip.MustParseAddr("192.0.2.1")); ok {
-		t.Error("unmapped address should miss")
-	}
-}
-
 func TestLearnFromSynthStyleInterconnects(t *testing.T) {
 	// Mixed corpus: ordinary backbone hostnames plus interconnect
 	// hostnames embedding customer ASNs — the regex must tolerate the

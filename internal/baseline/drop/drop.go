@@ -63,41 +63,15 @@ func segments(host, suffix string) []string {
 }
 
 // lookup interprets a whole segment with one dictionary. DRoP requires
-// the segment to be exactly the code — no digit stripping.
+// the segment to be exactly the code, with no digit stripping, or a
+// place name of at least four letters.
 func lookup(d *geodict.Dictionary, seg string, t geodict.HintType) []*geodict.Location {
-	var locs []*geodict.Location
-	switch t {
-	case geodict.HintIATA:
-		if len(seg) != 3 {
-			return nil
-		}
-		for _, a := range d.IATA(seg) {
-			loc := a.Loc
-			locs = append(locs, &loc)
-		}
-	case geodict.HintCLLI:
-		if len(seg) != 6 {
-			return nil
-		}
-		if c := d.CLLI(seg); c != nil {
-			loc := c.Loc
-			locs = append(locs, &loc)
-		}
-	case geodict.HintLocode:
-		if len(seg) != 5 {
-			return nil
-		}
-		if c := d.Locode(seg); c != nil {
-			loc := c.Loc
-			locs = append(locs, &loc)
-		}
-	case geodict.HintPlace:
-		if len(seg) < 4 {
-			return nil
-		}
-		locs = append(locs, d.Place(seg)...)
+	switch n := len(seg); {
+	case t == geodict.HintIATA && n == 3, t == geodict.HintLocode && n == 5,
+		t == geodict.HintCLLI && n == 6, t == geodict.HintPlace && n >= 4:
+		return d.Locations(t, seg)
 	}
-	return locs
+	return nil
 }
 
 // hintTypes is the order DRoP tries dictionaries.

@@ -91,6 +91,10 @@ func tokens(host, suffix string) []string {
 	return out
 }
 
+// codeTypes names the coded dictionary HLOC tries a token in by its
+// length; a token of four or more letters is then tried as a place.
+var codeTypes = map[int]geodict.HintType{3: geodict.HintIATA, 5: geodict.HintLocode, 6: geodict.HintCLLI}
+
 // candidates enumerates the dictionary interpretations of a hostname's
 // tokens, honouring the blocklist.
 func (h *HLOC) candidates(host, suffix string) []candidate {
@@ -101,25 +105,12 @@ func (h *HLOC) candidates(host, suffix string) []candidate {
 			continue
 		}
 		seen[tok] = true
-		switch len(tok) {
-		case 3:
-			for _, a := range h.dict.IATA(tok) {
-				loc := a.Loc
-				out = append(out, candidate{tok, &loc})
-			}
-		case 5:
-			if c := h.dict.Locode(tok); c != nil {
-				loc := c.Loc
-				out = append(out, candidate{tok, &loc})
-			}
-		case 6:
-			if c := h.dict.CLLI(tok); c != nil {
-				loc := c.Loc
-				out = append(out, candidate{tok, &loc})
-			}
-		}
+		types := []geodict.HintType{codeTypes[len(tok)]}
 		if len(tok) >= 4 {
-			for _, loc := range h.dict.Place(tok) {
+			types = append(types, geodict.HintPlace)
+		}
+		for _, t := range types {
+			for _, loc := range h.dict.Locations(t, tok) {
 				out = append(out, candidate{tok, loc})
 			}
 		}

@@ -162,7 +162,7 @@ func Parse(r io.Reader, dict *geodict.Dictionary) (*RuleSet, error) {
 }
 
 func findPlace(dict *geodict.Dictionary, city, region, country string) *geodict.Location {
-	for _, loc := range dict.Place(city) {
+	for _, loc := range dict.Locations(geodict.HintPlace, city) {
 		if loc.Region == region && loc.Country == country {
 			return loc
 		}

@@ -465,10 +465,6 @@ func TestTallyMath(t *testing.T) {
 	if zero.PPV() != 0 {
 		t.Error("PPV of zero tally should be 0")
 	}
-	zero.Add(tl)
-	if zero.TP != 8 || zero.UNK != 1 {
-		t.Errorf("Add failed: %+v", zero)
-	}
 }
 
 func TestClassify(t *testing.T) {

@@ -139,77 +139,20 @@ func (e *evalCtx) consistent(router *itdk.Router, pos geo.LatLong) bool {
 	return v
 }
 
-// resolve maps an extraction to candidate locations. inDict reports
-// whether the extracted string exists in the dictionary (or overrides)
-// at all — when false the outcome is UNK. Candidates are filtered by any
-// extracted state/country annotation.
+// resolve maps an extraction to candidate locations: a learned
+// override when one exists, else the memoized dictionary reading of
+// dictionaryLocations. inDict reports whether the hint is in the
+// overrides or the dictionary at all; when false the outcome is UNK.
 func (e *evalCtx) resolve(ext rex.Extraction) (locs []*geodict.Location, inDict bool) {
 	if ov, ok := e.overrides[overrideKey{ext.Type, ext.Hint}]; ok {
 		return []*geodict.Location{ov}, true
 	}
-	if ent, ok := e.resolveMemo[ext]; ok {
-		return ent.locs, ent.inDict
+	ent, ok := e.resolveMemo[ext]
+	if !ok {
+		ent.locs, ent.inDict = dictionaryLocations(e.in.Dict, ext)
+		e.resolveMemo[ext] = ent
 	}
-	locs, inDict = e.resolveDict(ext)
-	e.resolveMemo[ext] = resolveEntry{locs, inDict}
-	return locs, inDict
-}
-
-// resolveDict is the uncached dictionary resolution behind resolve.
-func (e *evalCtx) resolveDict(ext rex.Extraction) (locs []*geodict.Location, inDict bool) {
-	d := e.in.Dict
-	switch ext.Type {
-	case geodict.HintIATA:
-		for _, a := range d.IATA(ext.Hint) {
-			loc := a.Loc
-			locs = append(locs, &loc)
-		}
-	case geodict.HintICAO:
-		if a := d.ICAO(ext.Hint); a != nil {
-			loc := a.Loc
-			locs = append(locs, &loc)
-		}
-	case geodict.HintLocode:
-		if c := d.Locode(ext.Hint); c != nil {
-			loc := c.Loc
-			locs = append(locs, &loc)
-		}
-	case geodict.HintCLLI:
-		if c := d.CLLI(ext.Hint); c != nil {
-			loc := c.Loc
-			locs = append(locs, &loc)
-		}
-	case geodict.HintPlace:
-		locs = append(locs, d.Place(ext.Hint)...)
-	case geodict.HintFacility:
-		for _, f := range d.FacilityByAddress(ext.Hint) {
-			loc := f.Loc
-			locs = append(locs, &loc)
-		}
-	}
-	if len(locs) == 0 {
-		return nil, false
-	}
-	inDict = true
-	locs = e.filterAnnotations(locs, ext)
-	return locs, inDict
-}
-
-// filterAnnotations drops candidate locations contradicted by extracted
-// state/country codes.
-func (e *evalCtx) filterAnnotations(locs []*geodict.Location, ext rex.Extraction) []*geodict.Location {
-	d := e.in.Dict
-	out := locs[:0]
-	for _, loc := range locs {
-		if ext.Country != "" && !d.CountryEquivalent(ext.Country, loc.Country) {
-			continue
-		}
-		if ext.State != "" && !d.StateEquivalent(ext.State, loc.Country, loc.Region) {
-			continue
-		}
-		out = append(out, loc)
-	}
-	return out
+	return ent.locs, ent.inDict
 }
 
 // outcome classifies a single regex application to a tagged hostname

@@ -104,49 +104,25 @@ func Geolocate(nc *NamingConvention, dict *geodict.Dictionary, host string) (*Ge
 }
 
 // DictionaryLocations resolves an extraction against the reference
-// dictionary, filtered by any annotation codes.
+// dictionary, dropping the interpretations its annotation codes
+// contradict. The locations are the dictionary's own and must not be
+// modified.
 func DictionaryLocations(d *geodict.Dictionary, ext rex.Extraction) []*geodict.Location {
-	var locs []*geodict.Location
-	switch ext.Type {
-	case geodict.HintIATA:
-		for _, a := range d.IATA(ext.Hint) {
-			loc := a.Loc
-			locs = append(locs, &loc)
-		}
-	case geodict.HintICAO:
-		if a := d.ICAO(ext.Hint); a != nil {
-			loc := a.Loc
-			locs = append(locs, &loc)
-		}
-	case geodict.HintLocode:
-		if c := d.Locode(ext.Hint); c != nil {
-			loc := c.Loc
-			locs = append(locs, &loc)
-		}
-	case geodict.HintCLLI:
-		if c := d.CLLI(ext.Hint); c != nil {
-			loc := c.Loc
-			locs = append(locs, &loc)
-		}
-	case geodict.HintPlace:
-		locs = append(locs, d.Place(ext.Hint)...)
-	case geodict.HintFacility:
-		for _, f := range d.FacilityByAddress(ext.Hint) {
-			loc := f.Loc
-			locs = append(locs, &loc)
+	locs, _ := dictionaryLocations(d, ext)
+	return locs
+}
+
+// dictionaryLocations is DictionaryLocations, also reporting whether
+// the dictionary holds the hint at all, annotations aside.
+func dictionaryLocations(d *geodict.Dictionary, ext rex.Extraction) (locs []*geodict.Location, inDict bool) {
+	all := d.Locations(ext.Type, ext.Hint)
+	locs = all[:0]
+	for _, loc := range all {
+		if d.Agrees(loc, ext.Country, ext.State) {
+			locs = append(locs, loc)
 		}
 	}
-	out := locs[:0]
-	for _, loc := range locs {
-		if ext.Country != "" && !d.CountryEquivalent(ext.Country, loc.Country) {
-			continue
-		}
-		if ext.State != "" && !d.StateEquivalent(ext.State, loc.Country, loc.Region) {
-			continue
-		}
-		out = append(out, loc)
-	}
-	return out
+	return locs, len(all) > 0
 }
 
 // PickLocation disambiguates multiple interpretations: facility presence

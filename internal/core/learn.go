@@ -131,7 +131,7 @@ func (e *evalCtx) learnOne(suffix string, k overrideKey, ext rex.Extraction, hos
 	// The learned interpretation must beat the existing dictionary
 	// interpretation by more than LearnMarginTP true positives.
 	collide := false
-	if existing, inDict := e.dictLocations(k); inDict {
+	if existing := e.in.Dict.Locations(k.t, k.hint); len(existing) > 0 {
 		collide = true
 		existTP := 0
 		for _, hi := range hosts {
@@ -154,16 +154,6 @@ func (e *evalCtx) learnOne(suffix string, k overrideKey, ext rex.Extraction, hos
 	}
 }
 
-// dictLocations returns the unfiltered dictionary interpretations of a
-// hint, ignoring overrides.
-func (e *evalCtx) dictLocations(k overrideKey) ([]*geodict.Location, bool) {
-	saved := e.overrides
-	e.overrides = map[overrideKey]*geodict.Location{}
-	locs, inDict := e.resolve(rex.Extraction{Hint: k.hint, Type: k.t})
-	e.overrides = saved
-	return locs, inDict
-}
-
 // candidatePlaces enumerates the place-dictionary entries the hint could
 // abbreviate, honouring the structural rules of each hint type and any
 // extracted annotation codes.
@@ -172,10 +162,7 @@ func (e *evalCtx) candidatePlaces(k overrideKey, ext rex.Extraction, cfg Config)
 	var out []*geodict.Location
 
 	match := func(loc *geodict.Location, abbr string, minContig int) {
-		if ext.Country != "" && !d.CountryEquivalent(ext.Country, loc.Country) {
-			return
-		}
-		if ext.State != "" && !d.StateEquivalent(ext.State, loc.Country, loc.Region) {
+		if !d.Agrees(loc, ext.Country, ext.State) {
 			return
 		}
 		if minContig > 1 {
@@ -217,23 +204,14 @@ func (e *evalCtx) candidatePlaces(k overrideKey, ext rex.Extraction, cfg Config)
 			return nil
 		}
 		city4, reg2 := k.hint[:4], k.hint[4:]
+		// CLLI uses "en" for England; GB places have no region in our
+		// place table.
+		n, ok := d.StateName("gb", reg2)
+		england := ok && n == "england"
 		for _, loc := range d.Places() {
-			regionOK := false
-			if loc.Region != "" && d.StateEquivalent(reg2, loc.Country, loc.Region) {
-				regionOK = true
-			} else if d.CountryEquivalent(reg2, loc.Country) {
-				regionOK = true
-			} else if loc.Country == "gb" {
-				// CLLI uses "en" for England; GB places have no region
-				// in our place table.
-				if n, ok := d.StateName("gb", reg2); ok && n == "england" {
-					regionOK = true
-				}
+			if d.Agrees(loc, "", reg2) || d.Agrees(loc, reg2, "") || (england && loc.Country == "gb") {
+				match(loc, city4, 0)
 			}
-			if !regionOK {
-				continue
-			}
-			match(loc, city4, 0)
 		}
 	case geodict.HintPlace:
 		for _, loc := range d.Places() {

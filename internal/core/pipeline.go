@@ -139,30 +139,23 @@ func Run(in Inputs, cfg Config) (*Result, error) {
 	if workers > len(groups) {
 		workers = len(groups)
 	}
-	if workers <= 1 {
-		tg := &tagger{in: in, cfg: cfg}
-		for i, group := range groups {
-			outcomes[i] = runTracedGroup(tg, cfg, group, root, 1)
-		}
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(wid int) {
-				defer wg.Done()
-				tg := &tagger{in: in, cfg: cfg}
-				for i := range next {
-					outcomes[i] = runTracedGroup(tg, cfg, groups[i], root, wid)
-				}
-			}(w + 1)
-		}
-		for i := range groups {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(wid int) {
+			defer wg.Done()
+			tg := &tagger{in: in, cfg: cfg}
+			for i := range next {
+				outcomes[i] = runTracedGroup(tg, cfg, groups[i], root, wid)
+			}
+		}(w + 1)
 	}
+	for i := range groups {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 
 	root.Count("matchers_compiled", rex.MatchersCompiled()-matchers0)
 	defer root.End()

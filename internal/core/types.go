@@ -174,14 +174,6 @@ func (t Tally) PPV() float64 {
 	return float64(t.TP) / float64(t.TP+t.FP)
 }
 
-// Add accumulates another tally.
-func (t *Tally) Add(o Tally) {
-	t.TP += o.TP
-	t.FP += o.FP
-	t.FN += o.FN
-	t.UNK += o.UNK
-}
-
 // Classification buckets NCs by quality (paper §5.5).
 type Classification int
 

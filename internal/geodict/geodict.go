@@ -160,6 +160,48 @@ func (d *Dictionary) CLLI(prefix string) *Code { return d.clli[strings.ToLower(p
 // Place returns the locations whose normalized name matches name.
 func (d *Dictionary) Place(name string) []*Location { return d.places[NormalizeName(name)] }
 
+// Locations returns the interpretations of s in the dictionary of hint
+// type t, in dictionary order, or nil when there are none or t has no
+// location dictionary. Learning, core.Decide and the baselines read
+// every geohint through it. The slice belongs to the caller, but the
+// locations are the dictionary's own and must not be modified.
+func (d *Dictionary) Locations(t HintType, s string) []*Location {
+	var out []*Location
+	switch t {
+	case HintIATA:
+		for _, a := range d.IATA(s) {
+			out = append(out, &a.Loc)
+		}
+	case HintICAO:
+		if a := d.ICAO(s); a != nil {
+			out = append(out, &a.Loc)
+		}
+	case HintLocode:
+		if c := d.Locode(s); c != nil {
+			out = append(out, &c.Loc)
+		}
+	case HintCLLI:
+		if c := d.CLLI(s); c != nil {
+			out = append(out, &c.Loc)
+		}
+	case HintPlace:
+		out = append(out, d.Place(s)...)
+	case HintFacility:
+		for _, f := range d.FacilityByAddress(s) {
+			out = append(out, &f.Loc)
+		}
+	}
+	return out
+}
+
+// Agrees reports whether loc agrees with the country and state
+// annotation tokens found beside a geohint ("lhr" with "uk"); an empty
+// token constrains nothing.
+func (d *Dictionary) Agrees(loc *Location, country, state string) bool {
+	return (country == "" || d.CountryEquivalent(country, loc.Country)) &&
+		(state == "" || d.StateEquivalent(state, loc.Country, loc.Region))
+}
+
 // Facilities returns all facility records.
 func (d *Dictionary) Facilities() []*Facility { return d.facilities }
 

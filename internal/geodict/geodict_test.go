@@ -285,6 +285,67 @@ func TestStates(t *testing.T) {
 	}
 }
 
+// TestLocations: the one lookup returns the dictionary's own locations,
+// not copies, in a slice the caller may change.
+func TestLocations(t *testing.T) {
+	d := MustDefault()
+	egll := d.ICAO("egll")
+	if got := d.Locations(HintICAO, "EGLL"); len(got) != 1 || got[0] != &egll.Loc {
+		t.Errorf("Locations(icao, EGLL) = %v, want the record's own location", got)
+	}
+	ash := d.Locations(HintIATA, "ash")
+	if len(ash) == 0 || ash[0] != &d.IATA("ash")[0].Loc {
+		t.Fatalf("Locations(iata, ash) = %v", ash)
+	}
+	ash[0] = nil
+	if again := d.Locations(HintIATA, "ash"); again[0] == nil {
+		t.Error("changing a returned slice changed the next lookup")
+	}
+	places := d.Locations(HintPlace, "Washington")
+	places[0] = nil
+	if d.Place("washington")[0] == nil {
+		t.Error("changing a returned place slice changed the dictionary")
+	}
+	b := NewBuilder()
+	for _, city := range []string{"first", "second"} {
+		if err := b.AddAirport("xyz", "", Location{City: city, Country: "us"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := b.Dictionary().Locations(HintIATA, "xyz"); len(got) != 2 || got[0].City != "first" || got[1].City != "second" {
+		t.Errorf("Locations(iata, xyz) = %v, want both airports in registration order", got)
+	}
+	for _, ht := range []HintType{HintNone, HintCountry, HintState, HintType(99)} {
+		if got := d.Locations(ht, "us"); got != nil {
+			t.Errorf("Locations(%s, us) = %v, want nil", ht, got)
+		}
+	}
+}
+
+func TestAgrees(t *testing.T) {
+	d := MustDefault()
+	lhr := d.IATA("lhr")[0].Loc
+	ash := d.Place("ashburn")[0]
+	cases := []struct {
+		loc            *Location
+		country, state string
+		want           bool
+	}{
+		{&lhr, "", "", true},
+		{&lhr, "uk", "", true},
+		{&lhr, "us", "", false},
+		{ash, "us", "va", true},
+		{ash, "", "virginia", true},
+		{ash, "us", "tx", false},
+		{ash, "ca", "va", false},
+	}
+	for _, c := range cases {
+		if got := d.Agrees(c.loc, c.country, c.state); got != c.want {
+			t.Errorf("Agrees(%s, %q, %q) = %v, want %v", c.loc, c.country, c.state, got, c.want)
+		}
+	}
+}
+
 func TestNormalizeName(t *testing.T) {
 	cases := map[string]string{
 		"Fort Collins":      "fortcollins",

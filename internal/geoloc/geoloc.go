@@ -59,7 +59,9 @@ type Options struct {
 
 // convention is the serving state for one suffix.
 type convention struct {
-	nc      *core.NamingConvention
+	nc *core.NamingConvention
+	// matches counts the lookups the convention located; Stats derives
+	// the matched and per-class totals from these counters.
 	matches atomic.Uint64
 }
 
@@ -75,9 +77,7 @@ type Index struct {
 	lookups     atomic.Uint64
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
-	matched     atomic.Uint64
 	unmatched   atomic.Uint64
-	byClass     [3]atomic.Uint64 // indexed by core.Classification
 }
 
 // New compiles a result's conventions into an Index. Every regex builds
@@ -205,10 +205,8 @@ func (ix *Index) count(g *core.Geolocation) {
 		ix.unmatched.Add(1)
 		return
 	}
-	ix.matched.Add(1)
 	if c := ix.convs[g.Suffix]; c != nil {
 		c.matches.Add(1)
-		ix.byClass[c.nc.Class].Add(1)
 	}
 }
 
@@ -228,25 +226,23 @@ type Stats struct {
 
 // Stats snapshots the counters. Counters are read individually, so a
 // snapshot taken during concurrent lookups is approximate (but each
-// counter is itself exact).
+// counter is itself exact). Matched and ByClass are sums of the same
+// per-convention reads as BySuffix, so they always agree with it, and
+// they never go backwards, since each counter only grows.
 func (ix *Index) Stats() Stats {
 	s := Stats{
 		Lookups:     ix.lookups.Load(),
 		CacheHits:   ix.cacheHits.Load(),
 		CacheMisses: ix.cacheMisses.Load(),
-		Matched:     ix.matched.Load(),
 		Unmatched:   ix.unmatched.Load(),
-		ByClass:     make(map[string]uint64, len(ix.byClass)),
+		ByClass:     make(map[string]uint64),
 		BySuffix:    make(map[string]uint64),
-	}
-	for cls := range ix.byClass {
-		if n := ix.byClass[cls].Load(); n > 0 {
-			s.ByClass[core.Classification(cls).String()] = n
-		}
 	}
 	for suffix, c := range ix.convs {
 		if n := c.matches.Load(); n > 0 {
+			s.Matched += n
 			s.BySuffix[suffix] = n
+			s.ByClass[c.nc.Class.String()] += n
 		}
 	}
 	return s

@@ -493,6 +493,13 @@ func TestStatsBySuffixAndClass(t *testing.T) {
 	if total != st.Matched {
 		t.Errorf("ByClass sums to %d, Matched = %d", total, st.Matched)
 	}
+	total = 0
+	for _, n := range st.BySuffix {
+		total += n
+	}
+	if total != st.Matched {
+		t.Errorf("BySuffix sums to %d, Matched = %d", total, st.Matched)
+	}
 }
 
 func TestUsableOnly(t *testing.T) {
