@@ -1,34 +1,51 @@
 package undns
 
 import (
-	"strings"
 	"testing"
 
 	"hoiho/internal/geodict"
 )
 
-const sampleRules = `
-# curated rules in the style of the Rocketfuel undns database
-suffix ntt.net
-rule ^.+\.([a-z]{6})\d+\.[a-z]{2}\.[a-z]{2}\.gin\.ntt\.net$
-map snjsca san jose|ca|us
-map sttlwa seattle|wa|us
-map kslrml kuala lumpur||my
-
-suffix he.net
-rule ^.+\.core\d+\.([a-z]{3})\d+\.he\.net$
-map sjc san jose|ca|us
-map fra frankfurt am main|he|de
-`
+// sampleRuleSet builds curated rules in the style of the Rocketfuel
+// undns database, with partial code tables, for two suffixes.
+func sampleRuleSet(t *testing.T) *RuleSet {
+	t.Helper()
+	d := geodict.MustDefault()
+	place := func(city, region, country string) *geodict.Location {
+		for _, loc := range d.Locations(geodict.HintPlace, city) {
+			if loc.Region == region && loc.Country == country {
+				return loc
+			}
+		}
+		t.Fatalf("no place %s|%s|%s", city, region, country)
+		return nil
+	}
+	rs := NewRuleSet()
+	for _, r := range []struct {
+		suffix, pattern string
+		codes           map[string]*geodict.Location
+	}{
+		{"ntt.net", `^.+\.([a-z]{6})\d+\.[a-z]{2}\.[a-z]{2}\.gin\.ntt\.net$`, map[string]*geodict.Location{
+			"snjsca": place("san jose", "ca", "us"),
+			"sttlwa": place("seattle", "wa", "us"),
+			"kslrml": place("kuala lumpur", "", "my"),
+		}},
+		{"he.net", `^.+\.core\d+\.([a-z]{3})\d+\.he\.net$`, map[string]*geodict.Location{
+			"sjc": place("san jose", "ca", "us"),
+			"fra": place("frankfurt am main", "he", "de"),
+		}},
+	} {
+		if err := rs.AddRule(r.suffix, r.pattern, r.codes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rs
+}
 
 func TestParseAndGeolocate(t *testing.T) {
-	d := geodict.MustDefault()
-	rs, err := Parse(strings.NewReader(sampleRules), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Suffixes() != 2 {
-		t.Errorf("suffixes = %d", rs.Suffixes())
+	rs := sampleRuleSet(t)
+	if len(rs.Rules) != 2 {
+		t.Errorf("suffixes = %d", len(rs.Rules))
 	}
 	loc, ok := rs.Geolocate("ae-2.r20.snjsca04.us.bb.gin.ntt.net", "ntt.net")
 	if !ok || loc.City != "san jose" {
@@ -53,11 +70,7 @@ func TestParseAndGeolocate(t *testing.T) {
 // TestGeolocateTable sweeps Geolocate over the hit / miss / malformed
 // input space with the sample ruleset.
 func TestGeolocateTable(t *testing.T) {
-	d := geodict.MustDefault()
-	rs, err := Parse(strings.NewReader(sampleRules), d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := sampleRuleSet(t)
 	cases := []struct {
 		name, host, suffix string
 		wantCity           string
@@ -84,24 +97,6 @@ func TestGeolocateTable(t *testing.T) {
 	}
 }
 
-func TestParseErrors(t *testing.T) {
-	d := geodict.MustDefault()
-	cases := []string{
-		"rule ^x$",                                     // rule before suffix
-		"suffix a.net\nmap x y|z|w",                    // map before rule
-		"suffix a.net\nrule ^(a)(b)$",                  // two captures
-		"suffix a.net\nrule ^[a$",                      // bad regex
-		"bogus thing",                                  // unknown directive
-		"suffix a.net\nrule ^(a)$\nmap x atlantis||zz", // unknown place
-		"suffix a.net\nrule ^(a)$\nmap x",              // malformed map
-	}
-	for _, in := range cases {
-		if _, err := Parse(strings.NewReader(in), d); err == nil {
-			t.Errorf("input %q should fail", in)
-		}
-	}
-}
-
 func TestAddRule(t *testing.T) {
 	d := geodict.MustDefault()
 	rs := NewRuleSet()
@@ -119,27 +114,5 @@ func TestAddRule(t *testing.T) {
 	}
 	if err := rs.AddRule("x.net", `^([a)$`, nil); err == nil {
 		t.Error("bad regex should be rejected")
-	}
-}
-
-func TestDefaultDatabase(t *testing.T) {
-	rs, err := Default()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Suffixes() < 5 {
-		t.Errorf("embedded database has %d suffixes", rs.Suffixes())
-	}
-	loc, ok := rs.Geolocate("100ge1-1.core2.fra1.he.net", "he.net")
-	if !ok || loc.City != "frankfurt am main" {
-		t.Errorf("he.net fra = %v, %v", loc, ok)
-	}
-	loc, ok = rs.Geolocate("4.69.1.1.ashburn1.level3.net", "level3.net")
-	if !ok || loc.City != "ashburn" {
-		t.Errorf("level3 ashburn = %v, %v", loc, ok)
-	}
-	// A code outside the frozen table: no answer (the coverage limit).
-	if _, ok := rs.Geolocate("100ge1-1.core2.tyo1.he.net", "he.net"); ok {
-		t.Error("tyo is not in the frozen he.net table")
 	}
 }

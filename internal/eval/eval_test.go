@@ -286,10 +286,10 @@ func TestBuildUndnsCoverage(t *testing.T) {
 	w, _ := sharedWorld(t)
 	full := BuildUndnsRuleset(w, 1.0, 1)
 	partial := BuildUndnsRuleset(w, 0.3, 1)
-	if full.Suffixes() == 0 {
+	if len(full.Rules) == 0 {
 		t.Fatal("no rules built")
 	}
-	if partial.Suffixes() > full.Suffixes() {
+	if len(partial.Rules) > len(full.Rules) {
 		t.Error("partial coverage cannot exceed full")
 	}
 }

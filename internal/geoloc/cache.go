@@ -94,7 +94,8 @@ func (c *cache) len() int {
 }
 
 // fnv32a is the 32-bit FNV-1a hash, inlined to avoid per-key allocation
-// through hash/fnv's interface.
+// through hash/fnv's interface. The cache picks shards by it and the
+// snapshot assigns suffixes to sections by it (shardOf).
 func fnv32a(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {

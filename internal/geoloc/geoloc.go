@@ -74,7 +74,6 @@ type Index struct {
 	convs map[string]*convention
 	cache *cache // nil when disabled
 
-	lookups     atomic.Uint64
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
 	unmatched   atomic.Uint64
@@ -161,7 +160,6 @@ func (ix *Index) Convention(suffix string) *core.NamingConvention {
 // match's geohint resolves to no location. The returned Geolocation is
 // shared with the cache and must not be mutated.
 func (ix *Index) Lookup(hostname string) (*core.Geolocation, bool) {
-	ix.lookups.Add(1)
 	host := normalize(hostname)
 	if ix.cache != nil {
 		if g, ok := ix.cache.get(host); ok {
@@ -199,7 +197,9 @@ func (ix *Index) locate(host string) *core.Geolocation {
 	return core.Decide(c.nc, ix.dict, host).Geolocation(c.nc, host)
 }
 
-// count records a lookup outcome in the index counters.
+// count records a lookup outcome in the index counters. Every lookup
+// ends in exactly one of its two writes, which is what Stats derives
+// Lookups from.
 func (ix *Index) count(g *core.Geolocation) {
 	if g == nil {
 		ix.unmatched.Add(1)
@@ -212,6 +212,7 @@ func (ix *Index) count(g *core.Geolocation) {
 
 // Stats is a point-in-time snapshot of the index counters.
 type Stats struct {
+	// Lookups is Matched + Unmatched: every lookup ends in one of them.
 	Lookups     uint64 `json:"lookups"`
 	CacheHits   uint64 `json:"cache_hits"`
 	CacheMisses uint64 `json:"cache_misses"`
@@ -228,10 +229,10 @@ type Stats struct {
 // snapshot taken during concurrent lookups is approximate (but each
 // counter is itself exact). Matched and ByClass are sums of the same
 // per-convention reads as BySuffix, so they always agree with it, and
-// they never go backwards, since each counter only grows.
+// Lookups is Matched plus Unmatched; none goes backwards, since each
+// counter only grows.
 func (ix *Index) Stats() Stats {
 	s := Stats{
-		Lookups:     ix.lookups.Load(),
 		CacheHits:   ix.cacheHits.Load(),
 		CacheMisses: ix.cacheMisses.Load(),
 		Unmatched:   ix.unmatched.Load(),
@@ -245,6 +246,7 @@ func (ix *Index) Stats() Stats {
 			s.ByClass[c.nc.Class.String()] += n
 		}
 	}
+	s.Lookups = s.Matched + s.Unmatched
 	return s
 }
 

@@ -486,6 +486,9 @@ func TestStatsBySuffixAndClass(t *testing.T) {
 	if st.Unmatched != 1 {
 		t.Errorf("Unmatched = %d", st.Unmatched)
 	}
+	if st.Lookups != 4 || st.Lookups != st.Matched+st.Unmatched {
+		t.Errorf("Lookups = %d, want 4 = Matched %d + Unmatched %d", st.Lookups, st.Matched, st.Unmatched)
+	}
 	total := uint64(0)
 	for _, n := range st.ByClass {
 		total += n

@@ -158,11 +158,12 @@ func (l *Live) ReloadStats() ReloadStats {
 // between build and serve. old may be nil (boot); samples <= 0 checks
 // every suffix.
 //
-// The probes run against the real lookup path, so they count in the new
-// index's stats and may seed its cache; both effects are harmless. The
-// probes' lookup outcomes are deliberately not asserted — whether a
-// probe matches depends on the learned regexes, which a reload is
-// allowed to change.
+// The probes take the uncached lookup path: they run the same dispatch
+// and core.Decide walk as a client lookup, but touch neither the new
+// index's cache nor its counters, so a reload adds no traffic to the
+// exported lookup, cache and unmatched totals. The probes' outcomes
+// are deliberately not asserted — whether a probe matches depends on
+// the learned regexes, which a reload is allowed to change.
 func SpotCheck(old, next *Index, samples int) error {
 	if next == nil {
 		return fmt.Errorf("geoloc: spot-check: replacement index is nil")
@@ -176,7 +177,7 @@ func SpotCheck(old, next *Index, samples int) error {
 	}
 	for _, suffix := range suffixes {
 		probe := "spotcheck." + suffix
-		next.Lookup(probe) // must complete: dispatch + matcher walk, no panic
+		next.locate(normalize(probe)) // must complete: dispatch + matcher walk, no panic
 		if got := next.Suffix(probe); got != suffix {
 			return fmt.Errorf("geoloc: spot-check: probe %q dispatches to %q, want %q", probe, got, suffix)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -115,6 +116,23 @@ func TestSpotCheckRejectsBadReplacements(t *testing.T) {
 	}
 }
 
+// TestSpotCheckCountsNoLookups: the spot check's probes are not client
+// lookups, so they leave the replacement's counters at zero and its
+// cache empty.
+func TestSpotCheckCountsNoLookups(t *testing.T) {
+	ix := newTestIndex(t, Options{})
+	next := newTestIndex(t, Options{})
+	if err := SpotCheck(ix, next, spotCheckSamples); err != nil {
+		t.Fatal(err)
+	}
+	if st := next.Stats(); !reflect.DeepEqual(st, Stats{ByClass: map[string]uint64{}, BySuffix: map[string]uint64{}}) {
+		t.Errorf("stats after spot check = %+v, want zero", st)
+	}
+	if n := next.cache.len(); n != 0 {
+		t.Errorf("spot check left %d cache entries", n)
+	}
+}
+
 // TestLiveStatsSurviveSwap: Live's counters add every retired index's
 // to the serving one's, so no counter, per-suffix and per-class ones
 // included, goes backwards across a swap.
@@ -149,8 +167,9 @@ func TestLiveStatsSurviveSwap(t *testing.T) {
 }
 
 // TestLiveReload: a successful reload swaps in a fresh index as the
-// next generation and records its build and swap latencies; a failed
-// one counts a failure and leaves the serving index in place.
+// next generation, records its build and swap latencies and leaves the
+// lookup counters as they were; a failed one counts a failure and
+// leaves the serving index in place.
 func TestLiveReload(t *testing.T) {
 	res, dict, list := learnFixture(t)
 	var buf bytes.Buffer
@@ -168,9 +187,16 @@ func TestLiveReload(t *testing.T) {
 		t.Fatalf("boot reload stats = %+v", rs)
 	}
 
+	for _, host := range probeHosts {
+		live.Index().Lookup(host)
+	}
+	before := live.Stats()
 	st, err := live.Reload(src, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if after := live.Stats(); !reflect.DeepEqual(after, before) {
+		t.Errorf("reload of an unchanged source moved the lookup counters: %+v, before %+v", after, before)
 	}
 	if st.Generation != 2 || st.Suffixes != boot.Len() || live.Index() == boot {
 		t.Errorf("Reload = %+v, want a fresh %d-suffix index at generation 2", st, boot.Len())

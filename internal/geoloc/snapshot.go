@@ -277,16 +277,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 // shardOf assigns a suffix to a section: FNV-1a over the suffix bytes,
 // reduced mod the shard count.
 func shardOf(suffix string) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(suffix); i++ {
-		h ^= uint32(suffix[i])
-		h *= prime32
-	}
-	return int(h % snapshotShards)
+	return int(fnv32a(suffix) % snapshotShards)
 }
 
 // crcReader tracks the running CRC-32 and byte count of everything read

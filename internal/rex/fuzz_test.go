@@ -125,7 +125,7 @@ func FuzzMatch(f *testing.F) {
 // ComponentMatches must agree with the stdlib-engine references below
 // on the same hostname — the verdict, the decoded Extraction (joined
 // split-CLLI halves, state, country), and the span of every component.
-// rexmatch implements leftmost-first submatch semantics, so any
+// The matcher implements leftmost-first submatch semantics, so any
 // divergence is a bug in the matcher (or in the dialect translation),
 // never an acceptable approximation. A regex that passes Validate must
 // build a matcher. The checked-in seed corpus pins the two component
@@ -156,13 +156,13 @@ func FuzzRexmatchVsStdlib(f *testing.F) {
 		want, wantOK := stdlibMatch(t, r, host)
 		got, gotOK := r.Match(host)
 		if gotOK != wantOK || got != want {
-			t.Fatalf("Match differs for %q on %q: stdlib=%+v,%v rexmatch=%+v,%v",
+			t.Fatalf("Match differs for %q on %q: stdlib=%+v,%v matcher=%+v,%v",
 				r.String(), host, want, wantOK, got, gotOK)
 		}
 		wantParts, wantOK := stdlibComponentMatches(t, r, host)
 		gotParts, gotOK := r.ComponentMatches(host)
 		if gotOK != wantOK || !slices.Equal(gotParts, wantParts) {
-			t.Fatalf("ComponentMatches differs for %q on %q: stdlib=%q,%v rexmatch=%q,%v",
+			t.Fatalf("ComponentMatches differs for %q on %q: stdlib=%q,%v matcher=%q,%v",
 				r.String(), host, wantParts, wantOK, gotParts, gotOK)
 		}
 	})

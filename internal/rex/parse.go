@@ -109,40 +109,31 @@ func parseCapture(inner string) (Component, error) {
 }
 
 // parseOne parses a single component at the head of s, returning it and
-// the number of bytes consumed.
+// the number of bytes consumed. Kinds are recognized by their syntax in
+// the kinds table, none of which is a prefix of another; a repeat count
+// must be written as String writes it, and Validate bounds it.
 func parseOne(s string) (Component, int, error) {
-	if s == "" {
-		return Component{}, 0, fmt.Errorf("rex: empty component")
-	}
-	switch {
-	case strings.HasPrefix(s, `\.`):
-		return Component{Kind: KindDot}, 2, nil
-	case strings.HasPrefix(s, `.+`):
-		return Component{Kind: KindAny}, 2, nil
-	case strings.HasPrefix(s, `[^\.]+`):
-		return Component{Kind: KindNotDot}, 6, nil
-	case strings.HasPrefix(s, `[^-]+`):
-		return Component{Kind: KindNotDash}, 5, nil
-	case strings.HasPrefix(s, `[a-z\d]+`):
-		return Component{Kind: KindAlnum}, 8, nil
-	case strings.HasPrefix(s, `[a-z]+`):
-		return Component{Kind: KindAlpha}, 6, nil
-	case strings.HasPrefix(s, `[a-z]{`):
+	for k := KindDot; int(k) < len(kinds); k++ {
+		syntax := kinds[k].syntax
+		if !strings.HasPrefix(s, syntax) {
+			continue
+		}
+		if k != KindAlphaFixed {
+			return Component{Kind: k}, len(syntax), nil
+		}
 		end := strings.IndexByte(s, '}')
 		if end < 0 {
 			return Component{}, 0, fmt.Errorf("rex: unterminated repeat in %q", s)
 		}
-		n, err := strconv.Atoi(s[len(`[a-z]{`):end])
-		if err != nil || n < 1 || n > maxFixed {
+		n, err := strconv.Atoi(s[len(syntax):end])
+		if err != nil || strconv.Itoa(n) != s[len(syntax):end] {
 			return Component{}, 0, fmt.Errorf("rex: bad repeat count in %q", s)
 		}
-		return Component{Kind: KindAlphaFixed, N: n}, end + 1, nil
-	case strings.HasPrefix(s, `\d+`):
-		return Component{Kind: KindDigits}, 3, nil
-	case strings.HasPrefix(s, `\d*`):
-		return Component{Kind: KindDigitsOpt}, 3, nil
-	case s[0] == '-':
-		return Component{Kind: KindDash}, 1, nil
+		return Component{Kind: k, N: n}, end + 1, nil
+	}
+	switch {
+	case s == "":
+		return Component{}, 0, fmt.Errorf("rex: empty component")
 	case s[0] == '\\' && len(s) >= 2 &&
 		regexp.QuoteMeta(string(s[1])) == s[:2]:
 		// Escaped literal character, exactly as QuoteMeta would emit it

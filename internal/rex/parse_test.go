@@ -67,6 +67,9 @@ func TestParsePatternErrors(t *testing.T) {
 		{`^[a-z]{3}$`, []Role{RoleHint}},        // fewer captures than roles
 		{`^([a-z]{3)$`, []Role{RoleHint}},       // unterminated repeat
 		{`^([a-z]{x})$`, []Role{RoleHint}},      // bad repeat count
+		{`^([a-z]{+5})$`, []Role{RoleHint}},     // count String never writes
+		{`^([a-z]{05})$`, []Role{RoleHint}},     // count String never writes
+		{`^([a-z]{64})$`, []Role{RoleHint}},     // count past a DNS label
 		{`^(([a-z]{3}))$`, []Role{RoleHint}},    // nested capture
 		{`^([a-z]{3})[A-Z]$`, []Role{RoleHint}}, // unknown construct
 		{`^([a-z]{3}\d+)$`, []Role{RoleHint}},   // multi-component capture

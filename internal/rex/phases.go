@@ -127,7 +127,8 @@ func Specialize(r *Regex, hostnames []string) *Regex {
 }
 
 // classify maps a wildcard component and its observed matches onto one
-// or two character-class components, or returns the original.
+// or two character-class components, or returns the original. Bytes
+// are tested against the matcher's own class tables.
 func classify(c Component, matches []string) []Component {
 	if len(matches) == 0 {
 		return []Component{c}
@@ -140,18 +141,12 @@ func classify(c Component, matches []string) []Component {
 		if m == "" {
 			return []Component{c}
 		}
-		if !isAllOf(m, isDigitByte) {
-			allDigits = false
-		}
-		if !isAllOf(m, isAlphaByte) {
-			allAlpha = false
-		}
-		if !isAlphaThenDigit(m) {
-			allAlphaDigit = false
-		}
-		if !isAllOf(m, func(b byte) bool { return isAlphaByte(b) || isDigitByte(b) }) {
-			allAlnum = false
-		}
+		alpha := classRun(m, clsAlpha)
+		allDigits = allDigits && classRun(m, clsDigit) == len(m)
+		allAlpha = allAlpha && alpha == len(m)
+		allAlphaDigit = allAlphaDigit && alpha > 0 && alpha < len(m) &&
+			classRun(m[alpha:], clsDigit) == len(m)-alpha
+		allAlnum = allAlnum && classRun(m, clsAlnum) == len(m)
 		if len(m) != fixedLen {
 			fixedLen = -1
 		}
@@ -170,36 +165,6 @@ func classify(c Component, matches []string) []Component {
 	default:
 		return []Component{c}
 	}
-}
-
-func isAllOf(s string, pred func(byte) bool) bool {
-	for i := 0; i < len(s); i++ {
-		if !pred(s[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func isAlphaByte(b byte) bool { return b >= 'a' && b <= 'z' }
-func isDigitByte(b byte) bool { return b >= '0' && b <= '9' }
-
-// isAlphaThenDigit reports whether s is one or more letters followed by
-// one or more digits ("ae" false, "ae1" true, "1a" false).
-func isAlphaThenDigit(s string) bool {
-	i := 0
-	for i < len(s) && isAlphaByte(s[i]) {
-		i++
-	}
-	if i == 0 || i == len(s) {
-		return false
-	}
-	for ; i < len(s); i++ {
-		if !isDigitByte(s[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Dedupe removes regexes with identical keys, preserving first

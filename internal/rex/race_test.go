@@ -46,7 +46,7 @@ func TestRegexConcurrentCaches(t *testing.T) {
 // is cached race-free, that Prepare reports the one error to every
 // caller, and that such a regex matches nothing.
 func TestRegexConcurrentCompileError(t *testing.T) {
-	// A fixed count past rexmatch's repeat limit builds no matcher.
+	// A fixed count past maxFixed builds no matcher.
 	// Validate refuses it too; this regex skips Validate.
 	r := New(0, Component{Kind: KindAlphaFixed, N: 100000, Capture: true, Role: RoleHint})
 	errs := make([]error, 8)

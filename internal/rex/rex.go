@@ -5,18 +5,20 @@
 // capture groups annotated with the geographic role of the captured
 // string. The representation supports the four construction phases:
 // base generation, digit-merge, character-class embedding, and regex-set
-// assembly into naming conventions.
+// assembly into naming conventions. One table, kinds, defines each
+// component kind; rendering, ParsePattern and the specialized matcher
+// every regex runs on (rexmatch.go) all read it.
 package rex
 
 import (
 	"fmt"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"hoiho/internal/geodict"
-	"hoiho/internal/rexmatch"
 )
 
 // Kind enumerates component types.
@@ -37,6 +39,35 @@ const (
 	KindDigitsOpt              // \d*
 	KindAlnum                  // [a-z\d]+
 )
+
+// kindSpec is one row of the dialect: what a component kind renders
+// as, and what the matcher does with it. A fixed kind matches its text
+// exactly (a literal matches its Lit); a class kind matches a greedy
+// run of at least min bytes of class cls. KindAlphaFixed's syntax is
+// completed by its count and a closing brace, and it matches exactly N
+// bytes.
+type kindSpec struct {
+	syntax string
+	fixed  string
+	cls    uint8
+	min    int32
+}
+
+// kinds is the dialect, one row per kind; render, parseOne and compile
+// all read it.
+var kinds = [...]kindSpec{
+	KindLiteral:    {cls: clsLit},
+	KindDot:        {syntax: `\.`, fixed: ".", cls: clsLit},
+	KindDash:       {syntax: `-`, fixed: "-", cls: clsLit},
+	KindAny:        {syntax: `.+`, cls: clsAny, min: 1},
+	KindNotDot:     {syntax: `[^\.]+`, cls: clsNotDot, min: 1},
+	KindNotDash:    {syntax: `[^-]+`, cls: clsNotDash, min: 1},
+	KindAlphaFixed: {syntax: `[a-z]{`, cls: clsAlpha},
+	KindAlpha:      {syntax: `[a-z]+`, cls: clsAlpha, min: 1},
+	KindDigits:     {syntax: `\d+`, cls: clsDigit, min: 1},
+	KindDigitsOpt:  {syntax: `\d*`, cls: clsDigit},
+	KindAlnum:      {syntax: `[a-z\d]+`, cls: clsAlnum, min: 1},
+}
 
 // maxFixed bounds KindAlphaFixed's repeat count: [a-z] excludes the
 // dot, so the run sits inside one DNS label, which holds at most 63
@@ -92,33 +123,29 @@ func (c Component) render(b *strings.Builder) {
 	if c.Capture {
 		b.WriteByte('(')
 	}
-	switch c.Kind {
-	case KindLiteral:
+	switch {
+	case c.Kind == KindLiteral:
 		b.WriteString(regexp.QuoteMeta(c.Lit))
-	case KindDot:
-		b.WriteString(`\.`)
-	case KindDash:
-		b.WriteString(`-`)
-	case KindAny:
-		b.WriteString(`.+`)
-	case KindNotDot:
-		b.WriteString(`[^\.]+`)
-	case KindNotDash:
-		b.WriteString(`[^-]+`)
-	case KindAlphaFixed:
-		fmt.Fprintf(b, `[a-z]{%d}`, c.N)
-	case KindAlpha:
-		b.WriteString(`[a-z]+`)
-	case KindDigits:
-		b.WriteString(`\d+`)
-	case KindDigitsOpt:
-		b.WriteString(`\d*`)
-	case KindAlnum:
-		b.WriteString(`[a-z\d]+`)
+	case c.Kind == KindAlphaFixed:
+		b.WriteString(kinds[c.Kind].syntax + strconv.Itoa(c.N) + "}")
+	case int(c.Kind) < len(kinds):
+		b.WriteString(kinds[c.Kind].syntax)
 	}
 	if c.Capture {
 		b.WriteByte(')')
 	}
+}
+
+// check reports a component outside the dialect: an unknown kind, or a
+// fixed repeat outside 1-maxFixed.
+func (c Component) check() error {
+	if int(c.Kind) >= len(kinds) {
+		return fmt.Errorf("rex: unknown component kind %d", c.Kind)
+	}
+	if c.Kind == KindAlphaFixed && (c.N < 1 || c.N > maxFixed) {
+		return fmt.Errorf("rex: repeat count %d outside 1-%d", c.N, maxFixed)
+	}
+	return nil
 }
 
 // equal reports whether two components are identical.
@@ -141,7 +168,7 @@ type Regex struct {
 	renderOnce  sync.Once
 	rendering   string
 	matcherOnce sync.Once
-	matcher     *rexmatch.Prog // nil when the build failed
+	matcher     *prog // nil when the build failed
 	matcherErr  error
 }
 
@@ -165,11 +192,8 @@ func (r *Regex) Clone() *Regex {
 func (r *Regex) Validate() error {
 	anies, hints := 0, 0
 	for _, c := range r.Comps {
-		if c.Kind > KindAlnum {
-			return fmt.Errorf("rex: unknown component kind %d", c.Kind)
-		}
-		if c.Kind == KindAlphaFixed && (c.N < 1 || c.N > maxFixed) {
-			return fmt.Errorf("rex: repeat count %d outside 1-%d", c.N, maxFixed)
+		if err := c.check(); err != nil {
+			return err
 		}
 		if c.Kind == KindAny {
 			anies++
@@ -240,44 +264,6 @@ func (r *Regex) String() string {
 	return r.rendering
 }
 
-// matcherSpecs translates the component AST into the rexmatch dialect.
-// Every component kind has a direct translation; an unknown kind maps
-// to an op rexmatch.Compile rejects, which Prepare reports.
-func matcherSpecs(comps []Component) []rexmatch.Spec {
-	specs := make([]rexmatch.Spec, len(comps))
-	for i, c := range comps {
-		s := rexmatch.Spec{Capture: c.Capture}
-		switch c.Kind {
-		case KindLiteral:
-			s.Op, s.Lit = rexmatch.OpLit, c.Lit
-		case KindDot:
-			s.Op, s.Lit = rexmatch.OpLit, "."
-		case KindDash:
-			s.Op, s.Lit = rexmatch.OpLit, "-"
-		case KindAny:
-			s.Op = rexmatch.OpAny
-		case KindNotDot:
-			s.Op = rexmatch.OpNotDot
-		case KindNotDash:
-			s.Op = rexmatch.OpNotDash
-		case KindAlphaFixed:
-			s.Op, s.N = rexmatch.OpAlphaFixed, c.N
-		case KindAlpha:
-			s.Op = rexmatch.OpAlpha
-		case KindDigits:
-			s.Op = rexmatch.OpDigits
-		case KindDigitsOpt:
-			s.Op = rexmatch.OpDigitsOpt
-		case KindAlnum:
-			s.Op = rexmatch.OpAlnum
-		default:
-			s.Op = rexmatch.Op(255)
-		}
-		specs[i] = s
-	}
-	return specs
-}
-
 // matchersCompiled counts matcher builds process-wide.
 var matchersCompiled atomic.Int64
 
@@ -289,12 +275,12 @@ var matchersCompiled atomic.Int64
 func MatchersCompiled() int64 { return matchersCompiled.Load() }
 
 // matcherProg returns the one-pass matcher for the component sequence,
-// built on first use, or nil when the sequence is outside the rexmatch
-// dialect. One program serves both Match and ComponentMatches — it
-// records the span of every component, captured or not.
-func (r *Regex) matcherProg() *rexmatch.Prog {
+// built on first use, or nil when the sequence is outside the dialect.
+// One program serves both Match and ComponentMatches — it records the
+// span of every component, captured or not.
+func (r *Regex) matcherProg() *prog {
 	r.matcherOnce.Do(func() {
-		p, err := rexmatch.Compile(matcherSpecs(r.Comps))
+		p, err := compile(r.Comps)
 		if err != nil {
 			r.matcherErr = fmt.Errorf("rex: build matcher for %q: %w", r.String(), err)
 			return
@@ -305,10 +291,10 @@ func (r *Regex) matcherProg() *rexmatch.Prog {
 	return r.matcher
 }
 
-// resultPool recycles rexmatch scratch state across Match and
+// resultPool recycles matcher scratch state across Match and
 // ComponentMatches calls; a steady-state candidate probe allocates
 // nothing.
-var resultPool = sync.Pool{New: func() any { return new(rexmatch.Result) }}
+var resultPool = sync.Pool{New: func() any { return new(result) }}
 
 // Prepare builds the regex's matcher without running it, so no later
 // Match pays the build, and returns the error of a component sequence
@@ -336,8 +322,8 @@ func (r *Regex) Match(hostname string) (Extraction, bool) {
 	if p == nil {
 		return Extraction{}, false
 	}
-	res := resultPool.Get().(*rexmatch.Result)
-	ok := p.Run(hostname, res)
+	res := resultPool.Get().(*result)
+	ok := p.run(hostname, res)
 	var ext Extraction
 	if ok {
 		ext = r.decodeParts(res)
@@ -346,9 +332,9 @@ func (r *Regex) Match(hostname string) (Extraction, bool) {
 	return ext, ok
 }
 
-// decodeParts maps a successful rexmatch run onto an Extraction; part
-// indices align 1:1 with components.
-func (r *Regex) decodeParts(res *rexmatch.Result) Extraction {
+// decodeParts maps a successful run onto an Extraction; part indices
+// align 1:1 with components.
+func (r *Regex) decodeParts(res *result) Extraction {
 	ext := Extraction{Type: r.Hint}
 	var clli4, clli2 string
 	for i := range r.Comps {
@@ -358,15 +344,15 @@ func (r *Regex) decodeParts(res *rexmatch.Result) Extraction {
 		}
 		switch c.Role {
 		case RoleHint:
-			ext.Hint = res.Part(i)
+			ext.Hint = res.part(i)
 		case RoleCLLI4:
-			clli4 = res.Part(i)
+			clli4 = res.part(i)
 		case RoleCLLI2:
-			clli2 = res.Part(i)
+			clli2 = res.part(i)
 		case RoleState:
-			ext.State = res.Part(i)
+			ext.State = res.part(i)
 		case RoleCountry:
-			ext.Country = res.Part(i)
+			ext.Country = res.part(i)
 		}
 	}
 	if clli4 != "" && clli2 != "" {
@@ -384,11 +370,11 @@ func (r *Regex) ComponentMatches(hostname string) ([]string, bool) {
 	if p == nil {
 		return nil, false
 	}
-	res := resultPool.Get().(*rexmatch.Result)
+	res := resultPool.Get().(*result)
 	var parts []string
-	ok := p.Run(hostname, res)
+	ok := p.run(hostname, res)
 	if ok {
-		parts = res.Parts(make([]string, 0, len(r.Comps)))
+		parts = res.parts(make([]string, 0, len(r.Comps)))
 	}
 	resultPool.Put(res)
 	return parts, ok

@@ -310,9 +310,10 @@ func TestSpecializeFixedWidth(t *testing.T) {
 }
 
 // TestSpecializeLongLabelInvalid: phase 3 over a first label of 70
-// letters builds [a-z]{70}, which matches but which ParsePattern
-// refuses, so a conventions file holding it could not be read back.
-// Validate must refuse it, which drops the candidate from learning.
+// letters builds [a-z]{70}, which ParsePattern refuses, so a
+// conventions file holding it could not be read back. Validate must
+// refuse it, which drops the candidate from learning, and like every
+// regex Validate refuses it builds no matcher.
 func TestSpecializeLongLabelInvalid(t *testing.T) {
 	r := New(geodict.HintIATA,
 		Component{Kind: KindNotDot},
@@ -329,8 +330,8 @@ func TestSpecializeLongLabelInvalid(t *testing.T) {
 	if got := s.String(); got != `^[a-z]{70}\.([a-z]{3})\d+\.he\.net$` {
 		t.Fatalf("specialized = %s", got)
 	}
-	if _, ok := s.Match(hosts[0]); !ok {
-		t.Errorf("specialized regex should match %s", hosts[0])
+	if err := s.Prepare(); err == nil {
+		t.Errorf("specialized regex %s builds a matcher", s)
 	}
 	if _, err := ParsePattern(s.Hint, s.String(), s.Roles()); err == nil {
 		t.Error("ParsePattern accepts a 70-letter repeat")

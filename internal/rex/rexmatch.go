@@ -1,12 +1,9 @@
-// Package rexmatch compiles the restricted regex dialect that
-// internal/rex renders — anchored sequences of literals, punctuation
-// separators, and bounded character classes — into a specialized
-// submatch matcher that runs without the general-purpose regexp engine.
-//
-// The dialect admits a very cheap evaluation strategy. Every component
-// is either a fixed string or a greedy repetition of a single byte
-// class, so a match is an assignment of one contiguous span per
-// component covering the whole input. The engine explores those
+package rex
+
+// The matcher: every component of the dialect is either fixed text or
+// a greedy repetition of one byte class, so a match is an assignment
+// of one contiguous span per component covering the whole input.
+// compile turns a component sequence into a prog that explores those
 // assignments in leftmost-first order (longest span first for greedy
 // repetitions, exactly the order the stdlib engine prefers) and
 // memoizes failed (component, position) states in a bitset, so the
@@ -15,8 +12,8 @@
 // of the stdlib engine's NFA simulation, and typically one forward
 // scan with no backtracking at all. Successful matches therefore
 // report byte-identical submatch spans to regexp.FindStringSubmatch on
-// the rendered pattern — a property enforced by a differential fuzz
-// target in internal/rex.
+// the rendered pattern — a property the differential fuzz target
+// FuzzRexmatchVsStdlib enforces.
 //
 // The hot path scans bytes, which is equivalent to the stdlib's
 // rune-wise scanning whenever every repetition unit is one byte: the
@@ -29,57 +26,24 @@
 // rune as ONE repetition unit, so byte-wise counting would let
 // adjacent repetitions split a rune that the stdlib treats as
 // indivisible (found by the differential fuzz target: three adjacent
-// ([^\.]+) groups must not match a two-rune three-byte input). Run
+// ([^\.]+) groups must not match a two-rune three-byte input). run
 // therefore routes negated-class programs over non-ASCII input
 // through a slower rune-counting variant of the same search.
 //
-// Compile declines — returns an error rather than a wrong program —
-// any spec sequence outside the dialect (unknown ops, repeat counts
-// past the stdlib's {1000} limit); rex reports that as a Prepare error,
-// and its Validate keeps learned regexes inside the dialect. Scratch state (span arrays and the visited bitset)
-// lives in a caller-held Result that is reused across calls, so a
-// steady-state match allocates nothing.
-package rexmatch
+// compile refuses what Validate refuses component by component:
+// unknown kinds and fixed repeats outside 1-maxFixed. Scratch state
+// (span arrays and the visited bitset) lives in a caller-held result
+// that is reused across calls, so a steady-state match allocates
+// nothing.
 
 import (
-	"fmt"
 	"strings"
 	"unicode/utf8"
 )
 
-// Op enumerates the component shapes of the rex dialect.
-type Op uint8
-
-// Dialect operations. OpLit covers rex's literal, dot, and dash
-// components (all fixed text once rendered); the rest map 1:1 onto the
-// class components rex emits.
-const (
-	OpLit        Op = iota // fixed text, matched byte-for-byte
-	OpAny                  // .+   one or more of any byte except '\n'
-	OpNotDot               // [^\.]+
-	OpNotDash              // [^-]+
-	OpAlpha                // [a-z]+
-	OpAlphaFixed           // [a-z]{N}
-	OpDigits               // \d+
-	OpDigitsOpt            // \d*
-	OpAlnum                // [a-z\d]+
-)
-
-// maxRepeat mirrors the stdlib regexp parser's repetition bound: a
-// rendered [a-z]{N} with N past this fails regexp.Compile, so the
-// specialized engine must decline it too rather than diverge.
-const maxRepeat = 1000
-
-// Spec is one component of a dialect program.
-type Spec struct {
-	Op      Op
-	N       int    // repeat count for OpAlphaFixed
-	Capture bool   // whether the component is a capture group
-	Lit     string // text for OpLit
-}
-
-// Byte-class indices. Index 0 is the literal sentinel; the rest index
-// classTabs.
+// Byte-class indices. Index 0 is the fixed-text sentinel; the rest
+// index classTabs. Negated classes come before clsAlpha, positive
+// ones from it on.
 const (
 	clsLit = iota
 	clsAny
@@ -105,71 +69,64 @@ func init() {
 	}
 }
 
-// cspec is a compiled component: either a literal or a greedy
-// class repetition with inclusive length bounds.
+// classRun returns the length of the leading run of s's bytes in
+// class cls.
+func classRun(s string, cls uint8) int {
+	tab := &classTabs[cls]
+	i := 0
+	for i < len(s) && tab[s[i]] {
+		i++
+	}
+	return i
+}
+
+// cspec is a compiled component: either fixed text or a greedy class
+// repetition with inclusive length bounds.
 type cspec struct {
 	lit string
-	cls uint8 // clsLit for literals
+	cls uint8 // clsLit for fixed text
 	min int32
 	max int32 // -1 = unbounded
 }
 
-// Prog is a compiled dialect program. Immutable and safe for
-// concurrent use; per-match scratch lives in the caller's Result.
-type Prog struct {
+// prog is a compiled component sequence. Immutable and safe for
+// concurrent use; per-match scratch lives in the caller's result.
+type prog struct {
 	specs  []cspec
 	minLen int    // sum of minimum component widths: quick length reject
 	maxLen int    // sum of maximum widths, -1 when any is unbounded
-	head   string // leading literal, "" when the program starts elsewhere
-	tail   string // trailing literal, "" when the program ends elsewhere
+	head   string // leading fixed text, "" when the program starts elsewhere
+	tail   string // trailing fixed text, "" when the program ends elsewhere
 	hasNeg bool   // any negated class: rune-counting needed on non-ASCII input
 }
 
-// Compile translates a spec sequence into a program, or reports why the
-// sequence is outside the dialect.
-func Compile(specs []Spec) (*Prog, error) {
-	p := &Prog{specs: make([]cspec, 0, len(specs))}
-	for i, s := range specs {
-		var c cspec
-		switch s.Op {
-		case OpLit:
-			c.lit = s.Lit
-			c.cls = clsLit
-			c.min = int32(len(s.Lit))
-			c.max = c.min
-		case OpAny:
-			c.cls, c.min, c.max = clsAny, 1, -1
-		case OpNotDot:
-			c.cls, c.min, c.max = clsNotDot, 1, -1
-		case OpNotDash:
-			c.cls, c.min, c.max = clsNotDash, 1, -1
-		case OpAlpha:
-			c.cls, c.min, c.max = clsAlpha, 1, -1
-		case OpAlphaFixed:
-			if s.N < 1 || s.N > maxRepeat {
-				return nil, fmt.Errorf("rexmatch: spec %d: repeat %d outside [1,%d]", i, s.N, maxRepeat)
-			}
-			c.cls, c.min, c.max = clsAlpha, int32(s.N), int32(s.N)
-		case OpDigits:
-			c.cls, c.min, c.max = clsDigit, 1, -1
-		case OpDigitsOpt:
-			c.cls, c.min, c.max = clsDigit, 0, -1
-		case OpAlnum:
-			c.cls, c.min, c.max = clsAlnum, 1, -1
-		default:
-			return nil, fmt.Errorf("rexmatch: spec %d: unknown op %d", i, s.Op)
+// compile builds the matcher for a component sequence from the kind
+// table, or reports the first component outside the dialect.
+func compile(comps []Component) (*prog, error) {
+	p := &prog{specs: make([]cspec, len(comps))}
+	for i, c := range comps {
+		if err := c.check(); err != nil {
+			return nil, err
 		}
-		p.specs = append(p.specs, c)
-	}
-	p.minLen, p.maxLen = 0, 0
-	for _, c := range p.specs {
-		p.hasNeg = p.hasNeg || c.cls == clsAny || c.cls == clsNotDot || c.cls == clsNotDash
-		p.minLen += int(c.min)
+		k := &kinds[c.Kind]
+		s := cspec{lit: k.fixed, cls: k.cls, min: k.min, max: -1}
+		switch {
+		case c.Kind == KindLiteral:
+			s.lit = c.Lit
+		case c.Kind == KindAlphaFixed:
+			s.min, s.max = int32(c.N), int32(c.N)
+		}
+		if s.cls == clsLit {
+			s.min, s.max = int32(len(s.lit)), int32(len(s.lit))
+		}
+		p.specs[i] = s
+		p.hasNeg = p.hasNeg || (s.cls != clsLit && s.cls < clsAlpha)
+		p.minLen += int(s.min)
 		if p.maxLen >= 0 {
-			if c.max < 0 {
+			if s.max < 0 {
 				p.maxLen = -1
 			} else {
-				p.maxLen += int(c.max)
+				p.maxLen += int(s.max)
 			}
 		}
 	}
@@ -184,21 +141,20 @@ func Compile(specs []Spec) (*Prog, error) {
 	return p, nil
 }
 
-// Result holds the component spans of a successful Run plus the
-// engine's scratch state. A Result may be reused across calls (that is
+// result holds the component spans of a successful run plus the
+// engine's scratch state. A result may be reused across calls (that is
 // the point: steady-state matching allocates nothing) but is only
-// valid until the next Run that writes into it, and must not be shared
+// valid until the next run that writes into it, and must not be shared
 // between concurrent matchers.
-type Result struct {
+type result struct {
 	in      string
-	prog    *Prog
 	starts  []int32
 	lens    []int32
 	visited []uint64
 }
 
 // grow sizes the scratch for an m-spec program over an n-byte input.
-func (r *Result) grow(m, n int) {
+func (r *result) grow(m, n int) {
 	if cap(r.starts) < m {
 		r.starts = make([]int32, m)
 		r.lens = make([]int32, m)
@@ -213,26 +169,25 @@ func (r *Result) grow(m, n int) {
 	clear(r.visited)
 }
 
-// Part returns the substring component i matched in the last
-// successful Run.
-func (r *Result) Part(i int) string {
+// part returns the substring component i matched in the last
+// successful run.
+func (r *result) part(i int) string {
 	return r.in[r.starts[i] : r.starts[i]+r.lens[i]]
 }
 
-// Parts appends every component's matched substring to dst — the
-// shape of the all-captures probe regex the learning pipeline's
-// specialization phase uses.
-func (r *Result) Parts(dst []string) []string {
-	for i := range r.prog.specs {
-		dst = append(dst, r.Part(i))
+// parts appends every component's matched substring to dst — the
+// evidence phase 3's specialization reads.
+func (r *result) parts(dst []string) []string {
+	for i := range r.starts {
+		dst = append(dst, r.part(i))
 	}
 	return dst
 }
 
-// Run matches the program against the whole input (the dialect is
-// implicitly ^…$-anchored). On success the Result holds every
+// run matches the program against the whole input (the dialect is
+// implicitly ^…$-anchored). On success the result holds every
 // component's span; on failure its contents are unspecified.
-func (p *Prog) Run(in string, res *Result) bool {
+func (p *prog) run(in string, res *result) bool {
 	n := len(in)
 	if n < p.minLen || (p.maxLen >= 0 && n > p.maxLen) {
 		return false
@@ -248,18 +203,14 @@ func (p *Prog) Run(in string, res *Result) bool {
 	// one byte; only negated classes can consume multi-byte runes, and
 	// the stdlib counts those as single units, so such programs take
 	// the rune-counting search on non-ASCII input.
-	ok := false
+	var ok bool
 	if p.hasNeg && !isASCII(in) {
 		ok = p.matchRunes(in, res)
 	} else {
 		ok = p.match(in, res)
 	}
-	if !ok {
-		return false
-	}
 	res.in = in
-	res.prog = p
-	return true
+	return ok
 }
 
 // isASCII reports whether the input is free of multi-byte runes (and
@@ -276,7 +227,7 @@ func isASCII(s string) bool {
 
 // match runs the memoized leftmost-first search. starts/lens in res
 // describe the successful path when it returns true.
-func (p *Prog) match(in string, res *Result) bool {
+func (p *prog) match(in string, res *result) bool {
 	m := len(p.specs)
 	n := len(in)
 	starts, lens, visited := res.starts, res.lens, res.visited
@@ -343,14 +294,14 @@ func (p *Prog) match(in string, res *Result) bool {
 
 // matchRunes is the rune-counting variant of match, used for programs
 // with negated classes on non-ASCII input. Positions and spans stay in
-// bytes (Part slices the input), but repetition bounds count stdlib
+// bytes (part slices the input), but repetition bounds count stdlib
 // units: one unit per rune, with each invalid-UTF-8 byte a one-byte
 // U+FFFD unit, exactly utf8.DecodeRuneInString's decomposition. The
 // unit decomposition from a given byte offset is deterministic, so the
 // memo bitset over (component, byte position) states stays sound, and
 // shrinking a repetition by one unit can rescan its already-matched
 // bytes instead of carrying per-width scratch.
-func (p *Prog) matchRunes(in string, res *Result) bool {
+func (p *prog) matchRunes(in string, res *result) bool {
 	m := len(p.specs)
 	n := len(in)
 	starts, lens, visited := res.starts, res.lens, res.visited
