@@ -399,6 +399,112 @@ func TestHoihoASNMapCheckedFirst(t *testing.T) {
 	}
 }
 
+// TestHoihoUsableOnlyMatchesDaemons asks hoiho to geolocate a hostname
+// whose only convention is poor: with -usable-only it must answer as
+// geoserve and geodns -usable-only do, which do not serve that
+// convention, and without the flag it still locates the hostname.
+func TestHoihoUsableOnlyMatchesDaemons(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binaries")
+	}
+	hoiho := buildBinary(t, t.TempDir(), "hoiho")
+	nc := filepath.Join(goldenDir, "conventions.txt")
+	const host = "xe-1-2-0.r04.mtrlpq2.ca.bb.isp01.de"
+	out, err := exec.Command(hoiho, "-nc", nc, "-usable-only", "-geolocate", host).CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("hoiho -usable-only exited with %v, want exit status 1\n%s", err, out)
+	}
+	if strings.Contains(string(out), "Montreal") {
+		t.Errorf("hoiho -usable-only located %s through a poor convention:\n%s", host, out)
+	}
+	out, err = exec.Command(hoiho, "-nc", nc, "-geolocate", host).CombinedOutput()
+	if err != nil || !strings.Contains(string(out), host+" -> Montreal, QC, CA") {
+		t.Errorf("hoiho without -usable-only: %v\n%s", err, out)
+	}
+}
+
+// TestHoihoWriteNCAtomic holds the destination open while hoiho
+// -write-nc replaces it: the open descriptor must still read the old
+// bytes, so a daemon reloading mid-write never reads a prefix.
+func TestHoihoWriteNCAtomic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binaries")
+	}
+	dir := t.TempDir()
+	hoiho := buildBinary(t, dir, "hoiho")
+	dst := filepath.Join(dir, "conventions.txt")
+	old := []byte("# the previous conventions file\n")
+	if err := os.WriteFile(dst, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	nc := filepath.Join(goldenDir, "conventions.txt")
+	if out, err := exec.Command(hoiho, "-nc", nc, "-write-nc", dst).CombinedOutput(); err != nil {
+		t.Fatalf("hoiho -write-nc: %v\n%s", err, out)
+	}
+	got := make([]byte, 4096)
+	n, err := f.ReadAt(got, 0)
+	if err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:n], old) {
+		t.Errorf("the open destination reads %d bytes that are not the old %q", n, old)
+	}
+	written, err := os.ReadFile(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, want) {
+		t.Errorf("-write-nc of the golden conventions did not reproduce them:\n%s", written)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Errorf("%s holds %d entries, want the binary and the conventions file", dir, len(entries))
+	}
+}
+
+// TestHoiholintTypeErrorFails runs hoiholint over a module that does
+// not type-check: the analyzers match calls and types through the type
+// checker, so the run must fail and name the package and the error
+// rather than pass with the package's findings lost.
+func TestHoiholintTypeErrorFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binaries")
+	}
+	hoiholint := buildBinary(t, t.TempDir(), "hoiholint")
+	mod := t.TempDir()
+	for name, content := range map[string]string{
+		"go.mod": "module example.test/bad\n\ngo 1.22\n",
+		"bad.go": "package bad\n\nvar x int = \"s\"\n",
+	} {
+		if err := os.WriteFile(filepath.Join(mod, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cmd := exec.Command(hoiholint, "./...")
+	cmd.Dir = mod
+	out, err := cmd.CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("hoiholint exited with %v, want exit status 1\n%s", err, out)
+	}
+	for _, want := range []string{"example.test/bad", "bad.go:3:", "cannot use \"s\""} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("hoiholint output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 // goldenHostnames returns the first n hostnames of the golden corpus.
 func goldenHostnames(t *testing.T, n int) []string {
 	t.Helper()

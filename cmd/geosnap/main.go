@@ -20,12 +20,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"hoiho/internal/buildinfo"
-	"path/filepath"
-
-	"hoiho/internal/core"
 	"hoiho/internal/geoloc"
 )
 
@@ -80,42 +78,12 @@ func main() {
 		}
 	}
 
-	n, err := writeAtomic(*out, res)
+	n, err := geoloc.WriteAtomic(*out, func(w io.Writer) error { return geoloc.Save(w, res, nil) })
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("wrote %d conventions (%d bytes, format v%d) to %s\n",
 		len(res.NCs), n, geoloc.SnapshotVersion, *out)
-}
-
-// writeAtomic saves the snapshot to a temp file in the destination
-// directory and renames it into place, returning the byte count. The
-// rename is what makes concurrent reloaders safe: they open either the
-// old complete file or the new complete file, never a prefix.
-func writeAtomic(path string, res *core.Result) (int64, error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".geosnap-*")
-	if err != nil {
-		return 0, err
-	}
-	//lint:ignore droppederr best-effort cleanup; a no-op after the rename succeeds, and the temp dir entry is harmless if it fails
-	defer os.Remove(tmp.Name())
-	if err := geoloc.Save(tmp, res, nil); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	info, err := tmp.Stat()
-	if err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return 0, err
-	}
-	return info.Size(), nil
 }
 
 func fatal(err error) {

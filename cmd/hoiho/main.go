@@ -11,6 +11,7 @@
 //	hoiho -nc conventions.txt -geolocate host      # apply without a corpus
 //	hoiho -snapshot index.snap -geolocate host     # apply a compiled snapshot
 //	hoiho -nc conventions.txt -explain host        # full decision trace
+//	hoiho -nc conventions.txt -usable-only -geolocate host  # as the daemons' -usable-only
 //	hoiho -corpus data/aug2020 -trace out.jsonl -tracesummary   # profile the run
 //
 // -explain prints the complete decision trace for one hostname: the
@@ -21,6 +22,11 @@
 // -explain-json renders the same trace as the /v1/explain JSON
 // document. -version prints build info and exits.
 //
+// -usable-only restricts hoiho to the good and promising conventions:
+// it prints only those, and -geolocate and -explain answer through
+// only those, exactly as geoserve and geodns -usable-only serve.
+// -write-nc still writes every convention.
+//
 // The -corpus directory must contain corpus.nodes, corpus.names, and
 // rtt.matrix (corpus.geo is optional and ignored by learning). A
 // conventions file written with -write-nc can later be applied with
@@ -28,7 +34,9 @@
 // -snapshot — without any measurement data: the paper's
 // published-regexes workflow. All three inputs resolve through the
 // shared geoloc.Source API, the same compiled-index path the geoserve
-// daemon serves from.
+// daemon serves from. -write-nc replaces its file atomically (a temp
+// file renamed into place), so a daemon reloading from it never reads
+// a partial file.
 package main
 
 import (
@@ -36,6 +44,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -55,14 +64,15 @@ import (
 func main() {
 	src := &geoloc.Source{}
 	src.RegisterFlags(flag.CommandLine)
-	writeNC := flag.String("write-nc", "", "write the learned conventions to this file")
+	writeNC := flag.String("write-nc", "", "write the learned conventions to this file (atomically)")
 	showNames := flag.Bool("names", false, "also learn and print router-name conventions")
 	showASN := flag.Bool("asn", false, "also learn and print ASN conventions (needs asn.map)")
 	onlySuffix := flag.String("suffix", "", "report only this suffix")
 	locate := flag.String("geolocate", "", "after learning, geolocate this hostname")
 	explainHost := flag.String("explain", "", "print the full decision trace for this hostname")
 	explainJSON := flag.Bool("explain-json", false, "render -explain as the /v1/explain JSON document")
-	usableOnly := flag.Bool("usable-only", false, "print only good/promising conventions")
+	usableOnly := flag.Bool("usable-only", false,
+		"print, geolocate and explain through good/promising conventions only, as the daemons' -usable-only serves")
 	traceOut := flag.String("trace", "", "write a JSONL span trace of the run to this file")
 	traceSummary := flag.Bool("tracesummary", false,
 		"print the aggregated per-stage/per-suffix span table to stderr")
@@ -111,22 +121,19 @@ func main() {
 
 	// One Resolve covers every input kind: snapshot parse, conventions
 	// read, or a full learning run. The compiled Index rides along for
-	// -geolocate; the corpus inputs ride along for -names/-asn.
-	resolved, err := src.Resolve(geoloc.Options{Tracer: tracer})
+	// -geolocate and -explain, holding what the daemons would serve with
+	// the same -usable-only; the corpus inputs ride along for -names/-asn.
+	// The Result keeps every convention, so -write-nc is unaffected.
+	resolved, err := src.Resolve(geoloc.Options{Tracer: tracer, UsableOnly: *usableOnly})
 	if err != nil {
 		fatal(err)
 	}
 	res, in := resolved.Result, resolved.Inputs
 
 	if *writeNC != "" {
-		f, err := os.Create(*writeNC)
-		if err != nil {
-			fatal(err)
-		}
-		if err := core.WriteConventions(f, res); err != nil {
-			fatal(err) // exits; the OS reclaims the half-written file's fd
-		}
-		if err := f.Close(); err != nil {
+		if _, err := geoloc.WriteAtomic(*writeNC, func(w io.Writer) error {
+			return core.WriteConventions(w, res)
+		}); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %d conventions to %s\n", len(res.NCs), *writeNC)
@@ -205,6 +212,9 @@ func main() {
 		ix := resolved.Index
 		suffix := ix.Suffix(*locate)
 		if ix.Convention(suffix) == nil {
+			if *usableOnly {
+				fatal(fmt.Errorf("no good or promising convention for suffix %q", suffix))
+			}
 			fatal(fmt.Errorf("no convention learned for suffix %q", suffix))
 		}
 		g, ok := ix.Lookup(*locate)

@@ -6,19 +6,22 @@
 //
 // Usage:
 //
-//	hoiholint [-list] [-checks maporder,unlockpath] [-sarif|-json] [-o file] [packages...]
+//	hoiholint [-list] [-checks maporder,unlockpath] [-sarif] [-o file] [packages...]
 //
 // Package patterns are module-relative: "./..." (the default) analyzes
 // everything, "./internal/..." a subtree, "./internal/rex" a single
 // package. Test files are exempt by design. Findings print one per
 // line as file:line:col: check: message, sorted, and the exit status
-// is 1 when there are any — the tool is a blocking CI step.
+// is 1 when there are any — the tool is a blocking CI step. The whole
+// module is type-checked first; a package that fails to type-check
+// ends the run with exit status 1, naming the package and the error,
+// because the analyzers match calls and types through the type checker
+// and would otherwise lose that package's findings without a sign.
 //
 // -sarif writes a SARIF 2.1.0 report (the format GitHub code scanning
-// ingests as PR annotations) and -json a plain diagnostic array, each
-// to stdout or to the -o file; both are emitted even when there are no
-// findings, and the exit status still reports them. The human lines
-// are suppressed in machine modes.
+// ingests as PR annotations) to stdout or to the -o file, instead of
+// the human lines; it is written even when there are no findings, and
+// the exit status still reports them.
 //
 // Suppress a single finding with a trailing or preceding comment:
 //
@@ -32,29 +35,22 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"hoiho/internal/buildinfo"
 	"strings"
 
+	"hoiho/internal/buildinfo"
 	"hoiho/internal/lint"
 )
 
 func main() {
 	list := flag.Bool("list", false, "list the registered checks and exit")
 	checks := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-	verbose := flag.Bool("v", false, "report type-check errors encountered while loading")
 	sarif := flag.Bool("sarif", false, "write a SARIF 2.1.0 report instead of human-readable lines")
-	jsonOut := flag.Bool("json", false, "write a JSON diagnostic array instead of human-readable lines")
 	outPath := flag.String("o", "", "write the report to this file (default stdout)")
 	version := flag.Bool("version", false, "print build info and exit")
 	flag.Parse()
 	if *version {
 		buildinfo.Print(os.Stdout, "hoiholint")
 		return
-	}
-
-	if *sarif && *jsonOut {
-		fatal(fmt.Errorf("-sarif and -json are mutually exclusive"))
 	}
 
 	analyzers := lint.All()
@@ -76,13 +72,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *verbose {
-		for _, pkg := range pkgs {
-			for _, terr := range pkg.TypeErrors {
-				fmt.Fprintf(os.Stderr, "hoiholint: %s: type error: %v\n", pkg.Path, terr)
-			}
-		}
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -102,20 +91,13 @@ func main() {
 	}
 
 	diags := lint.Run(selected, analyzers)
-	switch {
-	case *sarif:
+	if *sarif {
 		if err := writeReport(*outPath, func(w io.Writer) error {
 			return lint.WriteSARIF(w, diags, analyzers, root)
 		}); err != nil {
 			fatal(err)
 		}
-	case *jsonOut:
-		if err := writeReport(*outPath, func(w io.Writer) error {
-			return lint.WriteJSON(w, diags, root)
-		}); err != nil {
-			fatal(err)
-		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Println(d)
 		}

@@ -63,12 +63,6 @@ func New(cfg Config, dict *geodict.Dictionary, matrix *rtt.Matrix) *HLOC {
 	return &HLOC{cfg: cfg, dict: dict, matrix: matrix}
 }
 
-// candidate pairs a possible geohint with one interpretation.
-type candidate struct {
-	token string
-	loc   *geodict.Location
-}
-
 // tokens splits a hostname's prefix into candidate strings.
 func tokens(host, suffix string) []string {
 	host = strings.ToLower(host)
@@ -97,8 +91,8 @@ var codeTypes = map[int]geodict.HintType{3: geodict.HintIATA, 5: geodict.HintLoc
 
 // candidates enumerates the dictionary interpretations of a hostname's
 // tokens, honouring the blocklist.
-func (h *HLOC) candidates(host, suffix string) []candidate {
-	var out []candidate
+func (h *HLOC) candidates(host, suffix string) []*geodict.Location {
+	var out []*geodict.Location
 	seen := make(map[string]bool)
 	for _, tok := range tokens(host, suffix) {
 		if h.cfg.Blocklist[tok] || seen[tok] {
@@ -110,9 +104,7 @@ func (h *HLOC) candidates(host, suffix string) []candidate {
 			types = append(types, geodict.HintPlace)
 		}
 		for _, t := range types {
-			for _, loc := range h.dict.Locations(t, tok) {
-				out = append(out, candidate{tok, loc})
-			}
+			out = append(out, h.dict.Locations(t, tok)...)
 		}
 	}
 	return out
@@ -131,14 +123,14 @@ func (h *HLOC) Geolocate(routerID, host, suffix string) (*geodict.Location, bool
 	}
 	var bestLoc *geodict.Location
 	bestRTT := -1.0
-	for _, c := range cands {
-		rttMs, ok := h.confirm(routerID, c.loc)
+	for _, loc := range cands {
+		rttMs, ok := h.confirm(routerID, loc)
 		if !ok {
 			continue
 		}
 		if bestRTT < 0 || rttMs < bestRTT {
 			bestRTT = rttMs
-			bestLoc = c.loc
+			bestLoc = loc
 		}
 	}
 	return bestLoc, bestLoc != nil

@@ -2,6 +2,7 @@ package hloc
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"hoiho/internal/geo"
@@ -157,20 +158,21 @@ func TestCandidateTypes(t *testing.T) {
 	d := geodict.MustDefault()
 	m := testMatrix(d)
 	h := New(DefaultConfig(), d, m)
-	cands := h.candidates("a1.usnyc.nycmny.dallas.example.net", "example.net")
-	var kinds []string
-	for _, c := range cands {
-		kinds = append(kinds, c.token)
-	}
-	// usnyc (locode), nycmny (clli), dallas (place).
-	wantTokens := map[string]bool{"usnyc": true, "nycmny": true, "dallas": true}
-	for _, k := range kinds {
-		if !wantTokens[k] {
-			t.Errorf("unexpected candidate token %q", k)
+	got := h.candidates("a1.usnyc.nycmny.dallas.example.net", "example.net")
+	// Each token is read in the dictionary its length names: usnyc as
+	// a LOCODE, nycmny as a CLLI code, dallas as a place.
+	var want []*geodict.Location
+	for _, q := range []struct {
+		typ geodict.HintType
+		tok string
+	}{{geodict.HintLocode, "usnyc"}, {geodict.HintCLLI, "nycmny"}, {geodict.HintPlace, "dallas"}} {
+		locs := d.Locations(q.typ, q.tok)
+		if len(locs) == 0 {
+			t.Fatalf("dictionary has no %v %q", q.typ, q.tok)
 		}
-		delete(wantTokens, k)
+		want = append(want, locs...)
 	}
-	if len(wantTokens) != 0 {
-		t.Errorf("missing candidates: %v (got %v)", wantTokens, kinds)
+	if !slices.Equal(got, want) {
+		t.Errorf("candidates = %v, want %v", got, want)
 	}
 }

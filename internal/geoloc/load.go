@@ -23,6 +23,41 @@ func LoadConventions(path string) (*core.Result, error) {
 	return core.ReadConventions(f)
 }
 
+// WriteAtomic writes a file that a reloading daemon may open at any
+// moment, such as a conventions file or a snapshot: write fills a temp
+// file in the destination directory, which is then renamed into place,
+// so a reader opens either the old complete file or the new complete
+// file, never a prefix. The file gets mode 0644, as a published
+// artifact. It returns the number of bytes written.
+func WriteAtomic(path string, write func(io.Writer) error) (int64, error) {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".*")
+	if err != nil {
+		return 0, err
+	}
+	//lint:ignore droppederr best-effort cleanup; a no-op after the rename succeeds, and the temp dir entry is harmless if it fails
+	defer os.Remove(tmp.Name())
+	if err := write(tmp); err != nil {
+		tmp.Close()
+		return 0, err
+	}
+	if err := tmp.Chmod(0o644); err != nil {
+		tmp.Close()
+		return 0, err
+	}
+	info, err := tmp.Stat()
+	if err != nil {
+		tmp.Close()
+		return 0, err
+	}
+	if err := tmp.Close(); err != nil {
+		return 0, err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return 0, err
+	}
+	return info.Size(), nil
+}
+
 // LoadInputs assembles the pipeline's stage-1 inputs from a corpus
 // directory containing corpus.nodes, corpus.names, and rtt.matrix
 // (corpus.geo is optional and ignored by learning), with the embedded

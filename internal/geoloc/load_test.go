@@ -2,6 +2,7 @@ package geoloc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -119,4 +120,48 @@ func writePresetCorpus(t *testing.T, preset string) string {
 		}
 	}
 	return dir
+}
+
+// TestWriteAtomic: a failed write leaves the destination and its
+// directory as they were; a successful one replaces the file whole,
+// with mode 0644, and reports its size.
+func TestWriteAtomic(t *testing.T) {
+	dir := t.TempDir()
+	dst := filepath.Join(dir, "conventions.txt")
+	if err := os.WriteFile(dst, []byte("old\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	failed := errors.New("disk full")
+	if _, err := WriteAtomic(dst, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "partial"); err != nil {
+			return err
+		}
+		return failed
+	}); !errors.Is(err, failed) {
+		t.Fatalf("WriteAtomic = %v, want the write's own error", err)
+	}
+	check := func(want string) {
+		t.Helper()
+		got, err := os.ReadFile(dst)
+		if err != nil || string(got) != want {
+			t.Fatalf("destination = %q, %v; want %q", got, err, want)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("directory holds %v, %v; want the destination alone", entries, err)
+		}
+	}
+	check("old\n")
+
+	n, err := WriteAtomic(dst, func(w io.Writer) error {
+		_, err := io.WriteString(w, "new conventions\n")
+		return err
+	})
+	if err != nil || n != int64(len("new conventions\n")) {
+		t.Fatalf("WriteAtomic = %d, %v", n, err)
+	}
+	check("new conventions\n")
+	if fi, err := os.Stat(dst); err != nil || fi.Mode().Perm() != 0o644 {
+		t.Fatalf("mode = %v, %v; want 0644", fi.Mode().Perm(), err)
+	}
 }

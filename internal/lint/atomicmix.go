@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // Atomicmix flags a variable or field accessed both through sync/atomic
@@ -38,16 +37,15 @@ func runAtomicmix(pass *Pass) {
 	atomicSites := make(map[types.Object][]ast.Node)
 	atomicIdents := make(map[*ast.Ident]bool)
 	for _, f := range pass.Pkg.Files {
-		atomicName := importName(f, "sync/atomic")
-		if atomicName == "" {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			if !isAtomicFuncCall(call, atomicName) || len(call.Args) == 0 {
+			// Every package-level function of sync/atomic (Load, Store,
+			// Add, Swap, CompareAndSwap, And, Or) takes the address it
+			// accesses first.
+			if path, _ := pass.callee(call); path != "sync/atomic" || len(call.Args) == 0 {
 				return true
 			}
 			obj, ids := addressedObject(pass, call.Args[0])
@@ -87,32 +85,12 @@ func runAtomicmix(pass *Pass) {
 	}
 }
 
-// isAtomicFuncCall matches the function-based sync/atomic API:
-// atomic.LoadX/StoreX/AddX/SwapX/CompareAndSwapX.
-func isAtomicFuncCall(call *ast.CallExpr, atomicName string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	pkg, ok := sel.X.(*ast.Ident)
-	if !ok || pkg.Name != atomicName {
-		return false
-	}
-	name := sel.Sel.Name
-	for _, prefix := range []string{"Load", "Store", "Add", "Swap", "CompareAndSwap"} {
-		if strings.HasPrefix(name, prefix) {
-			return true
-		}
-	}
-	return false
-}
-
 // addressedObject resolves the &x / &x.f argument of an atomic call to
 // the variable or field object being accessed, along with the
 // identifier chain inside the operand (so those occurrences are not
 // double-counted as plain accesses).
 func addressedObject(pass *Pass, arg ast.Expr) (types.Object, []*ast.Ident) {
-	un, ok := unparen(arg).(*ast.UnaryExpr)
+	un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
 	if !ok {
 		return nil, nil
 	}
@@ -123,7 +101,7 @@ func addressedObject(pass *Pass, arg ast.Expr) (types.Object, []*ast.Ident) {
 		}
 		return true
 	})
-	switch x := unparen(un.X).(type) {
+	switch x := ast.Unparen(un.X).(type) {
 	case *ast.Ident:
 		return pass.Pkg.Info.Uses[x], ids
 	case *ast.SelectorExpr:

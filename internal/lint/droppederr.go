@@ -72,12 +72,13 @@ func droppederrScoped(dir string) bool {
 func runDroppederr(pass *Pass) {
 	scoped := droppederrScoped(pass.Pkg.Dir)
 	for _, f := range pass.Pkg.Files {
-		if scoped {
-			forEachFunc(f, func(fn funcNode) {
-				checkSyntacticDrops(pass, fn)
-			})
-		}
-		checkDeadErrorDefs(pass, f)
+		forEachFunc(f, func(fn funcNode) {
+			ud := NewUseDef(pass.FuncCFG(fn.body), fn.results, pass.Pkg.Info)
+			if scoped {
+				checkSyntacticDrops(pass, fn, ud)
+			}
+			checkDeadErrorDefs(pass, ud)
+		})
 	}
 }
 
@@ -91,23 +92,16 @@ func runDroppederr(pass *Pass) {
 //   - a bare Close() immediately before a return that carries a
 //     non-nil error: failure-path cleanup, where the primary error is
 //     already being reported and the Close error is secondary.
-func checkSyntacticDrops(pass *Pass, fn funcNode) {
+func checkSyntacticDrops(pass *Pass, fn funcNode, ud *UseDef) {
 	next := nextStmtMap(fn.body)
-	var ud *UseDef
-	lazyUD := func() *UseDef {
-		if ud == nil {
-			ud = NewUseDef(pass.FuncCFG(fn.body), nil, pass.Pkg.Info)
-		}
-		return ud
-	}
 	walkFuncBody(fn.body, func(n ast.Node) {
 		switch n := n.(type) {
 		case *ast.ExprStmt:
-			call, ok := unparen(n.X).(*ast.CallExpr)
+			call, ok := ast.Unparen(n.X).(*ast.CallExpr)
 			if !ok || !callReturnsError(pass, call) || infallibleCall(pass, call) {
 				return
 			}
-			if readOnlyClose(lazyUD(), call) || closeBeforeErrorReturn(pass, call, n, next) {
+			if readOnlyClose(pass, ud, call) || closeBeforeErrorReturn(pass, call, n, next) {
 				return
 			}
 			pass.Reportf(call, "call discards its error result; check it (or `//lint:ignore droppederr <why>` if it truly cannot matter)")
@@ -115,7 +109,7 @@ func checkSyntacticDrops(pass *Pass, fn funcNode) {
 			if !callReturnsError(pass, n.Call) || infallibleCall(pass, n.Call) {
 				return
 			}
-			if readOnlyClose(lazyUD(), n.Call) {
+			if readOnlyClose(pass, ud, n.Call) {
 				return
 			}
 			pass.Reportf(n.Call, "deferred call discards its error result; check it (or `//lint:ignore droppederr <why>` if it truly cannot matter)")
@@ -153,12 +147,12 @@ func nextStmtMap(body *ast.BlockStmt) map[ast.Stmt]ast.Stmt {
 // definition of recv that reaches this use is an os.Open result — a
 // read-only file, whose Close error carries no information a caller
 // could act on.
-func readOnlyClose(ud *UseDef, call *ast.CallExpr) bool {
+func readOnlyClose(pass *Pass, ud *UseDef, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Close" {
 		return false
 	}
-	id, ok := unparen(sel.X).(*ast.Ident)
+	id, ok := ast.Unparen(sel.X).(*ast.Ident)
 	if !ok {
 		return false
 	}
@@ -167,7 +161,7 @@ func readOnlyClose(ud *UseDef, call *ast.CallExpr) bool {
 		return false
 	}
 	for _, d := range defs {
-		if !defIsOsOpen(d) {
+		if !defIsOsOpen(pass, d) {
 			return false
 		}
 	}
@@ -175,9 +169,8 @@ func readOnlyClose(ud *UseDef, call *ast.CallExpr) bool {
 }
 
 // defIsOsOpen matches `f, err := os.Open(...)` / `var f, _ = os.Open(...)`
-// definitions. Purely syntactic on the qualified name: the repo does
-// not shadow the os package.
-func defIsOsOpen(d Def) bool {
+// definitions.
+func defIsOsOpen(pass *Pass, d Def) bool {
 	var rhs []ast.Expr
 	switch n := d.Node.(type) {
 	case *ast.AssignStmt:
@@ -190,16 +183,12 @@ func defIsOsOpen(d Def) bool {
 	if len(rhs) != 1 {
 		return false
 	}
-	call, ok := unparen(rhs[0]).(*ast.CallExpr)
+	call, ok := ast.Unparen(rhs[0]).(*ast.CallExpr)
 	if !ok {
 		return false
 	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Open" {
-		return false
-	}
-	pkg, ok := sel.X.(*ast.Ident)
-	return ok && pkg.Name == "os"
+	path, name := pass.callee(call)
+	return path == "os" && name == "Open"
 }
 
 // closeBeforeErrorReturn reports whether stmt is a Close() immediately
@@ -227,7 +216,7 @@ func closeBeforeErrorReturn(pass *Pass, call *ast.CallExpr, stmt ast.Stmt, next 
 func checkBlankErrAssign(pass *Pass, a *ast.AssignStmt) {
 	if len(a.Rhs) == 1 && len(a.Lhs) > 1 {
 		// v, _ := f(): one call, tuple result.
-		call, ok := unparen(a.Rhs[0]).(*ast.CallExpr)
+		call, ok := ast.Unparen(a.Rhs[0]).(*ast.CallExpr)
 		if !ok || infallibleCall(pass, call) {
 			return
 		}
@@ -247,7 +236,7 @@ func checkBlankErrAssign(pass *Pass, a *ast.AssignStmt) {
 		if !isBlankIdent(lhs) || i >= len(a.Rhs) {
 			continue
 		}
-		rhs := unparen(a.Rhs[i])
+		rhs := ast.Unparen(a.Rhs[i])
 		if !isErrorType(pass.TypeOf(rhs)) {
 			continue
 		}
@@ -258,38 +247,11 @@ func checkBlankErrAssign(pass *Pass, a *ast.AssignStmt) {
 	}
 }
 
-// checkDeadErrorDefs runs the reaching-definitions layer over every
-// function in the file and reports error definitions produced by a
-// call that no path ever reads.
-func checkDeadErrorDefs(pass *Pass, f *ast.File) {
-	var funcs []struct {
-		body    *ast.BlockStmt
-		results *ast.FieldList
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			if n.Body != nil {
-				funcs = append(funcs, struct {
-					body    *ast.BlockStmt
-					results *ast.FieldList
-				}{n.Body, n.Type.Results})
-			}
-		case *ast.FuncLit:
-			funcs = append(funcs, struct {
-				body    *ast.BlockStmt
-				results *ast.FieldList
-			}{n.Body, n.Type.Results})
-		}
-		return true
-	})
-	for _, fn := range funcs {
-		cfg := pass.FuncCFG(fn.body)
-		ud := NewUseDef(cfg, fn.results, pass.Pkg.Info)
-		for _, d := range ud.DeadDefs() {
-			if !isErrorType(d.Obj.Type()) || !defFromCall(d) {
-				continue
-			}
+// checkDeadErrorDefs reports the error definitions of one function,
+// produced by a call, that no path ever reads.
+func checkDeadErrorDefs(pass *Pass, ud *UseDef) {
+	for _, d := range ud.DeadDefs() {
+		if isErrorType(d.Obj.Type()) && defFromCall(d) {
 			pass.Reportf(d.Id, "error assigned to %s is never consulted on any path (overwritten or dropped)", d.Obj.Name())
 		}
 	}
@@ -345,71 +307,37 @@ func callReturnsError(pass *Pass, call *ast.CallExpr) bool {
 // check belongs), and fmt printing to the process's own stdout/stderr
 // or into any of those writers.
 func infallibleCall(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
 	// Methods on infallible buffers: b.WriteString(...), buf.Write(...).
-	recvT := pass.TypeOf(sel.X)
-	if isInfallibleWriter(recvT) {
-		return true
-	}
-	if isBufioWriter(recvT) && sel.Sel.Name != "Flush" {
-		return true
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+		recvT := pass.TypeOf(sel.X)
+		if isNamed(recvT, "strings.Builder", "bytes.Buffer") || isNamed(recvT, "bufio.Writer") && sel.Sel.Name != "Flush" {
+			return true
+		}
 	}
 	// fmt.Print*/Fprint* variants.
-	pkg, ok := sel.X.(*ast.Ident)
-	if !ok || pkg.Name != "fmt" {
+	path, name := pass.callee(call)
+	if path != "fmt" {
 		return false
 	}
-	if obj, isPkg := pass.Pkg.Info.Uses[pkg].(*types.PkgName); !isPkg || obj.Imported().Path() != "fmt" {
-		return false
-	}
-	name := sel.Sel.Name
 	if strings.HasPrefix(name, "Print") {
 		return true // process stdout; a failure has nowhere to be reported
 	}
-	if strings.HasPrefix(name, "Fprint") && len(call.Args) > 0 {
-		w := unparen(call.Args[0])
-		if t := pass.TypeOf(w); isInfallibleWriter(t) || isBufioWriter(t) {
-			return true
-		}
-		if s := ExprString(pass.Pkg.Fset, w); s == "os.Stdout" || s == "os.Stderr" {
-			return true
-		}
-	}
-	return false
-}
-
-// isInfallibleWriter matches *strings.Builder and *bytes.Buffer (and
-// their value forms), whose Write methods are documented to always
-// return a nil error.
-func isInfallibleWriter(t types.Type) bool {
-	return namedTypeIs(t, "strings", "Builder") || namedTypeIs(t, "bytes", "Buffer")
-}
-
-// isBufioWriter matches *bufio.Writer, whose write errors are sticky:
-// the first failure is remembered and returned by every later call and
-// by Flush, so only Flush needs checking.
-func isBufioWriter(t types.Type) bool {
-	return namedTypeIs(t, "bufio", "Writer")
-}
-
-// namedTypeIs reports whether t (or its pointee) is the named type
-// path.name.
-func namedTypeIs(t types.Type, path, name string) bool {
-	if t == nil {
+	if !strings.HasPrefix(name, "Fprint") || len(call.Args) == 0 {
 		return false
 	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
+	w := ast.Unparen(call.Args[0])
+	return isNamed(pass.TypeOf(w), "strings.Builder", "bytes.Buffer", "bufio.Writer") || isStdStream(pass, w)
+}
+
+// isStdStream reports whether e names the variable os.Stdout or
+// os.Stderr, resolved through Info.Uses.
+func isStdStream(pass *Pass, e ast.Expr) bool {
+	sel, ok := e.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == path && obj.Name() == name
+	v, ok := pass.Pkg.Info.Uses[sel.Sel].(*types.Var)
+	return ok && v.Pkg() != nil && v.Pkg().Path() == "os" && (v.Name() == "Stdout" || v.Name() == "Stderr")
 }
 
 func isBlankIdent(e ast.Expr) bool {

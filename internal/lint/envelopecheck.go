@@ -91,17 +91,14 @@ func envelopeExempt(fd *ast.FuncDecl) bool {
 }
 
 func checkEnvelopeCall(pass *Pass, call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
 	// http.Error writes a text/plain body — never envelope-shaped.
-	if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "http" && sel.Sel.Name == "Error" {
+	if path, name := pass.callee(call); path == "net/http" && name == "Error" {
 		pass.Reportf(call, "http.Error writes a plain-text error; use writeError so the /v1 envelope shape holds")
 		return
 	}
 	// w.WriteHeader(status) with a constant error status.
-	if sel.Sel.Name != "WriteHeader" || len(call.Args) != 1 {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "WriteHeader" || len(call.Args) != 1 {
 		return
 	}
 	status, ok := constStatus(pass, call.Args[0])
@@ -113,9 +110,6 @@ func checkEnvelopeCall(pass *Pass, call *ast.CallExpr) {
 
 // constStatus extracts a compile-time constant integer status code.
 func constStatus(pass *Pass, e ast.Expr) (int64, bool) {
-	if pass.Pkg.Info == nil {
-		return 0, false
-	}
 	tv, ok := pass.Pkg.Info.Types[e]
 	if !ok || tv.Value == nil {
 		return 0, false

@@ -76,27 +76,18 @@ func checkErrComparison(pass *Pass, e *ast.BinaryExpr) {
 // EqualFold calls whose argument is err.Error() — substring-matching
 // an error's rendered text.
 func checkErrStringMatch(pass *Pass, call *ast.CallExpr) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+	path, name := pass.callee(call)
+	if path != "strings" {
 		return
 	}
-	pkg, ok := sel.X.(*ast.Ident)
-	if !ok || pkg.Name != "strings" {
-		return
-	}
-	switch sel.Sel.Name {
+	switch name {
 	case "Contains", "HasPrefix", "HasSuffix", "EqualFold":
 	default:
 		return
 	}
-	// Confirm it is the stdlib strings package, not a local variable.
-	if obj, isPkg := pass.Pkg.Info.Uses[pkg].(*types.PkgName); !isPkg || obj.Imported().Path() != "strings" {
-		return
-	}
 	for _, arg := range call.Args {
 		if isErrorTextCall(pass, arg) {
-			pass.Reportf(call, "matching err.Error() text with strings.%s; use errors.Is (or errors.As for typed inspection)",
-				sel.Sel.Name)
+			pass.Reportf(call, "matching err.Error() text with strings.%s; use errors.Is (or errors.As for typed inspection)", name)
 			return
 		}
 	}
@@ -105,7 +96,7 @@ func checkErrStringMatch(pass *Pass, call *ast.CallExpr) {
 // isErrorTextCall matches a call of the form x.Error() where x is
 // error-typed.
 func isErrorTextCall(pass *Pass, e ast.Expr) bool {
-	call, ok := unparen(e).(*ast.CallExpr)
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok || len(call.Args) != 0 {
 		return false
 	}
@@ -136,9 +127,6 @@ func isErrorType(t types.Type) bool {
 }
 
 func isNilExpr(pass *Pass, e ast.Expr) bool {
-	if pass.Pkg.Info == nil {
-		return false
-	}
 	tv, ok := pass.Pkg.Info.Types[e]
 	return ok && tv.IsNil()
 }

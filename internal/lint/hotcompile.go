@@ -26,17 +26,13 @@ func Hotcompile() *Analyzer {
 
 func runHotcompile(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
-		regexpName := importName(f, "regexp")
-		if regexpName == "" {
-			continue
-		}
 		forEachFunc(f, func(fn funcNode) {
-			checkHotcompileFunc(pass, fn, regexpName)
+			checkHotcompileFunc(pass, fn)
 		})
 	}
 }
 
-func checkHotcompileFunc(pass *Pass, fn funcNode, regexpName string) {
+func checkHotcompileFunc(pass *Pass, fn funcNode) {
 	handler := isHandlerFunc(pass, fn)
 	var walk func(n ast.Node, loops int)
 	walk = func(n ast.Node, loops int) {
@@ -49,12 +45,14 @@ func checkHotcompileFunc(pass *Pass, fn funcNode, regexpName string) {
 			// A literal defined inside a loop still runs per iteration;
 			// keep the loop depth. Its own loops nest on top.
 		case *ast.CallExpr:
-			if name, ok := regexpCompileCall(n, regexpName); ok {
+			// Compile, MustCompile, CompilePOSIX and MustCompilePOSIX are
+			// regexp's only functions with Compile in their name.
+			if path, name := pass.callee(n); path == "regexp" && strings.Contains(name, "Compile") {
 				switch {
 				case loops > 0:
-					pass.Reportf(n, "%s inside a loop; compile once at init or index build time and reuse", name)
+					pass.Reportf(n, "regexp.%s inside a loop; compile once at init or index build time and reuse", name)
 				case handler:
-					pass.Reportf(n, "%s inside a request handler; compile once at init or index build time and reuse", name)
+					pass.Reportf(n, "regexp.%s inside a request handler; compile once at init or index build time and reuse", name)
 				}
 			}
 		}
@@ -65,24 +63,6 @@ func checkHotcompileFunc(pass *Pass, fn funcNode, regexpName string) {
 	walk(fn.body, 0)
 }
 
-// regexpCompileCall matches regexp.Compile / MustCompile /
-// CompilePOSIX / MustCompilePOSIX through the file's import name.
-func regexpCompileCall(call *ast.CallExpr, regexpName string) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	pkg, ok := sel.X.(*ast.Ident)
-	if !ok || pkg.Name != regexpName {
-		return "", false
-	}
-	switch sel.Sel.Name {
-	case "Compile", "MustCompile", "CompilePOSIX", "MustCompilePOSIX":
-		return "regexp." + sel.Sel.Name, true
-	}
-	return "", false
-}
-
 // isHandlerFunc reports whether the function takes an
 // http.ResponseWriter or *http.Request — the request-scoped signature.
 func isHandlerFunc(pass *Pass, fn funcNode) bool {
@@ -90,33 +70,11 @@ func isHandlerFunc(pass *Pass, fn funcNode) bool {
 		return false
 	}
 	for _, field := range fn.params.List {
-		t := pass.ExprString(field.Type)
-		if strings.HasSuffix(t, "http.ResponseWriter") || strings.HasSuffix(t, "http.Request") {
+		if isNamed(pass.TypeOf(field.Type), "net/http.ResponseWriter", "net/http.Request") {
 			return true
 		}
 	}
 	return false
-}
-
-// importName returns the local name the file imports path under, or ""
-// when the file does not import it.
-func importName(f *ast.File, path string) string {
-	for _, imp := range f.Imports {
-		if strings.Trim(imp.Path.Value, `"`) != path {
-			continue
-		}
-		if imp.Name != nil {
-			if imp.Name.Name == "_" || imp.Name.Name == "." {
-				return ""
-			}
-			return imp.Name.Name
-		}
-		if i := strings.LastIndex(path, "/"); i >= 0 {
-			return path[i+1:]
-		}
-		return path
-	}
-	return ""
 }
 
 // childNodes lists a node's direct children via ast.Inspect's

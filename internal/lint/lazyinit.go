@@ -72,7 +72,7 @@ func checkLazyinitFunc(pass *Pass, fn funcNode) {
 					continue
 				}
 				for _, later := range block.List[i+1:] {
-					if nodeAssignsTo(pass, later, field) {
+					if assignsTo(pass, later, field) {
 						pass.Reportf(ifStmt, "lazy init of %s (early-return nil check then assign) races under concurrent use — use sync.Once or a mutex", field)
 						break
 					}
@@ -93,10 +93,10 @@ func nilCheckedField(pass *Pass, cond ast.Expr, shared map[string]bool) (string,
 	}
 	expr := bin.X
 	other := bin.Y
-	if isNilIdent(expr) {
+	if isNilExpr(pass, expr) {
 		expr, other = other, expr
 	}
-	if !isNilIdent(other) {
+	if !isNilExpr(pass, other) {
 		return "", token.ILLEGAL
 	}
 	sel, ok := expr.(*ast.SelectorExpr)
@@ -110,20 +110,9 @@ func nilCheckedField(pass *Pass, cond ast.Expr, shared map[string]bool) (string,
 	return pass.ExprString(sel), bin.Op
 }
 
-func isNilIdent(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-// assignsTo reports whether the block assigns to the rendered field
-// expression.
-func assignsTo(pass *Pass, body *ast.BlockStmt, field string) bool {
-	return nodeAssignsTo(pass, body, field)
-}
-
-// nodeAssignsTo reports whether any assignment under n (nested
+// assignsTo reports whether any assignment under n (nested
 // statements included) targets the rendered field expression.
-func nodeAssignsTo(pass *Pass, n ast.Node, field string) bool {
+func assignsTo(pass *Pass, n ast.Node, field string) bool {
 	found := false
 	ast.Inspect(n, func(sub ast.Node) bool {
 		if found {

@@ -33,6 +33,7 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -60,15 +61,12 @@ type Package struct {
 	Fset *token.FileSet
 	// Files are the package's non-test files, sorted by file name.
 	Files []*ast.File
-	// Types is the type-checked package; it is non-nil even when type
-	// checking reported errors (analysis proceeds with partial info).
+	// Types is the type-checked package. A package that fails to
+	// type-check is never analyzed: loading it returns the error.
 	Types *types.Package
-	// Info holds the type-checker's expression and identifier facts.
+	// Info holds the type-checker's expression and identifier facts,
+	// through which analyzers resolve every call and type they match.
 	Info *types.Info
-	// TypeErrors collects type-checking errors, if any. Analyzers that
-	// depend on type information degrade gracefully: an expression
-	// without type info is skipped, never guessed at.
-	TypeErrors []error
 
 	// suppressions maps file name -> line -> checks suppressed there.
 	suppressions map[string]map[int][]string
@@ -119,13 +117,44 @@ func (p *Pass) Reportf(n ast.Node, format string, args ...any) {
 // ExprString renders an expression compactly for diagnostics ("res.NCs").
 func (p *Pass) ExprString(e ast.Expr) string { return ExprString(p.Pkg.Fset, e) }
 
-// TypeOf returns the type of e, or nil when type information is
-// unavailable (for example when the package had type errors).
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	if p.Pkg.Info == nil {
-		return nil
+// TypeOf returns the type of e, or nil for an expression the type
+// checker records no type for (a package name, a blank identifier).
+func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
+
+// callee returns the package path and name of the package-level
+// function call resolves to ("regexp", "MustCompile"), or two empty
+// strings for a method, a builtin, a conversion or a call through a
+// function value. The function is read from Info.Uses, so an import
+// alias or a local variable that shadows a package name needs no
+// special handling.
+func (p *Pass) callee(call *ast.CallExpr) (path, name string) {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return "", ""
 	}
-	return p.Pkg.Info.TypeOf(e)
+	fn, ok := p.Pkg.Info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return "", ""
+	}
+	return fn.Pkg().Path(), fn.Name()
+}
+
+// isNamed reports whether t or *t is one of the named types, each given
+// as "path.Name" ("sync.Mutex", "net/http.Request").
+func isNamed(t types.Type, names ...string) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return false
+	}
+	return slices.Contains(names, named.Obj().Pkg().Path()+"."+named.Obj().Name())
 }
 
 // FuncCFG returns the control-flow graph for a function body, building

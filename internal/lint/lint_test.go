@@ -11,12 +11,16 @@ import (
 // over it, returning the surviving diagnostics.
 func runCheck(t *testing.T, a *Analyzer, filename, src string) []Diagnostic {
 	t.Helper()
-	pkg, err := CheckSource(filename, src)
+	return runCheckAt(t, a, filename, ".", src)
+}
+
+// runCheckAt is runCheck with the fixture placed in a module-relative
+// directory, inside the scope of a directory-gated analyzer.
+func runCheckAt(t *testing.T, a *Analyzer, filename, dir, src string) []Diagnostic {
+	t.Helper()
+	pkg, err := CheckSourceAt(filename, dir, src)
 	if err != nil {
 		t.Fatalf("CheckSource: %v", err)
-	}
-	if len(pkg.TypeErrors) > 0 {
-		t.Fatalf("fixture has type errors: %v", pkg.TypeErrors)
 	}
 	return Run([]*Package{pkg}, []*Analyzer{a})
 }
@@ -473,6 +477,111 @@ func printAll(m map[string]int) {
 	}
 }
 
+// TestMatchesThroughTypeChecker pins that analyzers name a standard
+// library function or type by what the type checker resolves, not by
+// the file's import name or an identifier's spelling: a local variable
+// named like a package raises nothing, and an aliased import hides
+// nothing.
+func TestMatchesThroughTypeChecker(t *testing.T) {
+	cases := []struct {
+		name     string
+		analyzer *Analyzer
+		dir      string
+		src      string
+		lines    []int
+	}{
+		{"local_var_named_rand", Randsource(), ".", `package fix
+
+import "math/rand"
+
+type src struct{}
+
+func (src) Intn(n int) int { return n - 1 }
+
+func seeded(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+func pick() int {
+	rand := src{}
+	return rand.Intn(3)
+}
+`, nil},
+		{"aliased_sort", Maporder(), ".", `package fix
+
+import s "sort"
+
+func keys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	s.Strings(out)
+	return out
+}
+`, nil},
+		{"aliased_os_open", Droppederr(), "internal/geoloc", `package fix
+
+import (
+	"io"
+	xos "os"
+)
+
+func read(path string) ([]byte, error) {
+	f, err := xos.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return io.ReadAll(f)
+}
+`, nil},
+		{"aliased_fmt", Maporder(), ".", `package fix
+
+import f "fmt"
+
+func dump(m map[string]int) {
+	for k := range m {
+		f.Println(k)
+	}
+}
+`, []int{6}},
+		{"aliased_http_error", Envelopecheck(), "cmd/geoserve", `package fix
+
+import h "net/http"
+
+func handle(w h.ResponseWriter, r *h.Request) {
+	h.Error(w, "bad request", 400)
+}
+`, []int{6}},
+		{"aliased_http_handler", Hotcompile(), ".", `package fix
+
+import (
+	h "net/http"
+	"regexp"
+)
+
+func handle(w h.ResponseWriter, pattern string) {
+	if regexp.MustCompile(pattern).MatchString("x") {
+		w.WriteHeader(200)
+	}
+}
+`, []int{9}},
+		{"aliased_strings", Errsentinel(), ".", `package fix
+
+import str "strings"
+
+func isTimeout(err error) bool {
+	return str.Contains(err.Error(), "timeout")
+}
+`, []int{6}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			diags := runCheckAt(t, c.analyzer, c.name+".go", c.dir, c.src)
+			wantFindings(t, diags, c.analyzer.Name, c.lines...)
+		})
+	}
+}
+
 func TestMatch(t *testing.T) {
 	cases := []struct {
 		dir, pattern string
@@ -536,11 +645,6 @@ func Dump(t *table.Table) {
 	}
 	if len(pkgs) != 2 {
 		t.Fatalf("got %d packages, want 2: %+v", len(pkgs), pkgs)
-	}
-	for _, pkg := range pkgs {
-		if len(pkg.TypeErrors) > 0 {
-			t.Fatalf("%s: type errors: %v", pkg.Path, pkg.TypeErrors)
-		}
 	}
 	diags := Run(pkgs, []*Analyzer{Maporder()})
 	if len(diags) != 1 || diags[0].Check != "maporder" {

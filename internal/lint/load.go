@@ -22,7 +22,11 @@ import (
 // Type checking is self-contained: project packages are checked in
 // dependency order against each other, and standard-library imports
 // are type-checked from GOROOT source via go/importer's "source"
-// compiler — no export data, no golang.org/x/tools.
+// compiler — no export data, no golang.org/x/tools. The first package
+// that fails to type-check fails the load, naming the package and its
+// first error: every analyzer matches calls and types through the type
+// checker, so a package without type information would silently lose
+// its findings.
 func LoadModule(root string) ([]*Package, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -61,7 +65,9 @@ func LoadModule(root string) ([]*Package, error) {
 	}
 	for _, path := range order {
 		pkg := byPath[path]
-		typeCheck(fset, imp, pkg)
+		if err := typeCheck(fset, imp, pkg); err != nil {
+			return nil, err
+		}
 		imp.pkgs[path] = pkg.Types
 	}
 
@@ -270,24 +276,19 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return m.std.Import(path)
 }
 
-// typeCheck runs go/types over the package, tolerating errors: the
-// resulting (possibly partial) type information is attached either way.
-func typeCheck(fset *token.FileSet, imp types.Importer, pkg *Package) {
-	info := &types.Info{
+// typeCheck runs go/types over the package and attaches the result.
+func typeCheck(fset *token.FileSet, imp types.Importer, pkg *Package) error {
+	pkg.Info = &types.Info{
 		Types: make(map[ast.Expr]types.TypeAndValue),
 		Defs:  make(map[*ast.Ident]types.Object),
 		Uses:  make(map[*ast.Ident]types.Object),
 	}
-	conf := types.Config{
-		Importer: imp,
-		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+	conf := types.Config{Importer: imp}
+	var err error
+	if pkg.Types, err = conf.Check(pkg.Path, fset, pkg.Files, pkg.Info); err != nil {
+		return fmt.Errorf("lint: %s: type error: %w", pkg.Path, err)
 	}
-	tpkg, err := conf.Check(pkg.Path, fset, pkg.Files, info)
-	if err != nil && len(pkg.TypeErrors) == 0 {
-		pkg.TypeErrors = append(pkg.TypeErrors, err)
-	}
-	pkg.Types = tpkg
-	pkg.Info = info
+	return nil
 }
 
 // checkSource's fileset and importer are shared across calls so the
@@ -321,6 +322,8 @@ func CheckSourceAt(filename, dir, src string) (*Package, error) {
 	pkg := newPackage(f.Name.Name, dir, checkSourceFset)
 	pkg.Files = []*ast.File{f}
 	pkg.collectSuppressions(f)
-	typeCheck(checkSourceFset, checkSourceImp, pkg)
+	if err := typeCheck(checkSourceFset, checkSourceImp, pkg); err != nil {
+		return nil, err
+	}
 	return pkg, nil
 }

@@ -76,7 +76,7 @@ func orderEffect(pass *Pass, rng *ast.RangeStmt) (effect, target string) {
 		}
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if name, ok := outputCall(n); ok {
+			if name, ok := outputCall(pass, n); ok {
 				effect = "writes output via " + name
 				return false
 			}
@@ -94,22 +94,21 @@ func orderEffect(pass *Pass, rng *ast.RangeStmt) (effect, target string) {
 
 // outputCall recognizes calls that emit bytes in call order: fmt
 // Print/Fprint families and Write/WriteString/Encode-style methods.
-func outputCall(call *ast.CallExpr) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	name := sel.Sel.Name
-	if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "fmt" {
+func outputCall(pass *Pass, call *ast.CallExpr) (string, bool) {
+	if path, name := pass.callee(call); path == "fmt" {
 		switch name {
 		case "Print", "Println", "Printf", "Fprint", "Fprintln", "Fprintf":
 			return "fmt." + name, true
 		}
 		return "", false
 	}
-	switch name {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	switch sel.Sel.Name {
 	case "Write", "WriteString", "WriteByte", "WriteRune", "Encode":
-		return "." + name, true
+		return "." + sel.Sel.Name, true
 	}
 	return "", false
 }
@@ -125,7 +124,7 @@ func appendTarget(pass *Pass, assign *ast.AssignStmt, rng *ast.RangeStmt) (strin
 	if !ok {
 		return "", false
 	}
-	if fun, ok := call.Fun.(*ast.Ident); !ok || fun.Name != "append" {
+	if fun, ok := call.Fun.(*ast.Ident); !ok || pass.Pkg.Info.Uses[fun] != types.Universe.Lookup("append") {
 		return "", false
 	}
 	base := baseIdent(assign.Lhs[0])
@@ -157,16 +156,11 @@ func baseIdent(e ast.Expr) *ast.Ident {
 }
 
 // declaredWithin reports whether id's declaration lies inside [lo, hi)
-// — used to skip variables scoped to the loop itself. Without type
-// information it conservatively returns false.
+// — used to skip variables scoped to the loop itself.
 func declaredWithin(pass *Pass, id *ast.Ident, lo, hi token.Pos) bool {
-	info := pass.Pkg.Info
-	if info == nil {
-		return false
-	}
-	obj := info.Uses[id]
+	obj := pass.Pkg.Info.Uses[id]
 	if obj == nil {
-		obj = info.Defs[id]
+		obj = pass.Pkg.Info.Defs[id]
 	}
 	if obj == nil {
 		return false
@@ -184,7 +178,7 @@ func sortedInFunc(pass *Pass, body *ast.BlockStmt, target string) bool {
 			return
 		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok || !isSortCall(call) {
+		if !ok || !isSortCall(pass, call) {
 			return
 		}
 		for _, arg := range call.Args {
@@ -205,23 +199,15 @@ func sortedInFunc(pass *Pass, body *ast.BlockStmt, target string) bool {
 	return found
 }
 
-func isSortCall(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	pkg, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	switch pkg.Name {
+func isSortCall(pass *Pass, call *ast.CallExpr) bool {
+	switch path, name := pass.callee(call); path {
 	case "sort":
-		switch sel.Sel.Name {
+		switch name {
 		case "Strings", "Ints", "Float64s", "Slice", "SliceStable", "Sort", "Stable":
 			return true
 		}
 	case "slices":
-		switch sel.Sel.Name {
+		switch name {
 		case "Sort", "SortFunc", "SortStableFunc":
 			return true
 		}

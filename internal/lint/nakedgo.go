@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // Nakedgo flags `go` statements launched without any visible join or
 // cancellation discipline in the spawning function. A goroutine that
@@ -80,7 +77,7 @@ func hasJoinEvidence(pass *Pass, body *ast.BlockStmt) bool {
 			// Type-checked so an unrelated Add — a metrics counter, a
 			// custom set — is not mistaken for join discipline.
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Add" &&
-				isWaitGroup(pass.TypeOf(sel.X)) {
+				isNamed(pass.TypeOf(sel.X), "sync.WaitGroup") {
 				found = true
 			}
 		case *ast.RangeStmt:
@@ -91,20 +88,4 @@ func hasJoinEvidence(pass *Pass, body *ast.BlockStmt) bool {
 		return !found
 	})
 	return found
-}
-
-// isWaitGroup reports whether t is sync.WaitGroup or *sync.WaitGroup.
-func isWaitGroup(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "WaitGroup" && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
 }

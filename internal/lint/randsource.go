@@ -38,34 +38,21 @@ func runRandsource(pass *Pass) {
 		}
 	}
 	for _, f := range pass.Pkg.Files {
-		name := pass.Pkg.Fset.Position(f.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		randName := importName(f, "math/rand")
-		randV2 := importName(f, "math/rand/v2")
-		if randName == "" && randV2 == "" {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
+			path, name := pass.callee(call)
+			if path != "math/rand" && path != "math/rand/v2" {
 				return true
 			}
-			pkg, ok := sel.X.(*ast.Ident)
-			if !ok || (pkg.Name != randName && pkg.Name != randV2) {
-				return true
-			}
-			switch sel.Sel.Name {
+			switch name {
 			case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
 				// Explicit-source construction: the seeded pattern.
 				return true
 			}
-			pass.Reportf(call, "%s.%s draws from math/rand's global source; use a seeded rand.New(rand.NewSource(...)) so runs are reproducible", pkg.Name, sel.Sel.Name)
+			pass.Reportf(call, "rand.%s draws from math/rand's global source; use a seeded rand.New(rand.NewSource(...)) so runs are reproducible", name)
 			return true
 		})
 	}

@@ -2,11 +2,10 @@ package lint
 
 // Machine-readable diagnostic output. WriteSARIF emits SARIF 2.1.0 —
 // the interchange format GitHub code scanning ingests, so hoiholint
-// findings surface as inline annotations on pull requests — and
-// WriteJSON emits a minimal array for ad-hoc tooling. Both renderings
-// are deterministic for a given diagnostic slice (lint.Run already
-// sorts), and both are written even when there are no findings: an
-// empty `results` array is how CI tells code scanning "previous
+// findings surface as inline annotations on pull requests. The
+// rendering is deterministic for a given diagnostic slice (lint.Run
+// already sorts), and it is written even when there are no findings:
+// an empty `results` array is how CI tells code scanning "previous
 // findings are resolved".
 
 import (
@@ -162,37 +161,4 @@ func WriteSARIF(w io.Writer, diags []Diagnostic, analyzers []*Analyzer, root str
 
 func hasDotDotPrefix(rel string) bool {
 	return len(rel) >= 3 && rel[:3] == ".."+string(filepath.Separator)
-}
-
-// jsonDiag is the -json element shape.
-type jsonDiag struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-}
-
-// WriteJSON renders the diagnostics as a JSON array (empty array, not
-// null, when clean). Paths are rebased like WriteSARIF.
-func WriteJSON(w io.Writer, diags []Diagnostic, root string) error {
-	out := make([]jsonDiag, 0, len(diags))
-	for _, d := range diags {
-		file := d.Pos.Filename
-		if root != "" {
-			if rel, err := filepath.Rel(root, file); err == nil && !hasDotDotPrefix(rel) && rel != ".." {
-				file = rel
-			}
-		}
-		out = append(out, jsonDiag{
-			File:    filepath.ToSlash(file),
-			Line:    d.Pos.Line,
-			Column:  d.Pos.Column,
-			Check:   d.Check,
-			Message: d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"go/token"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -133,35 +132,5 @@ func TestSARIFEmpty(t *testing.T) {
 	rules := run["tool"].(map[string]any)["driver"].(map[string]any)["rules"].([]any)
 	if len(rules) != len(All()) {
 		t.Errorf("got %d rules, want %d", len(rules), len(All()))
-	}
-}
-
-// TestWriteJSON pins the -json element shape and the empty-array case.
-func TestWriteJSON(t *testing.T) {
-	root := "/work/hoiho"
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, sampleDiags(root), root); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var out []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("-json output invalid: %v", err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("got %d diags, want 2", len(out))
-	}
-	if out[0]["file"] != "internal/rex/rex.go" || out[0]["check"] != "maporder" {
-		t.Errorf("out[0] = %v", out[0])
-	}
-	if out[0]["line"].(float64) != 10 || out[0]["column"].(float64) != 3 {
-		t.Errorf("out[0] position = %v", out[0])
-	}
-
-	buf.Reset()
-	if err := WriteJSON(&buf, nil, root); err != nil {
-		t.Fatalf("WriteJSON(empty): %v", err)
-	}
-	if got := strings.TrimSpace(buf.String()); got != "[]" {
-		t.Errorf("empty run renders %q, want []", got)
 	}
 }

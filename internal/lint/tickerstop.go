@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // Tickerstop flags time.NewTicker / time.NewTimer calls whose result
 // can never be stopped. Unlike time.After, a Ticker holds a runtime
@@ -35,33 +32,33 @@ func Tickerstop() *Analyzer {
 
 func runTickerstop(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
-		timeName := importName(f, "time")
-		if timeName == "" {
-			continue
-		}
 		forEachFunc(f, func(fn funcNode) {
-			checkTickerstopFunc(pass, fn, timeName)
+			checkTickerstopFunc(pass, fn)
 		})
 	}
 }
 
-func checkTickerstopFunc(pass *Pass, fn funcNode, timeName string) {
+func checkTickerstopFunc(pass *Pass, fn funcNode) {
 	// Creations are scoped to this function body (nested literals are
 	// their own funcNode), but Stop/escape evidence is searched through
 	// the whole body including literals — the Stop that accounts for a
-	// ticker usually lives inside the goroutine it drives.
-	parents := parentMap(fn.body)
+	// ticker usually lives inside the goroutine it drives. The parent
+	// map is built only for a function that creates a timer.
+	var parents map[ast.Node]ast.Node
 	walkFuncBody(fn.body, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return
 		}
-		name, ok := timerCtor(call, timeName)
-		if !ok {
+		path, name := pass.callee(call)
+		if path != "time" || (name != "NewTicker" && name != "NewTimer") {
 			return
 		}
+		if parents == nil {
+			parents = parentMap(fn.body)
+		}
 		if reason := tickerLeak(pass, fn.body, call, parents); reason != "" {
-			pass.Reportf(call, "%s %s; call Stop (usually `defer t.Stop()`) so the runtime timer is released", name, reason)
+			pass.Reportf(call, "time.%s %s; call Stop (usually `defer t.Stop()`) so the runtime timer is released", name, reason)
 		}
 	})
 }
@@ -120,7 +117,7 @@ func tickerAccounted(pass *Pass, body *ast.BlockStmt, name string, parents map[a
 			return false
 		}
 		ident, ok := n.(*ast.Ident)
-		if !ok || ident.Name != name || !isTimerType(pass.TypeOf(ident)) {
+		if !ok || ident.Name != name || !isNamed(pass.TypeOf(ident), "time.Ticker", "time.Timer") {
 			return true
 		}
 		switch use := timerUseKind(ident, parents); use {
@@ -165,44 +162,6 @@ func timerUseKind(ident *ast.Ident, parents map[ast.Node]ast.Node) string {
 		return "escape"
 	}
 	return "escape"
-}
-
-// timerCtor matches time.NewTicker / time.NewTimer through the file's
-// import name for "time".
-func timerCtor(call *ast.CallExpr, timeName string) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	pkg, ok := sel.X.(*ast.Ident)
-	if !ok || pkg.Name != timeName {
-		return "", false
-	}
-	switch sel.Sel.Name {
-	case "NewTicker", "NewTimer":
-		return "time." + sel.Sel.Name, true
-	}
-	return "", false
-}
-
-// isTimerType reports whether t is *time.Ticker or *time.Timer.
-func isTimerType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	p, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := p.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "time" {
-		return false
-	}
-	return obj.Name() == "Ticker" || obj.Name() == "Timer"
 }
 
 // assignTarget returns the identifier an assignment binds call's result

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // Unlockpath is the CFG check that every mutex Lock has a matching
 // Unlock on every path to a normal return. The single-pass walkers
@@ -96,7 +93,7 @@ func mutexLockIn(pass *Pass, n ast.Node) (call *ast.CallExpr, recv, method strin
 			if !ok {
 				return true
 			}
-			if _, locks := unlockOf[sel.Sel.Name]; !locks || !isMutexType(pass.TypeOf(sel.X)) {
+			if _, locks := unlockOf[sel.Sel.Name]; !locks || !isNamed(pass.TypeOf(sel.X), "sync.Mutex", "sync.RWMutex", "sync.Locker") {
 				return true
 			}
 			call, recv, method = c, pass.ExprString(sel.X), sel.Sel.Name
@@ -201,28 +198,4 @@ func lockLeaks(pass *Pass, cfg *CFG, blk *Block, ni int, recv, unlock string) *B
 		stack = append(stack, b.Succs...)
 	}
 	return nil
-}
-
-// isMutexType matches sync.Mutex, sync.RWMutex, and the sync.Locker
-// interface, by value or pointer.
-func isMutexType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	switch obj.Name() {
-	case "Mutex", "RWMutex", "Locker":
-		return true
-	}
-	return false
 }

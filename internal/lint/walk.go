@@ -5,13 +5,13 @@ import (
 )
 
 // funcNode is a function under analysis: a declared function or a
-// function literal, each treated as its own scope. name is "" for
-// literals; recv is the receiver name for methods.
+// function literal, each treated as its own scope. recv is the
+// receiver name for methods.
 type funcNode struct {
-	name   string
-	recv   string
-	params *ast.FieldList
-	body   *ast.BlockStmt
+	recv    string
+	params  *ast.FieldList
+	results *ast.FieldList
+	body    *ast.BlockStmt
 }
 
 // forEachFunc visits every function declaration and function literal
@@ -23,13 +23,13 @@ func forEachFunc(f *ast.File, visit func(funcNode)) {
 			if n.Body == nil {
 				return true
 			}
-			fn := funcNode{name: n.Name.Name, params: n.Type.Params, body: n.Body}
+			fn := funcNode{params: n.Type.Params, results: n.Type.Results, body: n.Body}
 			if n.Recv != nil && len(n.Recv.List) > 0 && len(n.Recv.List[0].Names) > 0 {
 				fn.recv = n.Recv.List[0].Names[0].Name
 			}
 			visit(fn)
 		case *ast.FuncLit:
-			visit(funcNode{params: n.Type.Params, body: n.Body})
+			visit(funcNode{params: n.Type.Params, results: n.Type.Results, body: n.Body})
 		}
 		return true
 	})
