@@ -505,6 +505,44 @@ func TestHoiholintTypeErrorFails(t *testing.T) {
 	}
 }
 
+// TestHoiholintOutputFile runs hoiholint -o without -sarif over a
+// module with one maporder finding: the human report goes to the file,
+// and stdout stays empty.
+func TestHoiholintOutputFile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binaries")
+	}
+	hoiholint := buildBinary(t, t.TempDir(), "hoiholint")
+	mod := t.TempDir()
+	for name, content := range map[string]string{
+		"go.mod": "module example.test/report\n\ngo 1.22\n",
+		"report.go": "package report\n\nimport \"fmt\"\n\n" +
+			"func printAll(m map[string]int) {\n\tfor k, v := range m {\n\t\tfmt.Println(k, v)\n\t}\n}\n",
+	} {
+		if err := os.WriteFile(filepath.Join(mod, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cmd := exec.Command(hoiholint, "-o", "report.txt", "./...")
+	cmd.Dir = mod
+	var stdout bytes.Buffer
+	cmd.Stdout = &stdout
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("hoiholint exited with %v, want exit status 1", err)
+	}
+	report, err := os.ReadFile(filepath.Join(mod, "report.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "report.go:6:2: maporder:"; !strings.Contains(string(report), want) || bytes.Count(report, []byte("\n")) != 1 {
+		t.Errorf("report.txt = %q, want one line holding %q", report, want)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout = %q, want nothing", stdout.String())
+	}
+}
+
 // goldenHostnames returns the first n hostnames of the golden corpus.
 func goldenHostnames(t *testing.T, n int) []string {
 	t.Helper()

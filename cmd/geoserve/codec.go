@@ -11,6 +11,7 @@ import (
 	"unicode/utf8"
 
 	"hoiho/internal/core"
+	"hoiho/internal/qlog"
 )
 
 // The /v1/geolocate codec. Batch traffic is the daemon's bulk load, and
@@ -219,95 +220,38 @@ func (sc *scanner) str() ([]byte, bool) {
 // omitted when empty as the oracle's omitempty tags omit it.
 func appendResult(b []byte, hostname string, g *core.Geolocation) []byte {
 	b = append(b, `{"hostname":`...)
-	b = appendString(b, hostname)
+	b = qlog.AppendString(b, hostname)
 	if g == nil {
 		return append(b, `,"located":false}`...)
 	}
 	b = append(b, `,"located":true`...)
 	if g.Suffix != "" {
 		b = append(b, `,"suffix":`...)
-		b = appendString(b, g.Suffix)
+		b = qlog.AppendString(b, g.Suffix)
 	}
 	if g.Hint != "" {
 		b = append(b, `,"hint":`...)
-		b = appendString(b, g.Hint)
+		b = qlog.AppendString(b, g.Hint)
 	}
 	// HintType.String never returns "", so the type is never omitted.
 	b = append(b, `,"type":`...)
-	b = appendString(b, g.Type.String())
+	b = qlog.AppendString(b, g.Type.String())
 	if g.Learned {
 		b = append(b, `,"learned":true`...)
 	}
 	b = append(b, `,"location":{"city":`...)
-	b = appendString(b, g.Loc.City)
+	b = qlog.AppendString(b, g.Loc.City)
 	if g.Loc.Region != "" {
 		b = append(b, `,"region":`...)
-		b = appendString(b, g.Loc.Region)
+		b = qlog.AppendString(b, g.Loc.Region)
 	}
 	b = append(b, `,"country":`...)
-	b = appendString(b, g.Loc.Country)
+	b = qlog.AppendString(b, g.Loc.Country)
 	b = append(b, `,"lat":`...)
 	b = appendFloat(b, g.Loc.Pos.Lat)
 	b = append(b, `,"long":`...)
 	b = appendFloat(b, g.Loc.Pos.Long)
 	return append(b, "}}"...)
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendString appends s as a JSON string with the escapes
-// encoding/json uses when HTML escaping is off: \" and \\, the short
-// forms of \b \f \n \r \t, \u00XX for other control bytes, \ufffd for
-// each byte of invalid UTF-8, and \u2028 and \u2029, which JavaScript
-// does not accept raw in a string.
-func appendString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
 }
 
 // appendFloat appends a finite float64 the way encoding/json does (the

@@ -145,3 +145,30 @@ func TestQlogWiring(t *testing.T) {
 		t.Errorf("exposition missing qlog counters:\n%s", prom)
 	}
 }
+
+// TestQlogLinesAreJSON sends hostnames holding a control byte, DEL and
+// invalid UTF-8, in a query string and in a body only the encoding/json
+// fallback reads: every query-log line must still be JSON.
+func TestQlogLinesAreJSON(t *testing.T) {
+	var buf bytes.Buffer
+	ql, err := qlog.New(qlog.Options{W: &buf, Clock: func() time.Time { return time.UnixMicro(42) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(testIndex(t))
+	s.enableQlog(ql)
+	for _, host := range []string{"a%01b", "a%7Fb", "a%FFb"} {
+		get(t, s, "/v1/explain?hostname="+host)
+	}
+	postJSON(t, s, "/v1/geolocate", `{"hostname":"a\u0001b"}`)
+
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("qlog has %d lines, want 4:\n%s", len(lines), buf.String())
+	}
+	for _, line := range lines {
+		if !json.Valid([]byte(line)) {
+			t.Errorf("query-log line is not JSON: %s", line)
+		}
+	}
+}

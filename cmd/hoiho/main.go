@@ -168,14 +168,14 @@ func main() {
 
 	if *showNames {
 		fmt.Println("\nrouter-name conventions:")
-		for _, c := range names.Learn(in.Corpus, in.PSL, 2) {
+		for _, c := range names.Learn(in.Corpus, in.PSL) {
 			fmt.Printf("  %s: %s (routers=%d collisions=%d missed=%d)\n",
 				c.Suffix, c.Pattern, c.Routers, c.Collisions, c.Missed)
 		}
 	}
 	if *showASN {
 		fmt.Println("\nASN conventions:")
-		for _, c := range asn.Learn(in.Corpus, in.PSL, asnMap, asn.DefaultConfig()) {
+		for _, c := range asn.Learn(in.Corpus, in.PSL, asnMap) {
 			fmt.Printf("  %s: %s (tp=%d fp=%d ppv=%.0f%%)\n",
 				c.Suffix, c.Pattern, c.TP, c.FP, 100*c.PPV())
 		}

@@ -19,9 +19,10 @@
 // and would otherwise lose that package's findings without a sign.
 //
 // -sarif writes a SARIF 2.1.0 report (the format GitHub code scanning
-// ingests as PR annotations) to stdout or to the -o file, instead of
-// the human lines; it is written even when there are no findings, and
-// the exit status still reports them.
+// ingests as PR annotations) instead of the human lines; it is written
+// even when there are no findings, and the exit status still reports
+// them. -o writes the report, in either format, to a file instead of
+// stdout.
 //
 // Suppress a single finding with a trailing or preceding comment:
 //
@@ -91,16 +92,18 @@ func main() {
 	}
 
 	diags := lint.Run(selected, analyzers)
-	if *sarif {
-		if err := writeReport(*outPath, func(w io.Writer) error {
+	if err := writeReport(*outPath, func(w io.Writer) error {
+		if *sarif {
 			return lint.WriteSARIF(w, diags, analyzers, root)
-		}); err != nil {
-			fatal(err)
 		}
-	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			if _, err := fmt.Fprintln(w, d); err != nil {
+				return err
+			}
 		}
+		return nil
+	}); err != nil {
+		fatal(err)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "hoiholint: %d finding(s)\n", len(diags))
@@ -108,8 +111,8 @@ func main() {
 	}
 }
 
-// writeReport streams a machine report to -o (atomically enough for
-// CI: create/truncate then write) or to stdout.
+// writeReport streams the report to -o (atomically enough for CI:
+// create/truncate then write) or to stdout.
 func writeReport(path string, emit func(io.Writer) error) error {
 	if path == "" {
 		return emit(os.Stdout)

@@ -13,7 +13,6 @@ package main
 
 import (
 	"fmt"
-	"log"
 	"math/rand"
 	"net/netip"
 
@@ -49,10 +48,7 @@ func main() {
 	mk(2, false, true) // constant zero
 
 	prober := alias.NewSimProber(devices, 23, 0.02)
-	res, err := alias.Resolve(prober, prober.Addrs(), alias.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
+	res := alias.Resolve(prober, prober.Addrs())
 
 	fmt.Printf("probed %d addresses from %d devices\n\n", len(prober.Addrs()), len(devices))
 	correct := 0

@@ -58,7 +58,7 @@ func main() {
 	fmt.Printf("\nper-hostname answers for %s:\n", suffix)
 
 	dropRules := drop.Learn(w.Corpus, w.PSL, w.Dict, w.Matrix)
-	hlocInst := hloc.New(hloc.DefaultConfig(), w.Dict, w.Matrix)
+	hlocInst := hloc.New(w.Dict, w.Matrix)
 	undnsRules := eval.BuildUndnsRuleset(w, 0.6, 14)
 	nc := res.NCs[suffix]
 

@@ -41,7 +41,6 @@ func main() {
 	fmt.Printf("hostname geolocation anchored %d of %d routers\n\n",
 		len(anchors), w.Corpus.Len())
 
-	cfg := tbg.DefaultConfig()
 	fmt.Printf("%-26s %12s %14s %10s\n", "unanchored router", "VP-only err", "VP-only ±km", "TBG ±km")
 	shown := 0
 	var sumVP, sumTBG float64
@@ -60,8 +59,8 @@ func main() {
 			continue
 		}
 		truth := w.TruthRouter[r.ID]
-		vpOnly, ok1 := tbg.Geolocate(w.Corpus, w.Matrix, tbg.Anchors{}, r.ID, cfg)
-		full, ok2 := tbg.Geolocate(w.Corpus, w.Matrix, anchors, r.ID, cfg)
+		vpOnly, ok1 := tbg.Geolocate(w.Corpus, w.Matrix, tbg.Anchors{}, r.ID)
+		full, ok2 := tbg.Geolocate(w.Corpus, w.Matrix, anchors, r.ID)
 		if !ok1 || !ok2 || full.AnchorLinks == 0 {
 			continue
 		}

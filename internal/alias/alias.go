@@ -23,7 +23,6 @@
 package alias
 
 import (
-	"fmt"
 	"net/netip"
 	"sort"
 )
@@ -42,35 +41,23 @@ type Prober interface {
 	Probe(addr netip.Addr, t float64) Sample
 }
 
-// Config bounds the resolution run.
-type Config struct {
-	// EstimationSamples per address in phase 1 (MIDAR uses ~30).
-	EstimationSamples int
-	// EstimationSpacing in seconds between phase-1 probes.
-	EstimationSpacing float64
-	// EliminationSamples per address in each pairwise MBT run.
-	EliminationSamples int
-	// EliminationSpacing in seconds between interleaved probes.
-	EliminationSpacing float64
-	// MaxVelocity is the highest plausible counter rate (IDs/second);
+// The resolution run's parameters: MIDAR's published shape at test scale.
+const (
+	// estimationSamples per address in phase 1 (MIDAR uses ~30).
+	estimationSamples = 20
+	// estimationSpacing in seconds between phase-1 probes.
+	estimationSpacing = 0.5
+	// eliminationSamples per address in each pairwise MBT run.
+	eliminationSamples = 15
+	// eliminationSpacing in seconds between interleaved probes.
+	eliminationSpacing = 0.3
+	// maxVelocity is the highest plausible counter rate (IDs/second);
 	// addresses faster than this wrap too quickly to test.
-	MaxVelocity float64
-	// VelocityOverlap is the multiplicative slack when deciding whether
+	maxVelocity = 10000
+	// velocityOverlap is the multiplicative slack when deciding whether
 	// two addresses' velocity ranges overlap.
-	VelocityOverlap float64
-}
-
-// DefaultConfig mirrors MIDAR's published shape at test scale.
-func DefaultConfig() Config {
-	return Config{
-		EstimationSamples:  20,
-		EstimationSpacing:  0.5,
-		EliminationSamples: 15,
-		EliminationSpacing: 0.3,
-		MaxVelocity:        10000,
-		VelocityOverlap:    1.6,
-	}
-}
+	velocityOverlap = 1.6
+)
 
 // estimate holds an address's phase-1 result.
 type estimate struct {
@@ -93,10 +80,7 @@ type Result struct {
 }
 
 // Resolve runs the three MIDAR phases over the addresses.
-func Resolve(p Prober, addrs []netip.Addr, cfg Config) (*Result, error) {
-	if cfg.EstimationSamples < 4 || cfg.EliminationSamples < 4 {
-		return nil, fmt.Errorf("alias: need at least 4 samples per phase")
-	}
+func Resolve(p Prober, addrs []netip.Addr) *Result {
 	res := &Result{}
 
 	// Phase 1: estimation.
@@ -104,10 +88,10 @@ func Resolve(p Prober, addrs []netip.Addr, cfg Config) (*Result, error) {
 	t := 0.0
 	for _, addr := range addrs {
 		var ss []Sample
-		for i := 0; i < cfg.EstimationSamples; i++ {
-			ss = append(ss, p.Probe(addr, t+float64(i)*cfg.EstimationSpacing))
+		for i := 0; i < estimationSamples; i++ {
+			ss = append(ss, p.Probe(addr, t+float64(i)*estimationSpacing))
 		}
-		est, ok := estimateVelocity(addr, ss, cfg)
+		est, ok := estimateVelocity(addr, ss)
 		if !ok {
 			res.Discarded = append(res.Discarded, addr)
 			continue
@@ -124,7 +108,7 @@ func Resolve(p Prober, addrs []netip.Addr, cfg Config) (*Result, error) {
 	var candidates []pair
 	for i := 0; i < len(usable); i++ {
 		for j := i + 1; j < len(usable); j++ {
-			if !velocityCompatible(usable[i].velocity, usable[j].velocity, cfg.VelocityOverlap) {
+			if !velocityCompatible(usable[i].velocity, usable[j].velocity, velocityOverlap) {
 				// Sorted by velocity: nothing further can match i.
 				break
 			}
@@ -158,8 +142,8 @@ func Resolve(p Prober, addrs []netip.Addr, cfg Config) (*Result, error) {
 		// Phase 3 elimination, then phase 4 corroboration at a distant
 		// time: a coincidental counter alignment drifts apart, a shared
 		// counter does not.
-		if mbt(p, usable[c.a].addr, usable[c.b].addr, tBase, vmax, cfg) &&
-			mbt(p, usable[c.a].addr, usable[c.b].addr, tBase+517, vmax, cfg) {
+		if mbt(p, usable[c.a].addr, usable[c.b].addr, tBase, vmax) &&
+			mbt(p, usable[c.a].addr, usable[c.b].addr, tBase+517, vmax) {
 			union(c.a, c.b)
 		}
 		tBase += 100
@@ -184,12 +168,12 @@ func Resolve(p Prober, addrs []netip.Addr, cfg Config) (*Result, error) {
 	sort.Slice(res.Singletons, func(i, j int) bool {
 		return res.Singletons[i].Less(res.Singletons[j])
 	})
-	return res, nil
+	return res
 }
 
 // estimateVelocity checks phase-1 samples for usable monotonic
 // behaviour and estimates the counter rate.
-func estimateVelocity(addr netip.Addr, ss []Sample, cfg Config) (estimate, bool) {
+func estimateVelocity(addr netip.Addr, ss []Sample) (estimate, bool) {
 	var got []Sample
 	for _, s := range ss {
 		if s.OK {
@@ -212,7 +196,7 @@ func estimateVelocity(addr netip.Addr, ss []Sample, cfg Config) (estimate, bool)
 		if d != 0 {
 			constant = false
 		}
-		if d/dt > cfg.MaxVelocity {
+		if d/dt > maxVelocity {
 			return estimate{}, false // too fast: random or wrapping
 		}
 		total += d
@@ -244,25 +228,25 @@ func velocityCompatible(a, b, slack float64) bool {
 // with the target's measured velocity, not a global limit — two
 // distinct counters at similar rates but different offsets produce
 // alternating jumps far above the per-gap bound).
-func mbt(p Prober, a, b netip.Addr, tBase, vmax float64, cfg Config) bool {
+func mbt(p Prober, a, b netip.Addr, tBase, vmax float64) bool {
 	var merged []Sample
 	t := tBase
 	fromA, fromB := 0, 0
-	for i := 0; i < cfg.EliminationSamples; i++ {
+	for i := 0; i < eliminationSamples; i++ {
 		if sa := p.Probe(a, t); sa.OK {
 			merged = append(merged, sa)
 			fromA++
 		}
-		t += cfg.EliminationSpacing
+		t += eliminationSpacing
 		if sb := p.Probe(b, t); sb.OK {
 			merged = append(merged, sb)
 			fromB++
 		}
-		t += cfg.EliminationSpacing
+		t += eliminationSpacing
 	}
 	// Lost probes are skipped, not fatal, but both addresses must
 	// contribute enough interleaved evidence.
-	need := cfg.EliminationSamples * 2 / 3
+	need := eliminationSamples * 2 / 3
 	if fromA < need || fromB < need {
 		return false
 	}
@@ -272,7 +256,7 @@ func mbt(p Prober, a, b netip.Addr, tBase, vmax float64, cfg Config) bool {
 	for i := 1; i < len(merged); i++ {
 		d := float64(uint16(merged[i].IPID - merged[i-1].IPID))
 		dt := merged[i].T - merged[i-1].T
-		if dt <= 0 || d > vmax*cfg.VelocityOverlap*dt+idAllowance {
+		if dt <= 0 || d > vmax*velocityOverlap*dt+idAllowance {
 			return false
 		}
 	}

@@ -26,10 +26,7 @@ func TestResolveGroupsAliases(t *testing.T) {
 		device(55, 500, 8),       // lone interface
 	}
 	p := NewSimProber(devices, 1, 0)
-	res, err := Resolve(p, p.Addrs(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Resolve(p, p.Addrs())
 	if len(res.Routers) != 3 {
 		t.Fatalf("routers = %d, want 3: %v", len(res.Routers), res.Routers)
 	}
@@ -61,10 +58,7 @@ func TestResolveDiscardsUnusableIPIDs(t *testing.T) {
 		Unresponsive: map[netip.Addr]bool{addr(4): true}}
 	good := device(50, 7, 5, 6)
 	p := NewSimProber([]*SimDevice{randomDev, constDev, silent, good}, 2, 0)
-	res, err := Resolve(p, p.Addrs(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Resolve(p, p.Addrs())
 	if len(res.Discarded) != 4 {
 		t.Errorf("discarded = %v, want the random pair, constant, and silent", res.Discarded)
 	}
@@ -79,10 +73,7 @@ func TestResolveSeparatesSameVelocityDifferentCounters(t *testing.T) {
 	a := device(60, 0, 1, 2)
 	b := device(60, 30000, 3, 4)
 	p := NewSimProber([]*SimDevice{a, b}, 3, 0)
-	res, err := Resolve(p, p.Addrs(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Resolve(p, p.Addrs())
 	if len(res.Routers) != 2 {
 		t.Fatalf("routers = %v, want 2 separate devices", res.Routers)
 	}
@@ -97,10 +88,7 @@ func TestResolveHandlesCounterWrap(t *testing.T) {
 	// A counter near the 16-bit wrap point must still group correctly.
 	d := device(50, 65500, 1, 2)
 	p := NewSimProber([]*SimDevice{d}, 4, 0)
-	res, err := Resolve(p, p.Addrs(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Resolve(p, p.Addrs())
 	if len(res.Routers) != 1 || len(res.Routers[0]) != 2 {
 		t.Errorf("wrap case: routers = %v", res.Routers)
 	}
@@ -109,10 +97,7 @@ func TestResolveHandlesCounterWrap(t *testing.T) {
 func TestResolveToleratesLoss(t *testing.T) {
 	devices := []*SimDevice{device(40, 100, 1, 2), device(300, 5, 3, 4)}
 	p := NewSimProber(devices, 5, 0.08)
-	res, err := Resolve(p, p.Addrs(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Resolve(p, p.Addrs())
 	// Loss may discard an address or break one MBT run, but it must not
 	// invent a false alias across devices.
 	for _, g := range res.Routers {
@@ -148,15 +133,6 @@ func TestVelocityCompatible(t *testing.T) {
 	}
 }
 
-func TestResolveConfigValidation(t *testing.T) {
-	p := NewSimProber(nil, 1, 0)
-	cfg := DefaultConfig()
-	cfg.EstimationSamples = 1
-	if _, err := Resolve(p, nil, cfg); err == nil {
-		t.Error("tiny sample counts should be rejected")
-	}
-}
-
 func TestScaleResolution(t *testing.T) {
 	// 40 devices, 2-4 interfaces each: resolution must reconstruct every
 	// device exactly.
@@ -172,10 +148,7 @@ func TestScaleResolution(t *testing.T) {
 		devices = append(devices, device(20+float64(i*13%900), uint16(i*1021), addrs...))
 	}
 	p := NewSimProber(devices, 6, 0)
-	res, err := Resolve(p, p.Addrs(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Resolve(p, p.Addrs())
 	if len(res.Routers) != len(devices) {
 		t.Fatalf("routers = %d, want %d", len(res.Routers), len(devices))
 	}

@@ -57,10 +57,7 @@ func TestReconstructSynthCorpus(t *testing.T) {
 	}
 
 	prober := NewSimProber(devices, 7, 0.01)
-	res, err := Resolve(prober, prober.Addrs(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Resolve(prober, prober.Addrs())
 
 	// No inferred router may span two true routers.
 	reconstructed := 0

@@ -96,27 +96,18 @@ var candidateTemplates = []template{
 	{`^[^\.]+-as(\d+)\..*<sfx>$`, regexp.MustCompile(`^[^\.]+-as(\d+)\..*$`)},                   // acme-as8218.…
 }
 
-// Config bounds what Learn accepts.
-type Config struct {
-	MinTP  int     // minimum matching extractions (default 3)
-	MinPPV float64 // minimum precision (default 0.9)
-}
-
-// DefaultConfig mirrors the published thresholds.
-func DefaultConfig() Config { return Config{MinTP: 3, MinPPV: 0.9} }
+// The published thresholds a learned convention must meet.
+const (
+	minTP  = 3   // matching extractions
+	minPPV = 0.9 // precision
+)
 
 // Learn infers ASN-extraction conventions for every suffix whose
 // hostnames embed ASNs consistently with the mapping.
-func Learn(corpus *itdk.Corpus, list *psl.List, mapping Mapping, cfg Config) []*Convention {
-	if cfg.MinTP < 1 {
-		cfg.MinTP = 3
-	}
-	if cfg.MinPPV <= 0 {
-		cfg.MinPPV = 0.9
-	}
+func Learn(corpus *itdk.Corpus, list *psl.List, mapping Mapping) []*Convention {
 	var out []*Convention
 	for _, group := range corpus.GroupBySuffix(list) {
-		if c := learnSuffix(group, mapping, cfg); c != nil {
+		if c := learnSuffix(group, mapping); c != nil {
 			out = append(out, c)
 		}
 	}
@@ -130,7 +121,7 @@ type hostASN struct {
 	asn  uint32
 }
 
-func learnSuffix(group *itdk.SuffixGroup, mapping Mapping, cfg Config) *Convention {
+func learnSuffix(group *itdk.SuffixGroup, mapping Mapping) *Convention {
 	// Collect hostnames whose interface address has a mapped ASN.
 	var cases []hostASN
 	for _, rh := range group.Hosts {
@@ -143,7 +134,7 @@ func learnSuffix(group *itdk.SuffixGroup, mapping Mapping, cfg Config) *Conventi
 			}
 		}
 	}
-	if len(cases) < cfg.MinTP {
+	if len(cases) < minTP {
 		return nil
 	}
 	sfx := regexp.QuoteMeta(group.Suffix)
@@ -166,7 +157,7 @@ func learnSuffix(group *itdk.SuffixGroup, mapping Mapping, cfg Config) *Conventi
 			best = c
 		}
 	}
-	if best == nil || best.TP < cfg.MinTP || best.PPV() < cfg.MinPPV {
+	if best == nil || best.TP < minTP || best.PPV() < minPPV {
 		return nil
 	}
 	return best

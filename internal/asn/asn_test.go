@@ -46,7 +46,7 @@ func buildCorpus(t *testing.T, style string) (*itdk.Corpus, AddrMap) {
 
 func TestLearnASPrefix(t *testing.T) {
 	c, m := buildCorpus(t, "as-prefix")
-	convs := Learn(c, psl.MustDefault(), m, DefaultConfig())
+	convs := Learn(c, psl.MustDefault(), m)
 	if len(convs) != 1 {
 		t.Fatalf("conventions = %d, want 1", len(convs))
 	}
@@ -65,7 +65,7 @@ func TestLearnASPrefix(t *testing.T) {
 
 func TestLearnBareNumber(t *testing.T) {
 	c, m := buildCorpus(t, "bare")
-	convs := Learn(c, psl.MustDefault(), m, DefaultConfig())
+	convs := Learn(c, psl.MustDefault(), m)
 	if len(convs) != 1 {
 		t.Fatalf("conventions = %d, want 1", len(convs))
 	}
@@ -76,7 +76,7 @@ func TestLearnBareNumber(t *testing.T) {
 
 func TestLearnRejectsContradictions(t *testing.T) {
 	c, m := buildCorpus(t, "wrong")
-	if convs := Learn(c, psl.MustDefault(), m, DefaultConfig()); len(convs) != 0 {
+	if convs := Learn(c, psl.MustDefault(), m); len(convs) != 0 {
 		t.Errorf("contradicted extractions should learn nothing: %+v", convs)
 	}
 }
@@ -84,14 +84,14 @@ func TestLearnRejectsContradictions(t *testing.T) {
 func TestLearnNeedsMappedHostnames(t *testing.T) {
 	c, _ := buildCorpus(t, "as-prefix")
 	// Empty mapping: nothing to validate against.
-	if convs := Learn(c, psl.MustDefault(), AddrMap{}, DefaultConfig()); len(convs) != 0 {
+	if convs := Learn(c, psl.MustDefault(), AddrMap{}); len(convs) != 0 {
 		t.Errorf("no mapping should learn nothing: %+v", convs)
 	}
 }
 
 func TestExtractRejectsZeroASN(t *testing.T) {
 	c, m := buildCorpus(t, "as-prefix")
-	conv := Learn(c, psl.MustDefault(), m, DefaultConfig())[0]
+	conv := Learn(c, psl.MustDefault(), m)[0]
 	if _, ok := conv.ExtractASN("as0-null.cr1.example.net"); ok {
 		t.Error("ASN 0 is reserved and must be rejected")
 	}
@@ -122,7 +122,7 @@ func TestLearnFromSynthStyleInterconnects(t *testing.T) {
 	add(64496, "as64496-acme.cr1.lhr1.example.net")
 	add(64497, "as64497-umbrella.cr2.fra1.example.net")
 	add(64498, "as64498-initech.gw1.ams1.example.net")
-	convs := Learn(c, psl.MustDefault(), m, DefaultConfig())
+	convs := Learn(c, psl.MustDefault(), m)
 	if len(convs) != 1 || convs[0].TP != 3 {
 		t.Fatalf("conventions = %+v", convs)
 	}

@@ -25,19 +25,15 @@ import (
 	"hoiho/internal/rtt"
 )
 
-// Config parameterises an HLOC instance.
-type Config struct {
-	// VPsPerCandidate is how many VPs nearest the candidate location are
-	// consulted (HLOC limits probing to conserve RIPE Atlas credits).
-	VPsPerCandidate int
-	// Blocklist contains strings never considered as geohints.
-	Blocklist map[string]bool
-}
+// vpsPerCandidate is how many VPs nearest a candidate location are
+// consulted: three, as in HLOC's published configuration (HLOC limits
+// probing to conserve RIPE Atlas credits).
+const vpsPerCandidate = 3
 
-// DefaultConfig mirrors the published configuration: few VPs per
-// candidate and a starter blocklist (the paper mentions 468 entries;
-// ours covers the structural vocabulary of router hostnames).
-func DefaultConfig() Config {
+// blocklist holds the strings never considered as geohints: a starter
+// blocklist (the paper mentions 468 entries; ours covers the structural
+// vocabulary of router hostnames).
+var blocklist = func() map[string]bool {
 	bl := make(map[string]bool)
 	for _, s := range []string{
 		"level", "atlas", "vodafone", "static", "dynamic", "cust",
@@ -48,19 +44,18 @@ func DefaultConfig() Config {
 	} {
 		bl[s] = true
 	}
-	return Config{VPsPerCandidate: 3, Blocklist: bl}
-}
+	return bl
+}()
 
 // HLOC is a run-time hostname geolocator.
 type HLOC struct {
-	cfg    Config
 	dict   *geodict.Dictionary
 	matrix *rtt.Matrix
 }
 
 // New returns an HLOC instance over the dictionary and RTT matrix.
-func New(cfg Config, dict *geodict.Dictionary, matrix *rtt.Matrix) *HLOC {
-	return &HLOC{cfg: cfg, dict: dict, matrix: matrix}
+func New(dict *geodict.Dictionary, matrix *rtt.Matrix) *HLOC {
+	return &HLOC{dict: dict, matrix: matrix}
 }
 
 // tokens splits a hostname's prefix into candidate strings.
@@ -95,7 +90,7 @@ func (h *HLOC) candidates(host, suffix string) []*geodict.Location {
 	var out []*geodict.Location
 	seen := make(map[string]bool)
 	for _, tok := range tokens(host, suffix) {
-		if h.cfg.Blocklist[tok] || seen[tok] {
+		if blocklist[tok] || seen[tok] {
 			continue
 		}
 		seen[tok] = true
@@ -142,11 +137,7 @@ func (h *HLOC) confirm(routerID string, loc *geodict.Location) (float64, bool) {
 	sort.Slice(vps, func(i, j int) bool {
 		return geo.DistanceKm(vps[i].Pos, loc.Pos) < geo.DistanceKm(vps[j].Pos, loc.Pos)
 	})
-	n := h.cfg.VPsPerCandidate
-	if n > len(vps) {
-		n = len(vps)
-	}
-	for _, vp := range vps[:n] {
+	for _, vp := range vps[:min(vpsPerCandidate, len(vps))] {
 		s, ok := h.matrix.Ping(routerID, vp.Name)
 		if !ok {
 			continue // no sample from this VP (the nysernet failure mode)

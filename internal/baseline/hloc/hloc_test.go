@@ -37,7 +37,7 @@ func TestTokens(t *testing.T) {
 func TestBlocklist(t *testing.T) {
 	d := geodict.MustDefault()
 	m := testMatrix(d)
-	h := New(DefaultConfig(), d, m)
+	h := New(d, m)
 	// "eth" and "gig" are IATA codes but blocklisted.
 	cands := h.candidates("eth0.gig1.core.example.net", "example.net")
 	if len(cands) != 0 {
@@ -54,7 +54,7 @@ func TestGeolocateConfirms(t *testing.T) {
 		_ = m.SetPing("R1", vp.Name, rtt.Sample{
 			RTTms: geo.MinRTTms(vp.Pos, fra.Pos)*1.3 + 1})
 	}
-	h := New(DefaultConfig(), d, m)
+	h := New(d, m)
 	loc, ok := h.Geolocate("R1", "cr1.fra1.example.net", "example.net")
 	if !ok || loc.City != "frankfurt am main" {
 		t.Errorf("geolocate = %v, %v", loc, ok)
@@ -74,7 +74,7 @@ func TestConfirmationBias(t *testing.T) {
 		_ = m.SetPing("R1", vp.Name, rtt.Sample{
 			RTTms: geo.MinRTTms(vp.Pos, fra.Pos)*1.3 + 1})
 	}
-	h := New(DefaultConfig(), d, m)
+	h := New(d, m)
 	// No "fkt" in the dictionary, so the true hint is invisible to HLOC;
 	// the false candidates get confirmed.
 	loc, ok := h.Geolocate("R1", "de-cix1.rt.act.fkt.de.retn.net", "retn.net")
@@ -90,7 +90,7 @@ func TestNoSamplesNoAnswer(t *testing.T) {
 	// The nysernet failure mode: the nearby VPs have no samples.
 	d := geodict.MustDefault()
 	m := testMatrix(d)
-	h := New(DefaultConfig(), d, m)
+	h := New(d, m)
 	if _, ok := h.Geolocate("R9", "cr1.fra1.example.net", "example.net"); ok {
 		t.Error("no samples should mean no answer")
 	}
@@ -108,7 +108,7 @@ func TestNoCustomHints(t *testing.T) {
 		_ = m.SetPing("R1", vp.Name, rtt.Sample{
 			RTTms: geo.MinRTTms(vp.Pos, ashburn.Pos)*1.3 + 1})
 	}
-	h := New(DefaultConfig(), d, m)
+	h := New(d, m)
 	loc, ok := h.Geolocate("R1", "core1.ash1.he.net", "he.net")
 	if !ok {
 		t.Fatal("expected an answer")
@@ -128,7 +128,7 @@ func TestGeolocateTable(t *testing.T) {
 		_ = m.SetPing("R1", vp.Name, rtt.Sample{
 			RTTms: geo.MinRTTms(vp.Pos, fra.Pos)*1.3 + 1})
 	}
-	h := New(DefaultConfig(), d, m)
+	h := New(d, m)
 	cases := []struct {
 		name, router, host, suffix string
 		wantCity                   string
@@ -157,7 +157,7 @@ func TestGeolocateTable(t *testing.T) {
 func TestCandidateTypes(t *testing.T) {
 	d := geodict.MustDefault()
 	m := testMatrix(d)
-	h := New(DefaultConfig(), d, m)
+	h := New(d, m)
 	got := h.candidates("a1.usnyc.nycmny.dallas.example.net", "example.net")
 	// Each token is read in the dictionary its length names: usnyc as
 	// a LOCODE, nycmny as a CLLI code, dallas as a place.

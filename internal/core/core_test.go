@@ -100,7 +100,7 @@ func TestTagZayoStyle(t *testing.T) {
 	london := f.place("london", "", "gb")
 	f.addRouter("N1", london, "zayo-ntt.mpr1.lhr15.uk.zip.zayo.com")
 
-	tg := &tagger{in: f.inputs(), cfg: DefaultConfig()}
+	tg := &tagger{in: f.inputs()}
 	group := f.corpus.GroupBySuffix(f.list)[0]
 	tagged := tg.tag(group.Hosts[0])
 	if tagged == nil {
@@ -135,7 +135,7 @@ func TestTagRequiresRTT(t *testing.T) {
 	_ = f.corpus.Add(r)
 	_ = london
 
-	tg := &tagger{in: f.inputs(), cfg: DefaultConfig()}
+	tg := &tagger{in: f.inputs()}
 	group := f.corpus.GroupBySuffix(f.list)[0]
 	tagged := tg.tag(group.Hosts[0])
 	if tagged == nil || tagged.HasTags() {
@@ -147,7 +147,7 @@ func TestTagSplitCLLI(t *testing.T) {
 	f := newFixture(t)
 	sj := f.place("san jose", "ca", "us")
 	f.addRouter("N1", sj, "ae2-0.agr2.snjs-ca.windstream.net")
-	tg := &tagger{in: f.inputs(), cfg: DefaultConfig()}
+	tg := &tagger{in: f.inputs()}
 	group := f.corpus.GroupBySuffix(f.list)[0]
 	tagged := tg.tag(group.Hosts[0])
 	found := false
@@ -165,7 +165,7 @@ func TestTagLongCLLIPrefix(t *testing.T) {
 	f := newFixture(t)
 	newark := f.place("newark", "nj", "us")
 	f.addRouter("N1", newark, "0.csi1.nwrknjnb-mse01.alter.net")
-	tg := &tagger{in: f.inputs(), cfg: DefaultConfig()}
+	tg := &tagger{in: f.inputs()}
 	group := f.corpus.GroupBySuffix(f.list)[0]
 	tagged := tg.tag(group.Hosts[0])
 	found := false
@@ -183,7 +183,7 @@ func TestTagFacilityAddress(t *testing.T) {
 	f := newFixture(t)
 	pa := f.place("palo alto", "ca", "us")
 	f.addRouter("N1", pa, "be-33.529bryant.ca.example.net")
-	tg := &tagger{in: f.inputs(), cfg: DefaultConfig()}
+	tg := &tagger{in: f.inputs()}
 	group := f.corpus.GroupBySuffix(f.list)[0]
 	tagged := tg.tag(group.Hosts[0])
 	found := false
@@ -468,7 +468,6 @@ func TestTallyMath(t *testing.T) {
 }
 
 func TestClassify(t *testing.T) {
-	cfg := DefaultConfig()
 	cases := []struct {
 		t    Tally
 		want Classification
@@ -480,8 +479,8 @@ func TestClassify(t *testing.T) {
 		{Tally{TP: 10, UniqueHints: 2}, Poor}, // too few unique hints
 	}
 	for _, c := range cases {
-		if got := classify(c.t, cfg); got != c.want {
-			t.Errorf("classify(%+v) = %s, want %s", c.t, got, c.want)
+		if got := Classify(c.t, GoodPPV); got != c.want {
+			t.Errorf("Classify(%+v) = %s, want %s", c.t, got, c.want)
 		}
 	}
 	if !Good.Usable() || !Promising.Usable() || Poor.Usable() {
@@ -563,18 +562,19 @@ func TestAblationRankingPriors(t *testing.T) {
 }
 
 func TestConfigPPVThresholds(t *testing.T) {
-	// Raising GoodPPV to an impossible level demotes good conventions.
+	// Raising the good-PPV threshold to an impossible level demotes a
+	// good convention to promising.
 	f := newFixture(t)
 	buildHENet(f)
-	cfg := DefaultConfig()
-	cfg.GoodPPV = 1.01
-	cfg.PromisingPPV = 1.01
-	nc, _, err := RunSuffix(f.inputs(), cfg, "he.net")
+	nc, _, err := RunSuffix(f.inputs(), DefaultConfig(), "he.net")
 	if err != nil || nc == nil {
 		t.Fatalf("nc=%v err=%v", nc, err)
 	}
-	if nc.Class != Poor {
-		t.Errorf("impossible thresholds should classify poor, got %s", nc.Class)
+	if nc.Class != Good {
+		t.Fatalf("he.net classified %s, want good", nc.Class)
+	}
+	if got := Classify(nc.Tally, 1.01); got != Promising {
+		t.Errorf("an impossible good-PPV should classify promising, got %s", got)
 	}
 }
 

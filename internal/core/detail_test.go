@@ -70,17 +70,17 @@ func goldenInputs(t *testing.T) Inputs {
 func TestCandidatePerHost(t *testing.T) {
 	in := goldenInputs(t)
 	cfg := DefaultConfig()
-	tg := &tagger{in: in, cfg: cfg}
+	tg := &tagger{in: in}
 	checked := 0
 	for _, group := range in.Corpus.GroupBySuffix(in.PSL) {
 		gr := tagGroup(tg, group)
 		if !gr.anyTag {
 			continue
 		}
-		pool := generateCandidates(gr.tagged, cfg.MaxCandidates)
+		pool := generateCandidates(gr.tagged, MaxCandidates)
 		e := newEvalCtx(in, cfg)
 		for round := 0; round < 2; round++ {
-			_, _, cands := selectNC(pool, gr.tagged, e, cfg)
+			_, _, cands := selectNC(pool, gr.tagged, e)
 			for _, c := range cands {
 				evals, rttChecks := e.evals, e.rttChecks
 				e.detail(c.set, gr.tagged)
@@ -117,7 +117,7 @@ func TestCandidatePerHost(t *testing.T) {
 			}
 			if round == 0 {
 				for _, c := range cands {
-					e.learnHints(group.Suffix, c.eval, gr.tagged, cfg)
+					e.learnHints(group.Suffix, c.eval, gr.tagged)
 				}
 			}
 		}
@@ -133,16 +133,16 @@ func TestCandidatePerHost(t *testing.T) {
 func TestEvaluateSetAllocatesNoRows(t *testing.T) {
 	in := goldenInputs(t)
 	cfg := DefaultConfig()
-	tg := &tagger{in: in, cfg: cfg}
+	tg := &tagger{in: in}
 	var largest *groupResult
 	for _, group := range in.Corpus.GroupBySuffix(in.PSL) {
 		if gr := tagGroup(tg, group); gr.anyTag && (largest == nil || len(gr.tagged) > len(largest.tagged)) {
 			largest = gr
 		}
 	}
-	pool := generateCandidates(largest.tagged, cfg.MaxCandidates)
+	pool := generateCandidates(largest.tagged, MaxCandidates)
 	e := newEvalCtx(in, cfg)
-	_, _, cands := selectNC(pool, largest.tagged, e, cfg)
+	_, _, cands := selectNC(pool, largest.tagged, e)
 	rows := uint64(len(largest.tagged)) * uint64(unsafe.Sizeof(hostOutcome{}))
 	for _, c := range cands {
 		for i := 0; i < 2; i++ { // warm the match memo

@@ -134,7 +134,7 @@ func (e *evalCtx) consistent(router *itdk.Router, pos geo.LatLong) bool {
 	if v, ok := e.rttMemo[k]; ok {
 		return v
 	}
-	v := e.in.RTT.Consistent(router.ID, pos, e.cfg.ToleranceMs)
+	v := e.in.RTT.Consistent(router.ID, pos, ToleranceMs)
 	e.rttMemo[k] = v
 	return v
 }

@@ -195,9 +195,16 @@ func renderSpan(sp *hostname.Span, spanIdx int, specials map[[2]int]capSpec) []r
 	return comps
 }
 
+// MaxCandidates caps a suffix group's deduplicated base regexes before
+// the merge and specialization phases, keeping runtime bounded on
+// adversarial corpora. The cap is this implementation's, not the
+// paper's.
+const MaxCandidates = 4000
+
 // generateCandidates runs phases 1-3 over a suffix group's tagged
 // hostnames: base regexes for every apparent geohint, digit-merges of
 // similar pairs, and character-class specializations, deduplicated.
+// The pipeline passes MaxCandidates as maxCandidates.
 func generateCandidates(tagged []*Tagged, maxCandidates int) []*rex.Regex {
 	var pool []*rex.Regex
 	for _, t := range tagged {

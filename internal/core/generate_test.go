@@ -11,7 +11,7 @@ import (
 // tagAll runs stage 2 over every hostname of a fixture's corpus.
 func tagAll(t *testing.T, f *fixture) []*Tagged {
 	t.Helper()
-	tg := &tagger{in: f.inputs(), cfg: DefaultConfig()}
+	tg := &tagger{in: f.inputs()}
 	var tagged []*Tagged
 	for _, group := range f.corpus.GroupBySuffix(f.list) {
 		for _, rh := range group.Hosts {

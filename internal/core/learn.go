@@ -8,6 +8,24 @@ import (
 	"hoiho/internal/rex"
 )
 
+// The stage-4 thresholds (paper §5.4).
+const (
+	// LearnStartPPV gates which NCs stage 4 learns from: PPV above 40%.
+	LearnStartPPV = 0.40
+	// LearnHintPPV is the minimum PPV a learned geohint must reach: 80%.
+	LearnHintPPV = 0.80
+	// LearnMarginTP is how many more true positives a learned hint must
+	// have than the existing dictionary interpretation: one.
+	LearnMarginTP = 1
+	// LearnCongruentCC is the congruent-router threshold when the
+	// extraction carries a state or country code: one (Config's
+	// LearnCongruentNoCC applies otherwise).
+	LearnCongruentCC = 1
+	// PlaceMinContiguous is the contiguous-character requirement when
+	// learning abbreviations for place-name conventions: four.
+	PlaceMinContiguous = 4
+)
+
 // learnHints implements stage 4 (paper §5.4): for a convention whose
 // extractions are mostly trustworthy, interpret the false-positive and
 // unknown extractions as operator-specific geohints by matching them as
@@ -16,10 +34,10 @@ import (
 //
 // Learned hints are installed into the eval context's overrides so a
 // re-evaluation of the convention credits them.
-func (e *evalCtx) learnHints(suffix string, ev ncEval, tagged []*Tagged, cfg Config) []*LearnedHint {
+func (e *evalCtx) learnHints(suffix string, ev ncEval, tagged []*Tagged) []*LearnedHint {
 	// Gate: the NC must already identify at least MinUniqueHints unique
 	// RTT-consistent geohints with PPV above the learning threshold.
-	if ev.Tally.UniqueHints < cfg.MinUniqueHints || ev.Tally.PPV() <= cfg.LearnStartPPV {
+	if ev.Tally.UniqueHints < MinUniqueHints || ev.Tally.PPV() <= LearnStartPPV {
 		return nil
 	}
 
@@ -59,7 +77,7 @@ func (e *evalCtx) learnHints(suffix string, ev ncEval, tagged []*Tagged, cfg Con
 			continue // already learned from a higher-ranked NC
 		}
 		g := groups[k]
-		if lh := e.learnOne(suffix, k, g.ext, g.hosts, tagged, cfg); lh != nil {
+		if lh := e.learnOne(suffix, k, g.ext, g.hosts, tagged); lh != nil {
 			learned = append(learned, lh)
 			e.overrides[k] = lh.Loc
 		}
@@ -68,8 +86,8 @@ func (e *evalCtx) learnHints(suffix string, ev ncEval, tagged []*Tagged, cfg Con
 }
 
 // learnOne attempts to learn the location of a single extracted hint.
-func (e *evalCtx) learnOne(suffix string, k overrideKey, ext rex.Extraction, hosts []int, tagged []*Tagged, cfg Config) *LearnedHint {
-	cands := e.candidatePlaces(k, ext, cfg)
+func (e *evalCtx) learnOne(suffix string, k overrideKey, ext rex.Extraction, hosts []int, tagged []*Tagged) *LearnedHint {
+	cands := e.candidatePlaces(k, ext)
 	if len(cands) == 0 {
 		return nil
 	}
@@ -99,10 +117,10 @@ func (e *evalCtx) learnOne(suffix string, k overrideKey, ext rex.Extraction, hos
 	// Either prior can be ablated through the config.
 	sort.SliceStable(scoredCands, func(i, j int) bool {
 		a, b := scoredCands[i], scoredCands[j]
-		if cfg.LearnRankFacility && a.facility != b.facility {
+		if e.cfg.LearnRankFacility && a.facility != b.facility {
 			return a.facility
 		}
-		if cfg.LearnRankPopulation && a.loc.Population != b.loc.Population {
+		if e.cfg.LearnRankPopulation && a.loc.Population != b.loc.Population {
 			return a.loc.Population > b.loc.Population
 		}
 		if a.tp != b.tp {
@@ -114,15 +132,15 @@ func (e *evalCtx) learnOne(suffix string, k overrideKey, ext rex.Extraction, hos
 
 	// The learned hint must be generally correct.
 	if best.tp+best.fp == 0 ||
-		float64(best.tp)/float64(best.tp+best.fp) < cfg.LearnHintPPV {
+		float64(best.tp)/float64(best.tp+best.fp) < LearnHintPPV {
 		return nil
 	}
 
 	// Congruent-router threshold: the presence of a state/country code
 	// in the extraction reduces the over-fitting risk (paper §5.4).
-	need := cfg.LearnCongruentNoCC
+	need := e.cfg.LearnCongruentNoCC
 	if ext.Country != "" || ext.State != "" {
-		need = cfg.LearnCongruentCC
+		need = LearnCongruentCC
 	}
 	if best.tp < need {
 		return nil
@@ -143,7 +161,7 @@ func (e *evalCtx) learnOne(suffix string, k overrideKey, ext rex.Extraction, hos
 				}
 			}
 		}
-		if best.tp <= existTP+cfg.LearnMarginTP {
+		if best.tp <= existTP+LearnMarginTP {
 			return nil
 		}
 	}
@@ -157,7 +175,7 @@ func (e *evalCtx) learnOne(suffix string, k overrideKey, ext rex.Extraction, hos
 // candidatePlaces enumerates the place-dictionary entries the hint could
 // abbreviate, honouring the structural rules of each hint type and any
 // extracted annotation codes.
-func (e *evalCtx) candidatePlaces(k overrideKey, ext rex.Extraction, cfg Config) []*geodict.Location {
+func (e *evalCtx) candidatePlaces(k overrideKey, ext rex.Extraction) []*geodict.Location {
 	d := e.in.Dict
 	var out []*geodict.Location
 
@@ -215,7 +233,7 @@ func (e *evalCtx) candidatePlaces(k overrideKey, ext rex.Extraction, cfg Config)
 		}
 	case geodict.HintPlace:
 		for _, loc := range d.Places() {
-			match(loc, k.hint, cfg.PlaceMinContiguous)
+			match(loc, k.hint, PlaceMinContiguous)
 		}
 	default:
 		// ICAO and facility hints are too structured to learn from

@@ -71,9 +71,9 @@ func runGroup(tg *tagger, cfg Config, group *itdk.SuffixGroup, sp *obs.Span) *gr
 	// operator geohints from every qualifying candidate NC; re-select
 	// with overrides in effect.
 	s3 := sp.Child("learn")
-	pool := generateCandidates(gr.tagged, cfg.MaxCandidates)
+	pool := generateCandidates(gr.tagged, MaxCandidates)
 	e := newEvalCtx(tg.in, cfg)
-	set, ev, learned := learnAndSelect(group.Suffix, pool, gr.tagged, e, cfg)
+	set, ev, learned := learnAndSelect(group.Suffix, pool, gr.tagged, e)
 	s3.Count("candidates", int64(len(pool)))
 	s3.Count("evaluations", e.evals)
 	s3.Count("rtt_checks", e.rttChecks)
@@ -89,17 +89,10 @@ func runGroup(tg *tagger, cfg Config, group *itdk.SuffixGroup, sp *obs.Span) *gr
 		Regexes: set,
 		Learned: learned,
 		Tally:   ev.Tally,
-		Class:   classify(ev.Tally, cfg),
+		Class:   Classify(ev.Tally, GoodPPV),
 	}
 	for _, r := range set {
-		for _, role := range r.Roles() {
-			switch role {
-			case rex.RoleState:
-				nc.AnnotatesState = true
-			case rex.RoleCountry:
-				nc.AnnotatesCountry = true
-			}
-		}
+		nc.noteAnnotations(r)
 	}
 	gr.nc = nc
 
@@ -122,8 +115,8 @@ func runGroup(tg *tagger, cfg Config, group *itdk.SuffixGroup, sp *obs.Span) *gr
 // a pool of cfg.Workers goroutines. The merge happens in suffix-sorted
 // order, so the Result is identical for any worker count.
 func Run(in Inputs, cfg Config) (*Result, error) {
-	if in.Dict == nil || in.PSL == nil || in.Corpus == nil || in.RTT == nil {
-		return nil, fmt.Errorf("core: incomplete inputs")
+	if err := checkInputs(in); err != nil {
+		return nil, err
 	}
 	groups := in.Corpus.GroupBySuffix(in.PSL)
 	outcomes := make([]*groupResult, len(groups))
@@ -145,7 +138,7 @@ func Run(in Inputs, cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(wid int) {
 			defer wg.Done()
-			tg := &tagger{in: in, cfg: cfg}
+			tg := &tagger{in: in}
 			for i := range next {
 				outcomes[i] = runTracedGroup(tg, cfg, groups[i], root, wid)
 			}
@@ -211,37 +204,50 @@ func runTracedGroup(tg *tagger, cfg Config, group *itdk.SuffixGroup, root *obs.S
 // shares runGroup with Run, so a suffix where stage 2 tags no hostname
 // short-circuits to a nil convention exactly as Run would skip it.
 func RunSuffix(in Inputs, cfg Config, suffix string) (*NamingConvention, []*Tagged, error) {
-	if in.Dict == nil || in.PSL == nil || in.Corpus == nil || in.RTT == nil {
-		return nil, nil, fmt.Errorf("core: incomplete inputs")
+	group, err := findGroup(in, suffix)
+	if err != nil {
+		return nil, nil, err
 	}
-	tg := &tagger{in: in, cfg: cfg}
-	for _, group := range in.Corpus.GroupBySuffix(in.PSL) {
-		if group.Suffix != suffix {
-			continue
-		}
-		sp := cfg.Tracer.Start("group")
-		sp.SetKey(group.Suffix)
-		gr := runGroup(tg, cfg, group, sp)
-		sp.End()
-		return gr.nc, gr.tagged, nil
-	}
-	return nil, nil, fmt.Errorf("core: suffix %q not in corpus", suffix)
+	sp := cfg.Tracer.Start("group")
+	sp.SetKey(group.Suffix)
+	gr := runGroup(&tagger{in: in}, cfg, group, sp)
+	sp.End()
+	return gr.nc, gr.tagged, nil
 }
 
 // TagSuffix runs stage 2 alone — parse and apparent-geohint tagging —
 // over a single suffix group, returning every parseable hostname with
 // its tags. It exists so benchmarks and diagnostics can measure the
-// tagging stage in isolation from regex learning.
+// tagging stage in isolation from regex learning. Stage 2 reads no
+// setting of cfg; the parameter stays because the benchmark module
+// (perfbench) times TagSuffix with the configuration it passes to
+// RunSuffix.
 func TagSuffix(in Inputs, cfg Config, suffix string) ([]*Tagged, error) {
-	if in.Dict == nil || in.PSL == nil || in.Corpus == nil || in.RTT == nil {
-		return nil, fmt.Errorf("core: incomplete inputs")
+	group, err := findGroup(in, suffix)
+	if err != nil {
+		return nil, err
 	}
-	tg := &tagger{in: in, cfg: cfg}
+	return tagGroup(&tagger{in: in}, group).tagged, nil
+}
+
+// checkInputs reports an error when a stage-1 source is missing.
+func checkInputs(in Inputs) error {
+	if in.Dict == nil || in.PSL == nil || in.Corpus == nil || in.RTT == nil {
+		return fmt.Errorf("core: incomplete inputs")
+	}
+	return nil
+}
+
+// findGroup checks the inputs and returns the corpus's suffix group
+// for suffix.
+func findGroup(in Inputs, suffix string) (*itdk.SuffixGroup, error) {
+	if err := checkInputs(in); err != nil {
+		return nil, err
+	}
 	for _, group := range in.Corpus.GroupBySuffix(in.PSL) {
-		if group.Suffix != suffix {
-			continue
+		if group.Suffix == suffix {
+			return group, nil
 		}
-		return tagGroup(tg, group).tagged, nil
 	}
 	return nil, fmt.Errorf("core: suffix %q not in corpus", suffix)
 }

@@ -7,6 +7,23 @@ import (
 	"hoiho/internal/rex"
 )
 
+// The stage-5 thresholds (paper §5.5 and appendix A).
+const (
+	// MinUniqueHints is the number of distinct RTT-consistent geohints a
+	// usable NC, and each regex of a combined NC, must extract (paper
+	// §5.5: three).
+	MinUniqueHints = 3
+	// GoodPPV and PromisingPPV classify NCs (paper §5.5: 0.90 / 0.80).
+	GoodPPV      = 0.90
+	PromisingPPV = 0.80
+	// NCSlackTP is the TP slack when preferring an NC with fewer regexes
+	// (paper §5.5: three).
+	NCSlackTP = 3
+	// SetPPVSlack is how much lower a combined NC's PPV may be than the
+	// PPV of the regex it grew from (paper appendix A: 10%).
+	SetPPVSlack = 0.10
+)
+
 // rankedRegex pairs a candidate regex with its standalone evaluation.
 type rankedRegex struct {
 	re   *rex.Regex
@@ -26,7 +43,7 @@ type ncCandidate struct {
 // candidate NCs considered — stage 4 learns operator geohints from
 // every qualifying NC, not just the winner. Returns nil when no
 // candidate extracts anything useful.
-func selectNC(pool []*rex.Regex, tagged []*Tagged, e *evalCtx, cfg Config) ([]*rex.Regex, ncEval, []ncCandidate) {
+func selectNC(pool []*rex.Regex, tagged []*Tagged, e *evalCtx) ([]*rex.Regex, ncEval, []ncCandidate) {
 	if len(pool) == 0 || len(tagged) == 0 {
 		return nil, ncEval{}, nil
 	}
@@ -79,7 +96,7 @@ func selectNC(pool []*rex.Regex, tagged []*Tagged, e *evalCtx, cfg Config) ([]*r
 				}
 				trial := append(append([]*rex.Regex(nil), set...), rr.re)
 				tev := e.evaluateSet(trial, tagged)
-				if !acceptSet(tev, ev, startPPV, cfg) {
+				if !acceptSet(tev, ev, startPPV) {
 					continue
 				}
 				set, ev = trial, tev
@@ -109,7 +126,7 @@ func selectNC(pool []*rex.Regex, tagged []*Tagged, e *evalCtx, cfg Config) ([]*r
 	best := candidates[0]
 	for _, c := range candidates[1:] {
 		if len(c.set) < len(best.set) &&
-			c.eval.Tally.TP >= best.eval.Tally.TP-cfg.NCSlackTP {
+			c.eval.Tally.TP >= best.eval.Tally.TP-NCSlackTP {
 			best = c
 		}
 	}
@@ -121,19 +138,19 @@ func selectNC(pool []*rex.Regex, tagged []*Tagged, e *evalCtx, cfg Config) ([]*r
 // unique hints and PPV above the threshold, not only the winner), and —
 // when anything was learned — re-selects with the learned overrides in
 // effect, since previously-penalised regexes may now rank best.
-func learnAndSelect(suffix string, pool []*rex.Regex, tagged []*Tagged, e *evalCtx, cfg Config) ([]*rex.Regex, ncEval, []*LearnedHint) {
-	set, ev, candidates := selectNC(pool, tagged, e, cfg)
-	if set == nil || !cfg.LearnHints {
+func learnAndSelect(suffix string, pool []*rex.Regex, tagged []*Tagged, e *evalCtx) ([]*rex.Regex, ncEval, []*LearnedHint) {
+	set, ev, candidates := selectNC(pool, tagged, e)
+	if set == nil || !e.cfg.LearnHints {
 		return set, ev, nil
 	}
 	var learned []*LearnedHint
 	for _, c := range candidates {
-		learned = append(learned, e.learnHints(suffix, c.eval, tagged, cfg)...)
+		learned = append(learned, e.learnHints(suffix, c.eval, tagged)...)
 	}
 	if len(learned) == 0 {
 		return set, ev, nil
 	}
-	set, ev, _ = selectNC(pool, tagged, e, cfg)
+	set, ev, _ = selectNC(pool, tagged, e)
 	// Keep only the hints the final convention can actually extract.
 	types := make(map[geodict.HintType]bool)
 	for _, r := range set {
@@ -152,16 +169,16 @@ func learnAndSelect(suffix string, pool []*rex.Regex, tagged []*Tagged, e *evalC
 // must raise ATP, every member must extract at least MinUniqueHints
 // unique geohints, and the PPV must not fall more than SetPPVSlack below
 // the starting regex's PPV.
-func acceptSet(trial, cur ncEval, startPPV float64, cfg Config) bool {
+func acceptSet(trial, cur ncEval, startPPV float64) bool {
 	if trial.Tally.ATP() <= cur.Tally.ATP() {
 		return false
 	}
 	for _, pr := range trial.PerRegex {
-		if pr.UniqueHints < cfg.MinUniqueHints {
+		if pr.UniqueHints < MinUniqueHints {
 			return false
 		}
 	}
-	return trial.Tally.PPV() >= startPPV-cfg.SetPPVSlack
+	return trial.Tally.PPV() >= startPPV-SetPPVSlack
 }
 
 func inSet(set []*rex.Regex, r *rex.Regex) bool {
@@ -173,13 +190,17 @@ func inSet(set []*rex.Regex, r *rex.Regex) bool {
 	return false
 }
 
-// classify applies the §5.5 thresholds.
-func classify(t Tally, cfg Config) Classification {
-	if t.UniqueHints >= cfg.MinUniqueHints {
+// Classify applies the §5.5 thresholds to a convention's tally: good
+// from goodPPV up, promising from PromisingPPV up, and poor below that
+// or when it extracts fewer than MinUniqueHints unique geohints. The
+// pipeline classifies at GoodPPV; the threshold is a parameter so an
+// ablation can reclassify learned conventions without re-learning.
+func Classify(t Tally, goodPPV float64) Classification {
+	if t.UniqueHints >= MinUniqueHints {
 		switch {
-		case t.PPV() >= cfg.GoodPPV:
+		case t.PPV() >= goodPPV:
 			return Good
-		case t.PPV() >= cfg.PromisingPPV:
+		case t.PPV() >= PromisingPPV:
 			return Promising
 		}
 	}

@@ -116,14 +116,7 @@ func ReadConventions(r io.Reader) (*Result, error) {
 				return nil, fmt.Errorf("core: line %d: %w", line, err)
 			}
 			cur.Regexes = append(cur.Regexes, re)
-			for _, role := range roles {
-				switch role {
-				case rex.RoleState:
-					cur.AnnotatesState = true
-				case rex.RoleCountry:
-					cur.AnnotatesCountry = true
-				}
-			}
+			cur.noteAnnotations(re)
 		case "learned":
 			if cur == nil {
 				return nil, fmt.Errorf("core: line %d: learned before suffix", line)

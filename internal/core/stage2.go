@@ -45,10 +45,13 @@ type Tagged struct {
 // HasTags reports whether stage 2 found any apparent geohint.
 func (t *Tagged) HasTags() bool { return len(t.Apparent) > 0 }
 
+// ToleranceMs absorbs RTT measurement granularity in the
+// speed-of-light consistency test of stages 2-4 (paper §5.2).
+const ToleranceMs = 1.0
+
 // tagger performs stage-2 identification over one suffix group.
 type tagger struct {
-	in  Inputs
-	cfg Config
+	in Inputs
 
 	// rttChecks counts speed-of-light consistency tests since the last
 	// reset. A plain int on the per-worker tagger, reported to a span
@@ -130,7 +133,7 @@ func (tg *tagger) add(t *Tagged, a Apparent, typ geodict.HintType) {
 	a.Locs = locs[:0]
 	for _, loc := range locs {
 		tg.rttChecks++
-		if tg.in.RTT.Consistent(t.RH.Router.ID, loc.Pos, tg.cfg.ToleranceMs) {
+		if tg.in.RTT.Consistent(t.RH.Router.ID, loc.Pos, ToleranceMs) {
 			a.Locs = append(a.Locs, loc)
 		}
 	}

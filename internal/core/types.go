@@ -23,50 +23,15 @@ import (
 	"hoiho/internal/rtt"
 )
 
-// Config collects the method's thresholds. DefaultConfig returns the
-// values the paper uses.
+// Config collects the settings a caller varies: the stage-4 settings
+// the ablations of DESIGN.md §4 change, the worker count and the
+// tracer. DefaultConfig returns the values the paper uses; the paper's
+// fixed thresholds are constants beside the code that reads them.
 type Config struct {
-	// ToleranceMs absorbs RTT measurement granularity in the
-	// speed-of-light consistency test.
-	ToleranceMs float64
-
-	// MinUniqueHints is the number of distinct RTT-consistent geohints a
-	// usable NC must extract (paper §5.5: three).
-	MinUniqueHints int
-
-	// GoodPPV and PromisingPPV classify NCs (paper §5.5: 0.90 / 0.80).
-	GoodPPV      float64
-	PromisingPPV float64
-
-	// LearnStartPPV gates which NCs stage 4 refines (paper §5.4: >40%).
-	LearnStartPPV float64
-	// LearnHintPPV is the minimum PPV a learned geohint must reach
-	// (paper §5.4: 80%).
-	LearnHintPPV float64
-	// LearnMarginTP is how many more true positives a learned hint must
-	// have than the existing dictionary interpretation (paper: one).
-	LearnMarginTP int
-	// LearnCongruentNoCC and LearnCongruentCC are the congruent-router
-	// thresholds with and without an extracted state/country code
-	// (paper: three and one).
+	// LearnCongruentNoCC is how many congruent routers a learned hint
+	// needs when no state or country code was extracted with it (paper
+	// §5.4: three; LearnCongruentCC applies otherwise).
 	LearnCongruentNoCC int
-	LearnCongruentCC   int
-
-	// PlaceMinContiguous is the contiguous-character requirement when
-	// learning abbreviations for place-name conventions (paper: four).
-	PlaceMinContiguous int
-
-	// NCSlackTP is the TP slack when preferring an NC with fewer regexes
-	// (paper §5.5: three).
-	NCSlackTP int
-
-	// SetPPVSlack is how much lower a combined NC's PPV may be than the
-	// PPV of the regex it grew from (paper appendix A: 10%).
-	SetPPVSlack float64
-
-	// MaxCandidates caps the per-suffix candidate regex pool after
-	// deduplication, keeping runtime bounded on adversarial corpora.
-	MaxCandidates int
 
 	// Workers bounds how many suffix groups Run learns concurrently.
 	// 0 (the default) uses runtime.GOMAXPROCS(0); 1 reproduces the
@@ -92,22 +57,10 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// DefaultConfig returns the thresholds from the paper.
+// DefaultConfig returns the settings from the paper.
 func DefaultConfig() Config {
 	return Config{
-		ToleranceMs:         1.0,
-		MinUniqueHints:      3,
-		GoodPPV:             0.90,
-		PromisingPPV:        0.80,
-		LearnStartPPV:       0.40,
-		LearnHintPPV:        0.80,
-		LearnMarginTP:       1,
 		LearnCongruentNoCC:  3,
-		LearnCongruentCC:    1,
-		PlaceMinContiguous:  4,
-		NCSlackTP:           3,
-		SetPPVSlack:         0.10,
-		MaxCandidates:       4000,
 		LearnHints:          true,
 		LearnRankFacility:   true,
 		LearnRankPopulation: true,
@@ -230,6 +183,20 @@ type NamingConvention struct {
 	// extracts state or country codes alongside the geohint (Table 4).
 	AnnotatesState   bool
 	AnnotatesCountry bool
+}
+
+// noteAnnotations sets AnnotatesState or AnnotatesCountry when r
+// extracts a state or country code; the pipeline and ReadConventions
+// call it for every regex of the convention.
+func (nc *NamingConvention) noteAnnotations(r *rex.Regex) {
+	for _, role := range r.Roles() {
+		switch role {
+		case rex.RoleState:
+			nc.AnnotatesState = true
+		case rex.RoleCountry:
+			nc.AnnotatesCountry = true
+		}
+	}
 }
 
 // HintTypes returns the distinct geohint types the NC's regexes extract.

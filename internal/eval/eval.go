@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 
-	"hoiho/internal/core"
 	"hoiho/internal/geo"
 	"hoiho/internal/synth"
 )
@@ -125,22 +124,4 @@ func closestVPRTTms(w *synth.World, pos geo.LatLong) float64 {
 		}
 	}
 	return best
-}
-
-// hostRouterIndex maps hostname -> router ID for a world.
-func hostRouterIndex(w *synth.World) map[string]string {
-	ix := make(map[string]string)
-	for _, r := range w.Corpus.Routers {
-		for _, ifc := range r.Interfaces {
-			if ifc.Hostname != "" {
-				ix[ifc.Hostname] = r.ID
-			}
-		}
-	}
-	return ix
-}
-
-// usableNC returns the learned convention for a suffix, if any.
-func usableNC(res *core.Result, suffix string) *core.NamingConvention {
-	return res.NCs[suffix]
 }

@@ -222,6 +222,19 @@ func TestFig9Shapes(t *testing.T) {
 	}
 }
 
+// TestFig9HoihoMatchesFig9: the hoiho-only score the ablations use is
+// the hoiho column of the full figure.
+func TestFig9HoihoMatchesFig9(t *testing.T) {
+	w, res := sharedWorld(t)
+	full, alone := ComputeFig9(w, res).Overall["hoiho"], ComputeFig9Hoiho(w, res)
+	if full != alone {
+		t.Errorf("ComputeFig9 hoiho = %+v, ComputeFig9Hoiho = %+v", full, alone)
+	}
+	if alone.Total() == 0 {
+		t.Error("no hostnames evaluated")
+	}
+}
+
 func TestFig10(t *testing.T) {
 	w, res := sharedWorld(t)
 	f := ComputeFig10Multi([]*synth.World{w}, []*core.Result{res})

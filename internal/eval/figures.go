@@ -158,27 +158,29 @@ func undnsPattern(spec *synth.OperatorSpec) (string, func(string) string) {
 	}
 }
 
-// ComputeFig9 evaluates Hoiho (the pipeline result), DRoP, HLOC, and
-// undns over every convention-rendered hostname in the world, using the
-// 40 km criterion against generator ground truth.
-func ComputeFig9(w *synth.World, res *core.Result) Fig9 {
-	hostRouter := hostRouterIndex(w)
-	dropRules := drop.Learn(w.Corpus, w.PSL, w.Dict, w.Matrix)
-	hlocInst := hloc.New(hloc.DefaultConfig(), w.Dict, w.Matrix)
-	undnsRules := BuildUndnsRuleset(w, 0.6, 14)
+// fig9Case is one hostname of the figure-9 comparison: a hint-bearing
+// hostname of a suffix with at least Fig9MinHosts of them, whose router
+// has ground truth.
+type fig9Case struct {
+	host, suffix, router string
+	truth                geo.LatLong
+}
 
-	f := Fig9{PerSuffix: make(map[string]map[string]MethodResult),
-		Overall: make(map[string]MethodResult)}
-
-	type hostCase struct {
-		host, suffix, router string
-		truth                geo.LatLong
+// fig9Cases lists the world's figure-9 hostnames, sorted.
+func fig9Cases(w *synth.World) []fig9Case {
+	hostRouter := make(map[string]string)
+	for _, r := range w.Corpus.Routers {
+		for _, ifc := range r.Interfaces {
+			if ifc.Hostname != "" {
+				hostRouter[ifc.Hostname] = r.ID
+			}
+		}
 	}
 	perSuffix := make(map[string]int)
 	for _, suffix := range w.HintHostnames {
 		perSuffix[suffix]++
 	}
-	var cases []hostCase
+	var cases []fig9Case
 	for host, suffix := range w.HintHostnames {
 		if perSuffix[suffix] < Fig9MinHosts {
 			continue
@@ -191,46 +193,69 @@ func ComputeFig9(w *synth.World, res *core.Result) Fig9 {
 		if truth == nil {
 			continue
 		}
-		cases = append(cases, hostCase{host, suffix, rid, truth.Pos})
+		cases = append(cases, fig9Case{host, suffix, rid, truth.Pos})
 	}
 	sort.Slice(cases, func(i, j int) bool { return cases[i].host < cases[j].host })
+	return cases
+}
 
-	score := func(suffix, method string, loc *geodict.Location, answered bool, truth geo.LatLong) {
-		m := f.PerSuffix[suffix]
+// score counts one answer against ground truth: a miss when the method
+// gave none, a true positive within TruePositiveKm, a false positive
+// otherwise.
+func (m *MethodResult) score(loc *geodict.Location, answered bool, truth geo.LatLong) {
+	switch {
+	case !answered:
+		m.FN++
+	case Within(loc.Pos, truth):
+		m.TP++
+	default:
+		m.FP++
+	}
+}
+
+// hoihoAnswer geolocates a case through the learned convention for its
+// suffix.
+func hoihoAnswer(w *synth.World, res *core.Result, c fig9Case) (*geodict.Location, bool) {
+	nc := res.NCs[c.suffix]
+	if nc == nil {
+		return nil, false
+	}
+	g, ok := core.Geolocate(nc, w.Dict, c.host)
+	if !ok {
+		return nil, false
+	}
+	return g.Loc, true
+}
+
+// ComputeFig9 evaluates Hoiho (the pipeline result), DRoP, HLOC, and
+// undns over every convention-rendered hostname in the world, using the
+// 40 km criterion against generator ground truth.
+func ComputeFig9(w *synth.World, res *core.Result) Fig9 {
+	dropRules := drop.Learn(w.Corpus, w.PSL, w.Dict, w.Matrix)
+	hlocInst := hloc.New(w.Dict, w.Matrix)
+	undnsRules := BuildUndnsRuleset(w, 0.6, 14)
+
+	f := Fig9{PerSuffix: make(map[string]map[string]MethodResult),
+		Overall: make(map[string]MethodResult)}
+	record := func(c fig9Case, method string, loc *geodict.Location, answered bool) {
+		m := f.PerSuffix[c.suffix]
 		if m == nil {
 			m = make(map[string]MethodResult)
-			f.PerSuffix[suffix] = m
+			f.PerSuffix[c.suffix] = m
 		}
 		r := m[method]
-		switch {
-		case !answered:
-			r.FN++
-		case Within(loc.Pos, truth):
-			r.TP++
-		default:
-			r.FP++
-		}
+		r.score(loc, answered, c.truth)
 		m[method] = r
 	}
-
-	for _, c := range cases {
-		// Hoiho: the learned NC for the suffix.
-		if nc := usableNC(res, c.suffix); nc != nil {
-			g, ok := core.Geolocate(nc, w.Dict, c.host)
-			var loc *geodict.Location
-			if ok {
-				loc = g.Loc
-			}
-			score(c.suffix, "hoiho", loc, ok, c.truth)
-		} else {
-			score(c.suffix, "hoiho", nil, false, c.truth)
-		}
-		loc, ok := dropRules.Geolocate(c.host, c.suffix, w.Dict)
-		score(c.suffix, "drop", loc, ok, c.truth)
+	for _, c := range fig9Cases(w) {
+		loc, ok := hoihoAnswer(w, res, c)
+		record(c, "hoiho", loc, ok)
+		loc, ok = dropRules.Geolocate(c.host, c.suffix, w.Dict)
+		record(c, "drop", loc, ok)
 		loc, ok = hlocInst.Geolocate(c.router, c.host, c.suffix)
-		score(c.suffix, "hloc", loc, ok, c.truth)
+		record(c, "hloc", loc, ok)
 		loc, ok = undnsRules.Geolocate(c.host, c.suffix)
-		score(c.suffix, "undns", loc, ok, c.truth)
+		record(c, "undns", loc, ok)
 	}
 
 	for suffix, m := range f.PerSuffix {
@@ -339,38 +364,10 @@ func ComputeAblation(w *synth.World, withRes, withoutRes *core.Result) Ablation 
 // ComputeFig9Hoiho scores only the hoiho method over the world (used by
 // the ablation to avoid re-running the baselines).
 func ComputeFig9Hoiho(w *synth.World, res *core.Result) MethodResult {
-	hostRouter := hostRouterIndex(w)
-	perSuffix := make(map[string]int)
-	for _, suffix := range w.HintHostnames {
-		perSuffix[suffix]++
-	}
 	var out MethodResult
-	for host, suffix := range w.HintHostnames {
-		if perSuffix[suffix] < Fig9MinHosts {
-			continue
-		}
-		rid, ok := hostRouter[host]
-		if !ok {
-			continue
-		}
-		truth := w.TruthRouter[rid]
-		if truth == nil {
-			continue
-		}
-		nc := usableNC(res, suffix)
-		if nc == nil {
-			out.FN++
-			continue
-		}
-		g, ok := core.Geolocate(nc, w.Dict, host)
-		switch {
-		case !ok:
-			out.FN++
-		case Within(g.Loc.Pos, truth.Pos):
-			out.TP++
-		default:
-			out.FP++
-		}
+	for _, c := range fig9Cases(w) {
+		loc, ok := hoihoAnswer(w, res, c)
+		out.score(loc, ok, c.truth)
 	}
 	return out
 }

@@ -58,15 +58,17 @@ func (c *Convention) ExtractName(host string) (string, bool) {
 	return m[1], true
 }
 
+// minRouters is how many multi-hostname routers a suffix needs, and how
+// many a convention must name consistently: two, since one router
+// cannot show that the extracted names differ across routers.
+const minRouters = 2
+
 // Learn infers router-name conventions for every suffix in the corpus
 // with at least minRouters multi-hostname routers, sorted by suffix.
-func Learn(corpus *itdk.Corpus, list *psl.List, minRouters int) []*Convention {
-	if minRouters < 2 {
-		minRouters = 2
-	}
+func Learn(corpus *itdk.Corpus, list *psl.List) []*Convention {
 	var out []*Convention
 	for _, group := range corpus.GroupBySuffix(list) {
-		if c := learnSuffix(group, minRouters); c != nil {
+		if c := learnSuffix(group); c != nil {
 			out = append(out, c)
 		}
 	}
@@ -104,7 +106,7 @@ var candidateTemplates = []template{
 	{`^[^\.]+\.([^\.]+)\.[^\.]+\.<sfx>$`, regexp.MustCompile(`^[^\.]+\.([^\.]+)\.[^\.]+\.$`)},
 }
 
-func learnSuffix(group *itdk.SuffixGroup, minRouters int) *Convention {
+func learnSuffix(group *itdk.SuffixGroup) *Convention {
 	byRouter := make(map[string][]string)
 	for _, rh := range group.Hosts {
 		byRouter[rh.Router.ID] = append(byRouter[rh.Router.ID], strings.ToLower(rh.Hostname))

@@ -59,7 +59,7 @@ func buildCorpus(t *testing.T, style string) *itdk.Corpus {
 
 func TestLearnLabelStyle(t *testing.T) {
 	c := buildCorpus(t, "label")
-	convs := Learn(c, psl.MustDefault(), 2)
+	convs := Learn(c, psl.MustDefault())
 	if len(convs) != 1 {
 		t.Fatalf("conventions = %d, want 1", len(convs))
 	}
@@ -78,7 +78,7 @@ func TestLearnLabelStyle(t *testing.T) {
 
 func TestLearnDashStyle(t *testing.T) {
 	c := buildCorpus(t, "dash")
-	convs := Learn(c, psl.MustDefault(), 2)
+	convs := Learn(c, psl.MustDefault())
 	if len(convs) != 1 {
 		t.Fatalf("conventions = %d, want 1", len(convs))
 	}
@@ -94,7 +94,7 @@ func TestLearnDashStyle(t *testing.T) {
 
 func TestLearnTwoLabelStyle(t *testing.T) {
 	c := buildCorpus(t, "twolabel")
-	convs := Learn(c, psl.MustDefault(), 2)
+	convs := Learn(c, psl.MustDefault())
 	if len(convs) != 1 {
 		t.Fatalf("conventions = %d, want 1", len(convs))
 	}
@@ -116,7 +116,7 @@ func TestLearnRequiresMultiHostnameRouters(t *testing.T) {
 	r := &itdk.Router{ID: "N1", Interfaces: []itdk.Interface{{
 		Addr: netip.MustParseAddr("192.0.2.1"), Hostname: "a.cr1.example.net"}}}
 	_ = c.Add(r)
-	if convs := Learn(c, psl.MustDefault(), 2); len(convs) != 0 {
+	if convs := Learn(c, psl.MustDefault()); len(convs) != 0 {
 		t.Errorf("single-hostname corpus should learn nothing: %+v", convs)
 	}
 }
@@ -137,14 +137,14 @@ func TestLearnRejectsInconsistentNaming(t *testing.T) {
 		}
 		_ = c.Add(r)
 	}
-	if convs := Learn(c, psl.MustDefault(), 2); len(convs) != 0 {
+	if convs := Learn(c, psl.MustDefault()); len(convs) != 0 {
 		t.Errorf("inconsistent corpus should learn nothing, got %+v", convs)
 	}
 }
 
 func TestExtractNameNoMatch(t *testing.T) {
 	c := buildCorpus(t, "label")
-	conv := Learn(c, psl.MustDefault(), 2)[0]
+	conv := Learn(c, psl.MustDefault())[0]
 	if _, ok := conv.ExtractName("unrelated.example.org"); ok {
 		t.Error("foreign hostname should not extract")
 	}

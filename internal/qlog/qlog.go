@@ -36,6 +36,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // Record is one query-log line. The zero value of every optional
@@ -254,9 +255,9 @@ func appendRecord(b []byte, ts int64, r Record) []byte {
 	b = strconv.AppendInt(b, ts, 10)
 	b = appendStringField(b, "id", r.ID)
 	b = append(b, `,"front":`...)
-	b = strconv.AppendQuote(b, r.Front)
+	b = AppendString(b, r.Front)
 	b = append(b, `,"op":`...)
-	b = strconv.AppendQuote(b, r.Op)
+	b = AppendString(b, r.Op)
 	b = appendStringField(b, "hostname", r.Hostname)
 	b = appendStringField(b, "source", r.Source)
 	if r.Status != 0 {
@@ -282,5 +283,64 @@ func appendStringField(b []byte, name, value string) []byte {
 	b = append(b, ',', '"')
 	b = append(b, name...)
 	b = append(b, '"', ':')
-	return strconv.AppendQuote(b, value)
+	return AppendString(b, value)
+}
+
+const hexDigits = "0123456789abcdef"
+
+// AppendString appends s as a JSON string with the escapes
+// encoding/json uses when HTML escaping is off: \" and \\, the short
+// forms of \b \f \n \r \t, \u00XX for other control bytes, \ufffd for
+// each byte of invalid UTF-8, and \u2028 and \u2029, which JavaScript
+// does not accept raw in a string. It is the one JSON string encoder
+// of the serving front ends: query-log records and geoserve's
+// /v1/geolocate replies both use it.
+func AppendString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }

@@ -2,6 +2,7 @@ package qlog
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,6 +59,66 @@ func TestEscaping(t *testing.T) {
 	if got := buf.String(); got != want {
 		t.Errorf("escaping:\n got: %q\nwant: %q", got, want)
 	}
+
+	// A control byte, DEL and invalid UTF-8 still make a JSON line,
+	// which decodes as encoding/json would: U+FFFD for the bad byte.
+	buf.Reset()
+	l.Log(Record{Front: "http", Op: "GET /v1/explain", Hostname: "a\x01b\x7fc\xffd"})
+	if !json.Valid(buf.Bytes()) {
+		t.Fatalf("line is not JSON: %s", buf.Bytes())
+	}
+	var rec struct{ Hostname string }
+	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if want := "a\x01b\x7fc\ufffdd"; rec.Hostname != want {
+		t.Errorf("hostname decodes to %q, want %q", rec.Hostname, want)
+	}
+}
+
+// FuzzAppendRecord: for any record, a serialized record is one
+// newline-terminated JSON line that decodes to the record's fields,
+// each byte of invalid UTF-8 read back as U+FFFD as encoding/json
+// writes it.
+func FuzzAppendRecord(f *testing.F) {
+	f.Add(int64(1700000000000000), "http", "POST /v1/geolocate", "q1", "ae-1.cr1.iad2.transitnet.net", "192.0.2.7:4242", 200, "ok", int64(137), uint64(3))
+	f.Add(int64(0), "dns", "TXT", "", "", "", 0, "", int64(0), uint64(0))
+	f.Add(int64(-1), "a\"b\\c", "\b\f\n\r\t", "\x00\x1f\x7f", "a\x01b\x7fc\xffd", "a\u2028b\u2029c", -3, "\xed\xa0\x80", int64(-1), uint64(1<<63))
+	f.Fuzz(func(t *testing.T, ts int64, front, op, id, hostname, source string, status int, outcome string, dur int64, gen uint64) {
+		r := Record{Front: front, Op: op, ID: id, Hostname: hostname, Source: source,
+			Status: status, Outcome: outcome, DurUS: dur, Generation: gen}
+		line := appendRecord(nil, ts, r)
+		if bytes.IndexByte(line, '\n') != len(line)-1 {
+			t.Fatalf("not one newline-terminated line: %q", line)
+		}
+		if !json.Valid(line) {
+			t.Fatalf("not JSON: %q", line)
+		}
+		type decoded struct {
+			TS         int64  `json:"ts_us"`
+			ID         string `json:"id"`
+			Front      string `json:"front"`
+			Op         string `json:"op"`
+			Hostname   string `json:"hostname"`
+			Source     string `json:"source"`
+			Status     int    `json:"status"`
+			Outcome    string `json:"outcome"`
+			DurUS      int64  `json:"dur_us"`
+			Generation uint64 `json:"generation"`
+		}
+		var got decoded
+		if err := json.Unmarshal(line, &got); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		// Converting to runes turns each invalid byte into U+FFFD.
+		valid := func(s string) string { return string([]rune(s)) }
+		want := decoded{TS: ts, ID: valid(id), Front: valid(front), Op: valid(op),
+			Hostname: valid(hostname), Source: valid(source), Status: status,
+			Outcome: valid(outcome), DurUS: dur, Generation: gen}
+		if got != want {
+			t.Errorf("%q decodes to\n%+v, want\n%+v", line, got, want)
+		}
+	})
 }
 
 // TestSampling: 1-in-N keeps exactly the 1st, N+1th, ... queries —

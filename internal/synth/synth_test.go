@@ -250,7 +250,7 @@ func TestWorldFeedsNamesAndASNLearning(t *testing.T) {
 		t.Fatal("generator produced no interconnect ASN ground truth")
 	}
 	// The ASN capability learns from the interconnect hostnames.
-	asnConvs := asn.Learn(w.Corpus, w.PSL, asn.AddrMap(w.ASNs), asn.DefaultConfig())
+	asnConvs := asn.Learn(w.Corpus, w.PSL, asn.AddrMap(w.ASNs))
 	if len(asnConvs) == 0 {
 		t.Error("no ASN conventions learned from the synthetic world")
 	}
@@ -260,7 +260,7 @@ func TestWorldFeedsNamesAndASNLearning(t *testing.T) {
 		}
 	}
 	// The router-name capability learns from multi-hostname routers.
-	nameConvs := names.Learn(w.Corpus, w.PSL, 3)
+	nameConvs := names.Learn(w.Corpus, w.PSL)
 	if len(nameConvs) == 0 {
 		t.Error("no router-name conventions learned from the synthetic world")
 	}

@@ -51,7 +51,7 @@ func BuildAnchors(in core.Inputs, res *core.Result, list *psl.List) Anchors {
 			if !ok {
 				continue
 			}
-			if !in.RTT.Consistent(rh.Router.ID, g.Loc.Pos, 1.0) {
+			if !in.RTT.Consistent(rh.Router.ID, g.Loc.Pos, core.ToleranceMs) {
 				continue
 			}
 			if prev, exists := anchors[rh.Router.ID]; exists {
@@ -69,21 +69,16 @@ func BuildAnchors(in core.Inputs, res *core.Result, list *psl.List) Anchors {
 	return anchors
 }
 
-// Config bounds constraint derivation.
-type Config struct {
-	// LinkSlackMs is added to per-VP RTT differences before converting
+// The constraint-derivation bounds.
+const (
+	// linkSlackMs is added to per-VP RTT differences before converting
 	// them to link-length bounds, absorbing queueing asymmetry.
-	LinkSlackMs float64
-	// MaxAnchors caps how many neighbor anchors contribute constraints.
-	MaxAnchors int
-	// Samples controls the CBG grid density.
-	Samples int
-}
-
-// DefaultConfig returns reasonable bounds.
-func DefaultConfig() Config {
-	return Config{LinkSlackMs: 2.0, MaxAnchors: 8, Samples: 32}
-}
+	linkSlackMs = 2.0
+	// maxAnchors caps how many neighbor anchors contribute constraints.
+	maxAnchors = 8
+	// cbgSamples controls the CBG grid density.
+	cbgSamples = 32
+)
 
 // Estimate is a TBG geolocation result.
 type Estimate struct {
@@ -94,10 +89,7 @@ type Estimate struct {
 
 // Geolocate estimates the location of a target router. ok is false when
 // no constraints exist or they are mutually infeasible.
-func Geolocate(corpus *itdk.Corpus, matrix *rtt.Matrix, anchors Anchors, target string, cfg Config) (Estimate, bool) {
-	if cfg.Samples <= 0 {
-		cfg.Samples = 32
-	}
+func Geolocate(corpus *itdk.Corpus, matrix *rtt.Matrix, anchors Anchors, target string) (Estimate, bool) {
 	var est Estimate
 	cs := matrix.Constraints(target)
 	est.VPs = len(cs)
@@ -110,20 +102,20 @@ func Geolocate(corpus *itdk.Corpus, matrix *rtt.Matrix, anchors Anchors, target 
 		if !ok {
 			continue
 		}
-		bound, ok := linkBoundMs(matrix, target, nbr, cfg.LinkSlackMs)
+		bound, ok := linkBoundMs(matrix, target, nbr, linkSlackMs)
 		if !ok {
 			continue
 		}
 		cs = append(cs, geo.Constraint{VP: loc.Pos, RTTms: bound})
 		est.AnchorLinks++
-		if est.AnchorLinks >= cfg.MaxAnchors {
+		if est.AnchorLinks >= maxAnchors {
 			break
 		}
 	}
 	if len(cs) == 0 {
 		return est, false
 	}
-	region, err := geo.Multilaterate(cs, cfg.Samples)
+	region, err := geo.Multilaterate(cs, cbgSamples)
 	if err != nil {
 		return est, false
 	}

@@ -57,7 +57,6 @@ func TestBuildAnchors(t *testing.T) {
 
 func TestTBGTightensEstimates(t *testing.T) {
 	w, _, anchors := world(t)
-	cfg := DefaultConfig()
 
 	// Evaluate unanchored routers that have at least one anchored
 	// neighbor: TBG with anchors should (weakly) shrink the feasible
@@ -80,11 +79,11 @@ func TestTBGTightensEstimates(t *testing.T) {
 		}
 		truth := w.TruthRouter[r.ID]
 
-		full, ok := Geolocate(w.Corpus, w.Matrix, anchors, r.ID, cfg)
+		full, ok := Geolocate(w.Corpus, w.Matrix, anchors, r.ID)
 		if !ok || full.AnchorLinks == 0 {
 			continue
 		}
-		vpOnly, ok2 := Geolocate(w.Corpus, w.Matrix, Anchors{}, r.ID, cfg)
+		vpOnly, ok2 := Geolocate(w.Corpus, w.Matrix, Anchors{}, r.ID)
 		if !ok2 {
 			continue
 		}
@@ -112,7 +111,7 @@ func TestTBGTightensEstimates(t *testing.T) {
 
 func TestGeolocateNoConstraints(t *testing.T) {
 	w, _, anchors := world(t)
-	if _, ok := Geolocate(w.Corpus, w.Matrix, anchors, "no-such-router", DefaultConfig()); ok {
+	if _, ok := Geolocate(w.Corpus, w.Matrix, anchors, "no-such-router"); ok {
 		t.Error("unknown router should not geolocate")
 	}
 }
