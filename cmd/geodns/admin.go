@@ -32,20 +32,23 @@ type dnsMetrics struct{ s *dnsserve.Server }
 
 // queries renders the per-query counter taxonomy: total queries,
 // per-outcome response counts (the same names the query log and the
-// shutdown stats line use), and TCP close errors.
+// shutdown stats line use), TCP close errors, and TCP connections
+// refused at the connection cap.
 func (m dnsMetrics) queries(pw *promexp.Writer) {
 	st := m.s.Stats()
 	pw.Counter("geodns_queries_total", "DNS queries received, UDP and TCP.",
 		float64(st["queries"]))
 	pw.Family("geodns_responses_total", "Responses per outcome (rcode taxonomy).", "counter")
 	for _, k := range promexp.SortedKeys(st) {
-		if k == "queries" || k == "close_errors" {
+		if k == "queries" || k == "close_errors" || k == "tcp_refused" {
 			continue
 		}
 		pw.Sample("geodns_responses_total", promexp.Labels("outcome", k), float64(st[k]))
 	}
 	pw.Counter("geodns_tcp_close_errors_total", "TCP connections that failed to close cleanly.",
 		float64(st["close_errors"]))
+	pw.Counter("geodns_tcp_refused_total", "TCP connections closed unserved because the connection cap was reached.",
+		float64(st["tcp_refused"]))
 }
 
 // limiter renders the rate limiter's refusals and capacity-sweep

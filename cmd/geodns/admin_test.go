@@ -100,6 +100,7 @@ func TestAdminPromConformance(t *testing.T) {
 		`geodns_responses_total{outcome="dropped"} 1`,
 		"geodns_limiter_refused_total 0",
 		"geodns_limiter_evictions_total 0",
+		"geodns_tcp_refused_total 0",
 		`geodns_edns_udp_size_bytes_bucket{le="1232"} 3`,
 		`geodns_edns_udp_size_bytes_bucket{le="+Inf"} 3`,
 		"geodns_edns_udp_size_bytes_sum 3696",

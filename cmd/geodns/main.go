@@ -30,7 +30,8 @@
 // EDNS record (RFC 1035 §4.2.1), and drop tail records with TC set
 // when the answer cannot fit, at which point resolvers retry over TCP.
 // Pipelined TCP queries are answered in order, their replies written
-// together rather than one syscall each.
+// together rather than one syscall each. At most 256 TCP connections
+// are served at once; one past that is closed unread and counted.
 //
 // SIGHUP triggers the same validated zero-downtime reload as
 // geoserve: re-resolve the boot source, spot-check the replacement
@@ -42,7 +43,8 @@
 // operational plane that does not belong on the DNS port:
 //
 //	GET /metrics/prom   Prometheus text exposition — per-outcome query
-//	                    counters, limiter refusals and evictions, the
+//	                    counters, TCP connections refused at the cap,
+//	                    limiter refusals and evictions, the
 //	                    negotiated EDNS response-size histogram, index
 //	                    lookup counters (which carry across reloads),
 //	                    reload build/swap timings, query-log counters,

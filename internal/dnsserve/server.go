@@ -11,17 +11,20 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hoiho/internal/core"
 	"hoiho/internal/dnswire"
 	"hoiho/internal/geoloc"
 	"hoiho/internal/obs"
 	"hoiho/internal/qlog"
 )
 
-// Wire limits and the TCP idle timeout.
+// Wire limits, the TCP idle timeout and the cap on open TCP
+// connections.
 const (
 	minUDPSize     = 512              // RFC 1035 limit without EDNS, and the floor with it
 	defaultUDPSize = 1232             // fits any unfragmented path, EDNS default
 	tcpIdleTimeout = 10 * time.Second // deadline on a TCP read that may block
+	maxTCPConns    = 256              // open connections per listener; past it, accept and close
 )
 
 // Config tunes a Server. The zero value serves with defaults: TTL 300,
@@ -94,12 +97,17 @@ type Server struct {
 	live    *geoloc.Live
 	limiter *limiter
 	qlog    *qlog.Logger
+	// opt is the OPT record of every reply to an EDNS query. The
+	// packer only reads it, so all replies share it.
+	opt dnswire.EDNS
 
-	// Query counters: every handled packet, each by its outcome, and
-	// TCP connections that failed to close.
+	// Query counters: every handled packet, each by its outcome, TCP
+	// connections that failed to close, and TCP connections closed
+	// unserved because maxTCPConns were open.
 	queries     atomic.Int64
 	byOutcome   [numOutcomes]atomic.Int64
 	closeErrors atomic.Int64
+	tcpRefused  atomic.Int64
 
 	// Negotiated UDP response-size histogram: per-band observation
 	// counts over ednsBounds (last slot is +Inf) and a byte sum.
@@ -123,6 +131,7 @@ func New(ix *geoloc.Index, cfg Config) *Server {
 		live:    geoloc.NewLive(ix),
 		limiter: newLimiter(cfg.Rate, cfg.Burst),
 		qlog:    cfg.QueryLog,
+		opt:     dnswire.EDNS{UDPSize: cfg.UDPSize},
 	}
 }
 
@@ -131,9 +140,10 @@ func New(ix *geoloc.Index, cfg Config) *Server {
 func (s *Server) Live() *geoloc.Live { return s.live }
 
 // Stats snapshots the query counters: "queries", each outcome seen so
-// far by name, and "close_errors" once a TCP close has failed.
+// far by name, "close_errors" once a TCP close has failed, and
+// "tcp_refused" once a TCP connection was turned away at the cap.
 func (s *Server) Stats() map[string]int64 {
-	st := make(map[string]int64, numOutcomes+2)
+	st := make(map[string]int64, numOutcomes+3)
 	put := func(name string, n int64) {
 		if n > 0 {
 			st[name] = n
@@ -144,6 +154,7 @@ func (s *Server) Stats() map[string]int64 {
 		put(outcomes[o].name, s.byOutcome[o].Load())
 	}
 	put("close_errors", s.closeErrors.Load())
+	put("tcp_refused", s.tcpRefused.Load())
 	return st
 }
 
@@ -247,7 +258,7 @@ func (s *Server) handle(b, pkt []byte, src netip.Addr, tcp bool, qr *qlog.Record
 	r := dnswire.Reply(q)
 	r.Authoritative = true
 	if q.EDNS != nil {
-		r.EDNS = &dnswire.EDNS{UDPSize: s.cfg.UDPSize}
+		r.EDNS = &s.opt
 	}
 	var oc outcome
 	switch {
@@ -310,7 +321,7 @@ func (s *Server) answer(r *dnswire.Message, question dnswire.Question) outcome {
 		})
 	}
 	if wantAll || question.Type == dnswire.TypeTXT {
-		add(dnswire.TXT(geoloc.AnswerStrings(g)))
+		add(txtAnswer{g})
 	}
 	if wantAll || question.Type == dnswire.TypePTR {
 		add(dnswire.PTR(geoloc.PTRTarget(g)))
@@ -323,6 +334,19 @@ func (s *Server) answer(r *dnswire.Message, question dnswire.Question) outcome {
 	}
 	return noerror
 }
+
+// txtAnswer is the TXT payload of a located answer. It packs itself
+// straight into the reply through geoloc.AppendTXT, the character-
+// strings of geoloc.AnswerStrings, and decodes as dnswire.TXT. One
+// pointer wide, it goes into a dnswire.RData without an allocation.
+type txtAnswer struct{ g *core.Geolocation }
+
+// Type implements dnswire.RData.
+func (txtAnswer) Type() dnswire.Type { return dnswire.TypeTXT }
+
+// AppendRData implements dnswire.RDataAppender. A field over 255 bytes
+// fails the pack, and the query gets SERVFAIL.
+func (t txtAnswer) AppendRData(b []byte) ([]byte, error) { return geoloc.AppendTXT(b, t.g) }
 
 // appendRawReply appends a header-only response built from the raw
 // bytes of a request that may not parse: ID echoed, QR set, opcode and
@@ -393,7 +417,8 @@ func (s *Server) ServeUDP(ctx context.Context, conn *net.UDPConn) (err error) {
 
 // ServeTCP answers queries on ln until ctx is canceled, then waits for
 // every open connection to flush its replies and close before
-// returning.
+// returning. At most maxTCPConns connections are served at once: one
+// accepted past that is closed unread and counted as tcp_refused.
 func (s *Server) ServeTCP(ctx context.Context, ln *net.TCPListener) (err error) {
 	done := wakeOnCancel(ctx, ln.SetDeadline)
 	defer func() {
@@ -403,6 +428,7 @@ func (s *Server) ServeTCP(ctx context.Context, ln *net.TCPListener) (err error) 
 	}()
 	var wg sync.WaitGroup
 	defer wg.Wait()
+	slots := make(chan struct{}, maxTCPConns)
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -411,10 +437,19 @@ func (s *Server) ServeTCP(ctx context.Context, ln *net.TCPListener) (err error) 
 			}
 			return err
 		}
+		select {
+		case slots <- struct{}{}:
+		default:
+			s.tcpRefused.Add(1)
+			if err := conn.Close(); err != nil {
+				s.closeErrors.Add(1)
+			}
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.serveConn(ctx, conn)
+			s.serveConn(ctx, conn, slots)
 		}()
 	}
 }
@@ -427,10 +462,15 @@ func (s *Server) ServeTCP(ctx context.Context, ln *net.TCPListener) (err error) 
 // read that may block — when the reader does not already hold the
 // whole next frame — so it never waits on the network with replies
 // unsent, and every way out of the loop but a failed write passes a
-// flush.
-func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
+// flush. With slots non-nil it frees the connection's slot there
+// before it closes conn, so a peer that sees the close can connect
+// again at once.
+func (s *Server) serveConn(ctx context.Context, conn net.Conn, slots chan struct{}) {
 	done := wakeOnCancel(ctx, conn.SetReadDeadline)
 	defer func() {
+		if slots != nil {
+			<-slots
+		}
 		// A failed close on a drained conn is not actionable, but it is
 		// countable. A wake deadline that could not be set means the
 		// conn was closed already.

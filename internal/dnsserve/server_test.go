@@ -218,26 +218,11 @@ func TestAnswers(t *testing.T) {
 	}
 
 	// Every golden hostname under the golden conventions: NXDOMAIN
-	// exactly when Lookup misses, otherwise the TXT of AnswerStrings.
-	dir := filepath.Join("..", "..", "testdata", "golden")
-	conventions, err := os.ReadFile(filepath.Join(dir, "conventions.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	names, err := os.ReadFile(filepath.Join(dir, "corpus.names"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix := indexOf(t, string(conventions))
+	// exactly when Lookup misses, otherwise the TXT of the strings
+	// AnswerStrings listed before TXT packed itself.
+	ix, hosts := goldenIndex(t)
 	gs := New(ix, Config{})
-	hosts := 0
-	for _, line := range strings.Split(string(names), "\n") {
-		f := strings.Fields(line)
-		if len(f) == 0 {
-			continue
-		}
-		host := f[len(f)-1]
-		hosts++
+	for _, host := range hosts {
 		r := ask(t, gs, q(host+".", dnswire.TypeTXT))
 		g, ok := ix.Lookup(host)
 		if !ok {
@@ -250,13 +235,35 @@ func TestAnswers(t *testing.T) {
 			t.Errorf("%s: located, reply rcode %v with %d answers", host, r.RCode, len(r.Answers))
 			continue
 		}
-		if txt, want := r.Answers[0].Data, dnswire.TXT(geoloc.AnswerStrings(g)); !reflect.DeepEqual(txt, want) {
+		if txt, want := r.Answers[0].Data, dnswire.TXT(oracleAnswerStrings(g)); !reflect.DeepEqual(txt, want) {
 			t.Errorf("%s: TXT = %v, want %v", host, txt, want)
 		}
 	}
-	if hosts != 740 {
-		t.Errorf("checked %d golden hostnames, want 740", hosts)
+	if len(hosts) != 740 {
+		t.Errorf("checked %d golden hostnames, want 740", len(hosts))
 	}
+}
+
+// goldenIndex compiles the golden conventions and returns the index
+// with every hostname of the golden corpus.
+func goldenIndex(t testing.TB) (*geoloc.Index, []string) {
+	t.Helper()
+	dir := filepath.Join("..", "..", "testdata", "golden")
+	conventions, err := os.ReadFile(filepath.Join(dir, "conventions.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := os.ReadFile(filepath.Join(dir, "corpus.names"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hosts []string
+	for _, line := range strings.Split(string(names), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			hosts = append(hosts, f[len(f)-1])
+		}
+	}
+	return indexOf(t, string(conventions)), hosts
 }
 
 // TestMalformedCorpusNoPanic replays the dnswire golden corpus — every

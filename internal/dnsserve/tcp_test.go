@@ -107,7 +107,7 @@ func serveOne(t *testing.T, s *Server) (net.Conn, *writeCounter, func()) {
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		s.serveConn(ctx, wc)
+		s.serveConn(ctx, wc, nil)
 	}()
 	return c, wc, func() {
 		cancel()
@@ -190,5 +190,77 @@ func TestServeTCPPartialFrame(t *testing.T) {
 	}
 	if !bytes.Equal(got[2:], want) {
 		t.Errorf("second reply differs from HandlePacket's")
+	}
+}
+
+// TestServeTCPConnCap holds maxTCPConns idle connections open: the next
+// one must be closed unread and counted as tcp_refused. Once one of
+// the idle connections has ended, a fresh connection must be served.
+func TestServeTCPConnCap(t *testing.T) {
+	s := testServer(t)
+	ln, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.ServeTCP(ctx, ln) }()
+	var conns []net.Conn
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("ServeTCP: %v", err)
+		}
+		if err := ln.Close(); err != nil {
+			t.Error(err)
+		}
+		for _, c := range conns {
+			if err := c.Close(); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	dial := func() net.Conn {
+		t.Helper()
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, c)
+		if err := c.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// The accept loop takes connections in the order they were made,
+	// so the first maxTCPConns hold every slot when the next arrives.
+	for range maxTCPConns {
+		dial()
+	}
+	if n, err := dial().Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("connection past the cap read %d bytes, %v; want EOF", n, err)
+	}
+	if got := s.Stats()["tcp_refused"]; got != 1 {
+		t.Errorf("tcp_refused = %d, want 1", got)
+	}
+
+	// Half-close an idle connection and wait for the server to close
+	// it: it frees the connection's slot before that.
+	idle := conns[0].(*net.TCPConn)
+	if err := idle.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := idle.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("half-closed connection read %d bytes, %v; want EOF", n, err)
+	}
+	pkt, err := q(locatedName, dnswire.TypeTXT).Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := roundTripTCP(t, dial(), pkt), s.HandlePacket(pkt, testSrc, true); !bytes.Equal(got, want) {
+		t.Errorf("fresh connection after a slot freed: reply %x, want %x", got, want)
+	}
+	if got := s.Stats()["tcp_refused"]; got != 1 {
+		t.Errorf("tcp_refused = %d after a slot freed, want 1", got)
 	}
 }

@@ -211,6 +211,18 @@ type TXT []string
 // Type implements RData.
 func (TXT) Type() Type { return TypeTXT }
 
+// RDataAppender is an RData that packs its own RDATA: the packer calls
+// AppendRData to append the record's RDATA bytes to b, then fills in
+// their length. It lets a payload be rendered straight into the
+// message instead of first being built as one of this package's types.
+// An error fails the pack. Decoding knows nothing of it: the record
+// decodes as the package's own type for Type() (a self-packing TXT
+// payload decodes as TXT).
+type RDataAppender interface {
+	RData
+	AppendRData(b []byte) ([]byte, error)
+}
+
 // LOC is an RFC 1876 location record payload. Fields are kept in wire
 // units so arbitrary records round-trip exactly; NewLOC and LatLong
 // convert to and from decimal degrees.

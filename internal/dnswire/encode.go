@@ -386,6 +386,11 @@ func (p *packer) packRR(rr RR) error {
 			return ErrBadRData
 		}
 		p.buf = append(p.buf, d.Data...)
+	case RDataAppender:
+		var err error
+		if p.buf, err = d.AppendRData(p.buf); err != nil {
+			return err
+		}
 	default: // optData or a foreign RData implementation
 		return ErrBadOPT
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -151,4 +153,72 @@ func BenchmarkPackManyRecords(b *testing.B) {
 			}
 		}
 	})
+}
+
+// selfTXT packs the character-strings of a TXT payload itself, through
+// RDataAppender. With err set it writes a few bytes and then fails.
+type selfTXT struct {
+	ss  []string
+	err error
+}
+
+func (selfTXT) Type() Type { return TypeTXT }
+
+func (t selfTXT) AppendRData(b []byte) ([]byte, error) {
+	if t.err != nil {
+		return append(b, "partial"...), t.err
+	}
+	for _, s := range t.ss {
+		b = append(append(b, byte(len(s))), s...)
+	}
+	return b, nil
+}
+
+// TestRDataAppender packs a message whose answers pack themselves and
+// the same message with TXT answers, whole and truncated at every
+// limit: the bytes must be equal, also where a self-packing record is
+// dropped whole. The reply must decode to the TXT answers. An error
+// from AppendRData must fail the pack and return b unchanged.
+func TestRDataAppender(t *testing.T) {
+	txts := []TXT{{"city=ashburn", "lat=39.0437"}, {"a"}, {""}, {strings.Repeat("x", 255), "y"}}
+	msg := func(data func(TXT) RData) *Message {
+		m := &Message{ID: 9, Response: true,
+			Questions: []Question{{Name: "ash1.he.net.", Type: TypeTXT, Class: ClassINET}},
+			EDNS:      &EDNS{UDPSize: 1232}}
+		for i, txt := range txts {
+			m.Answers = append(m.Answers, RR{Name: fmt.Sprintf("r%d.ash1.he.net.", i), Class: ClassINET, TTL: 300, Data: data(txt)})
+		}
+		return m
+	}
+	self := msg(func(txt TXT) RData { return selfTXT{ss: txt} })
+	plain := msg(func(txt TXT) RData { return txt })
+	full, err := plain.Pack()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte{0xAA, 0xBB}
+	for limit := headerLen; limit <= len(full); limit++ {
+		want, werr := plain.AppendTruncated(append([]byte(nil), prefix...), limit)
+		got, gerr := self.AppendTruncated(append([]byte(nil), prefix...), limit)
+		if !bytes.Equal(got, want) || (gerr == nil) != (werr == nil) {
+			t.Fatalf("limit %d: self-packed %x (%v), TXT %x (%v)", limit, got, gerr, want, werr)
+		}
+	}
+	back, err := Unpack(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rr := range back.Answers {
+		if txt, ok := rr.Data.(TXT); !ok || !slices.Equal(txt, txts[i]) {
+			t.Errorf("answer %d decodes as %#v, want %#v", i, rr.Data, txts[i])
+		}
+	}
+
+	boom := errors.New("boom")
+	self.Answers[1].Data = selfTXT{err: boom}
+	b := append(make([]byte, 0, 1024), prefix...)
+	out, err := self.AppendTruncated(b, MaxMessageLen)
+	if !errors.Is(err, boom) || !bytes.Equal(out, prefix) || cap(out) != cap(b) {
+		t.Errorf("failing appender: %x (cap %d), %v; want %x (cap %d), %v", out, cap(out), err, prefix, cap(b), boom)
+	}
 }

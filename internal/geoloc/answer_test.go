@@ -1,7 +1,11 @@
 package geoloc
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"hoiho/internal/core"
@@ -52,6 +56,39 @@ func TestAnswerStringsOmissions(t *testing.T) {
 	}
 	if AnswerStrings(&core.Geolocation{}) != nil {
 		t.Error("geolocation without location should yield no strings")
+	}
+}
+
+// TestAppendTXT checks that AppendTXT writes AnswerStrings' fields as
+// character-strings behind what b held, refuses a field over 255
+// bytes with b unchanged, and appends nothing for no location.
+func TestAppendTXT(t *testing.T) {
+	prefix := []byte("pre")
+	for _, mutate := range []func(*core.Geolocation){
+		func(g *core.Geolocation) {},
+		func(g *core.Geolocation) { g.Loc.Region, g.Learned = "", true },
+		func(g *core.Geolocation) { g.Hint = strings.Repeat("h", 255-len("hint=")) },
+	} {
+		g := sampleGeolocation()
+		mutate(g)
+		want := slices.Clone(prefix)
+		for _, s := range AnswerStrings(g) {
+			want = append(append(want, byte(len(s))), s...)
+		}
+		if got, err := AppendTXT(slices.Clone(prefix), g); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("AppendTXT = %q, %v; want %q", got, err, want)
+		}
+	}
+	g := sampleGeolocation()
+	g.Hint = strings.Repeat("h", 256-len("hint="))
+	b := append(make([]byte, 0, 1024), prefix...)
+	if got, err := AppendTXT(b, g); !errors.Is(err, ErrLongField) || !bytes.Equal(got, prefix) {
+		t.Errorf("AppendTXT with a 256-byte field = %q, %v; want %q, ErrLongField", got, err, prefix)
+	}
+	for _, g := range []*core.Geolocation{nil, {}} {
+		if got, err := AppendTXT(prefix, g); err != nil || !bytes.Equal(got, prefix) {
+			t.Errorf("AppendTXT(%v) = %q, %v; want %q", g, got, err, prefix)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package geoloc
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"hoiho/internal/core"
@@ -45,7 +47,10 @@ func BenchmarkIndexLookupUncached(b *testing.B) {
 }
 
 // BenchmarkIndexLookupParallel drives the shared index from all procs,
-// the daemon's concurrency shape.
+// the daemon's concurrency shape. Every goroutine cycles the same 6
+// hostnames in step, so they contend on the same cache shards;
+// BenchmarkIndexLookupGoldenParallel spreads them over the golden
+// corpus.
 func BenchmarkIndexLookupParallel(b *testing.B) {
 	ix := newTestIndex(b, Options{})
 	for _, h := range benchHosts {
@@ -60,6 +65,42 @@ func BenchmarkIndexLookupParallel(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkIndexLookupGoldenParallel is cached lookups over the 740
+// hostnames of the golden corpus under its conventions, by one
+// goroutine and by two. Each goroutine cycles the hostnames from its
+// own offset, an equal share of the corpus apart, and a warm pass
+// first makes every lookup a cache hit. On a host with two or more
+// CPUs it shows how cache hits scale with cores.
+func BenchmarkIndexLookupGoldenParallel(b *testing.B) {
+	_, ix := goldenIndex(b)
+	hosts := goldenHostnames(b)
+	for _, h := range hosts {
+		ix.Lookup(h)
+	}
+	for _, n := range []int{1, 2} {
+		b.Run(fmt.Sprintf("goroutines=%d", n), func(b *testing.B) {
+			misses := ix.Stats().CacheMisses
+			b.ReportAllocs()
+			var wg sync.WaitGroup
+			for g := range n {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					// Goroutine g does every n'th of the b.N lookups.
+					for i, at := g, g*len(hosts)/n; i < b.N; i, at = i+n, at+1 {
+						ix.Lookup(hosts[at%len(hosts)])
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			if m := ix.Stats().CacheMisses - misses; m != 0 {
+				b.Fatalf("%d lookups missed the cache after the warm pass", m)
+			}
+		})
+	}
 }
 
 // BenchmarkIndexLookupBatch is the batch API over a 1k-hostname slice.

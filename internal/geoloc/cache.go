@@ -1,7 +1,6 @@
 package geoloc
 
 import (
-	"container/list"
 	"sync"
 
 	"hoiho/internal/core"
@@ -20,16 +19,23 @@ type cache struct {
 // contention negligible at typical server parallelism.
 const cacheShards = 16
 
+// shard is one LRU. Its entries live in slots, linked by index into a
+// recency ring: head is the most recently used slot and
+// slots[head].prev the least. slots grows by append until it holds cap
+// entries; from then on a new entry takes the least recently used
+// slot, so a full shard allocates on no get or put.
 type shard struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[string]*list.Element
-	order   *list.List // front = most recently used
+	mu    sync.Mutex
+	cap   int
+	index map[string]int32 // key → slot
+	slots []slot
+	head  int32
 }
 
-type cacheEntry struct {
-	key string
-	g   *core.Geolocation
+type slot struct {
+	key        string
+	g          *core.Geolocation
+	prev, next int32
 }
 
 func newCache(capacity int) *cache {
@@ -40,8 +46,7 @@ func newCache(capacity int) *cache {
 	c := &cache{}
 	for i := range c.shards {
 		c.shards[i].cap = per
-		c.shards[i].entries = make(map[string]*list.Element, per)
-		c.shards[i].order = list.New()
+		c.shards[i].index = make(map[string]int32, per)
 	}
 	return c
 }
@@ -56,41 +61,58 @@ func (c *cache) get(key string) (*core.Geolocation, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[key]
+	i, ok := s.index[key]
 	if !ok {
 		return nil, false
 	}
-	s.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).g, true
+	s.touch(i)
+	return s.slots[i].g, true
 }
 
 func (c *cache) put(key string, g *core.Geolocation) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*cacheEntry).g = g
-		s.order.MoveToFront(el)
+	if i, ok := s.index[key]; ok {
+		s.slots[i].g = g
+		s.touch(i)
 		return
 	}
-	s.entries[key] = s.order.PushFront(&cacheEntry{key: key, g: g})
-	if s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.entries, oldest.Value.(*cacheEntry).key)
+	if len(s.slots) == s.cap {
+		// Full: the least recently used slot takes the new entry, and
+		// moving head onto it makes it the most recently used.
+		i := s.slots[s.head].prev
+		delete(s.index, s.slots[i].key)
+		s.slots[i].key, s.slots[i].g = key, g
+		s.index[key], s.head = i, i
+		return
 	}
+	i := int32(len(s.slots))
+	s.slots = append(s.slots, slot{key: key, g: g, prev: i, next: i})
+	if i > 0 {
+		s.link(i)
+	}
+	s.index[key], s.head = i, i
 }
 
-// len returns the number of cached entries across all shards.
-func (c *cache) len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
+// touch makes slot i the most recently used.
+func (s *shard) touch(i int32) {
+	if i == s.head {
+		return
 	}
-	return n
+	p, n := s.slots[i].prev, s.slots[i].next
+	s.slots[p].next, s.slots[n].prev = n, p
+	s.link(i)
+	s.head = i
+}
+
+// link puts slot i into the ring just before head, the place of the
+// most recently used once head moves to i.
+func (s *shard) link(i int32) {
+	h := s.head
+	t := s.slots[h].prev
+	s.slots[i].prev, s.slots[i].next = t, h
+	s.slots[t].next, s.slots[h].prev = i, i
 }
 
 // fnv32a is the 32-bit FNV-1a hash, inlined to avoid per-key allocation

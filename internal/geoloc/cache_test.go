@@ -1,11 +1,176 @@
 package geoloc
 
 import (
+	"container/list"
 	"fmt"
+	"math/rand/v2"
+	"slices"
+	"sync"
 	"testing"
 
 	"hoiho/internal/core"
 )
+
+// len returns the number of cached entries across all shards.
+func (c *cache) len() int {
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n += len(s.slots)
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// recency lists shard i's keys from the most to the least recently
+// used, walking the ring from head.
+func (c *cache) recency(i int) []string {
+	s := &c.shards[i]
+	keys := make([]string, 0, len(s.slots))
+	for j, at := 0, s.head; j < len(s.slots); j, at = j+1, s.slots[at].next {
+		keys = append(keys, s.slots[at].key)
+	}
+	return keys
+}
+
+// modelCache is the container/list LRU the slice-backed cache
+// replaced, kept as the model it must agree with: same sharding, same
+// per-shard capacity, one list.Element and one modelEntry per insert.
+type modelCache struct {
+	shards [cacheShards]modelShard
+}
+
+type modelShard struct {
+	mu      sync.Mutex
+	cap     int
+	entries map[string]*list.Element
+	order   *list.List // front = most recently used
+}
+
+type modelEntry struct {
+	key string
+	g   *core.Geolocation
+}
+
+func newModelCache(capacity int) *modelCache {
+	per := (capacity + cacheShards - 1) / cacheShards
+	if per < 1 {
+		per = 1
+	}
+	c := &modelCache{}
+	for i := range c.shards {
+		c.shards[i].cap = per
+		c.shards[i].entries = make(map[string]*list.Element, per)
+		c.shards[i].order = list.New()
+	}
+	return c
+}
+
+func (c *modelCache) shard(key string) *modelShard {
+	return &c.shards[fnv32a(key)&(cacheShards-1)]
+}
+
+func (c *modelCache) get(key string) (*core.Geolocation, bool) {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.entries[key]
+	if !ok {
+		return nil, false
+	}
+	s.order.MoveToFront(el)
+	return el.Value.(*modelEntry).g, true
+}
+
+func (c *modelCache) put(key string, g *core.Geolocation) {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.entries[key]; ok {
+		el.Value.(*modelEntry).g = g
+		s.order.MoveToFront(el)
+		return
+	}
+	s.entries[key] = s.order.PushFront(&modelEntry{key: key, g: g})
+	if s.order.Len() > s.cap {
+		oldest := s.order.Back()
+		s.order.Remove(oldest)
+		delete(s.entries, oldest.Value.(*modelEntry).key)
+	}
+}
+
+// recency lists shard i's keys from the most to the least recently
+// used.
+func (c *modelCache) recency(i int) []string {
+	var keys []string
+	for el := c.shards[i].order.Front(); el != nil; el = el.Next() {
+		keys = append(keys, el.Value.(*modelEntry).key)
+	}
+	return keys
+}
+
+// TestCacheMatchesModel drives the cache and the container/list model
+// through the same seeded sequence of gets and puts: every get must
+// return the model's verdict and value, and every shard must end with
+// the model's keys in the model's recency order. The key pool is about
+// twice the capacity, so about half the gets hit and most puts evict.
+func TestCacheMatchesModel(t *testing.T) {
+	const ops = 100_000
+	vals := []*core.Geolocation{nil, {Hint: "a"}, {Hint: "b"}, {Hint: "c"}}
+	for _, capacity := range []int{1, 16, 17, 100, 4096} {
+		c, m := newCache(capacity), newModelCache(capacity)
+		keys := make([]string, 2*capacity+8)
+		for i := range keys {
+			keys[i] = fmt.Sprintf("host%d.example.net", i)
+		}
+		r := rand.New(rand.NewPCG(uint64(capacity), 27))
+		for op := 0; op < ops; op++ {
+			k := keys[r.IntN(len(keys))]
+			if r.IntN(2) == 0 {
+				g := vals[r.IntN(len(vals))]
+				c.put(k, g)
+				m.put(k, g)
+				continue
+			}
+			got, ok := c.get(k)
+			want, wantOK := m.get(k)
+			if got != want || ok != wantOK {
+				t.Fatalf("capacity %d, op %d: get(%q) = (%p, %v), model (%p, %v)",
+					capacity, op, k, got, ok, want, wantOK)
+			}
+		}
+		for i := range c.shards {
+			if got, want := c.recency(i), m.recency(i); !slices.Equal(got, want) {
+				t.Errorf("capacity %d, shard %d: keys by recency %q, model %q", capacity, i, got, want)
+			}
+		}
+	}
+}
+
+// TestCacheAllocs pins a get, hit or miss, and a put that evicts from
+// a full shard at zero allocations, at the default capacity.
+func TestCacheAllocs(t *testing.T) {
+	c := newCache(DefaultCacheSize)
+	keys := sameShardKeys(4 * DefaultCacheSize / cacheShards)
+	for _, k := range keys {
+		c.put(k, nil) // the shard is full from here on
+	}
+	g := &core.Geolocation{}
+	i := 0
+	if a := testing.AllocsPerRun(1000, func() {
+		c.put(keys[i%len(keys)], g) // the last put was len(keys)-1 puts ago: a miss
+		i++
+	}); a != 0 {
+		t.Errorf("evicting put: %v allocations, want 0", a)
+	}
+	hit, miss := keys[(i-1)%len(keys)], "absent.example.net"
+	for _, k := range []string{hit, miss} {
+		if a := testing.AllocsPerRun(1000, func() { c.get(k) }); a != 0 {
+			t.Errorf("get(%q): %v allocations, want 0", k, a)
+		}
+	}
+}
 
 // sameShardKeys generates n distinct keys that all hash into shard 0,
 // so per-shard LRU behavior can be observed deterministically.
