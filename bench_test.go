@@ -103,7 +103,7 @@ func BenchmarkRunParallelTraced(b *testing.B) {
 	b.ReportMetric(float64(cfg.Workers), "workers")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg.Tracer = obs.New(obs.Options{RetainSpans: true})
+		cfg.Tracer = obs.New(obs.Options{})
 		if _, err := core.Run(in, cfg); err != nil {
 			b.Fatal(err)
 		}

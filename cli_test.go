@@ -474,6 +474,30 @@ func TestHoihoWriteNCAtomic(t *testing.T) {
 	}
 }
 
+// TestGeosnapVerifyRefusesUnreachableSuffix runs geosnap -verify over a
+// conventions file holding a co.uk convention beside a valid he.net
+// one. No hostname dispatches to co.uk, so the index build that boot
+// and reload also run refuses the file, and verify must fail naming it.
+func TestGeosnapVerifyRefusesUnreachableSuffix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binaries")
+	}
+	geosnap := buildBinary(t, t.TempDir(), "geosnap")
+	cmd := exec.Command(geosnap, "-nc", filepath.Join("testdata", "couk.conventions.txt"), "-verify")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("geosnap -verify exited with %v, want exit status 1\n%s%s", err, stdout.Bytes(), stderr.Bytes())
+	}
+	if !strings.Contains(stderr.String(), "suffix co.uk: unreachable") {
+		t.Errorf("stderr does not name co.uk:\n%s", stderr.Bytes())
+	}
+	if strings.Contains(stdout.String(), "ok:") {
+		t.Errorf("geosnap -verify passed the file:\n%s", stdout.Bytes())
+	}
+}
+
 // TestHoiholintTypeErrorFails runs hoiholint over a module that does
 // not type-check: the analyzers match calls and types through the type
 // checker, so the run must fail and name the package and the error

@@ -33,11 +33,12 @@
 // together rather than one syscall each. At most 256 TCP connections
 // are served at once; one past that is closed unread and counted.
 //
-// SIGHUP triggers the same validated zero-downtime reload as
-// geoserve: re-resolve the boot source, spot-check the replacement
-// index, swap the pointer (geoloc.Live.Reload). SIGINT/SIGTERM close
-// idle TCP connections at once, flush the replies in flight on busy
-// ones, and exit cleanly, logging the lifetime query counters.
+// SIGHUP triggers the same zero-downtime reload as geoserve:
+// re-resolve the boot source, build the replacement index with the
+// checks the boot index passed, swap the pointer (geoloc.Live.Reload).
+// SIGINT/SIGTERM close idle TCP connections at once, flush the replies
+// in flight on busy ones, and exit cleanly, logging the lifetime query
+// counters.
 //
 // With -admin-addr, a plain-HTTP sidecar listener serves the
 // operational plane that does not belong on the DNS port:

@@ -32,8 +32,8 @@
 //	GET  /debug/pprof/      net/http/pprof profiling (heap, profile, trace, ...)
 //
 // Reloads are zero-downtime: SIGHUP or POST /v1/admin/reload re-resolves
-// the boot source off the request path, spot-checks the replacement
-// index against the live one, and swaps an atomic pointer
+// the boot source off the request path, builds the replacement index
+// with the checks the boot index passed, and swaps an atomic pointer
 // (geoloc.Live.Reload); in-flight requests finish on the old index,
 // which then drains to the garbage collector. Error responses across
 // /v1 share one JSON envelope: {"error":{"code":...,"message":...}};

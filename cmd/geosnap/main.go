@@ -1,7 +1,7 @@
 // Command geosnap produces and verifies compiled-index snapshots — the
 // learn-once/serve-many artifact geoserve cold-starts and hot-reloads
-// from (see DESIGN.md §10 for the format). A snapshot carries learned
-// conventions in a versioned, checksummed, suffix-sharded binary file
+// from (see DESIGN.md §10 for the format). A snapshot carries the
+// published conventions text in a versioned, checksummed binary file
 // that geoloc.Load turns into a serving index without running the
 // learning pipeline.
 //
@@ -9,8 +9,12 @@
 //
 //	geosnap -corpus data/aug2020 -o index.snap [-workers n] [-no-learn] [-usable-only]
 //	geosnap -nc conventions.txt -o index.snap
-//	geosnap -snapshot old.snap -o new.snap      # rewrite (re-shard / re-checksum)
+//	geosnap -snapshot old.snap -o new.snap      # rewrite, e.g. with -usable-only
 //	geosnap -verify -snapshot index.snap        # integrity + compile check
+//
+// -verify reads the source and compiles it into a serving index with
+// geoloc.New, the build the daemons boot and reload with, so it refuses
+// what they refuse; it does not read back the file -o writes.
 //
 // The output file is written atomically (temp file + rename in the
 // destination directory), so a geoserve instance told to reload via
@@ -52,8 +56,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Resolve compiles the full index, so a convention whose regex does
-	// not compile fails here — before a broken snapshot ships.
+	// Resolve compiles the full index, so a convention the daemons would
+	// refuse (a regex that does not compile, a suffix no hostname
+	// dispatches to) fails here — before a broken snapshot ships.
 	resolved, err := src.Resolve(geoloc.Options{UsableOnly: *usableOnly})
 	if err != nil {
 		fatal(err)

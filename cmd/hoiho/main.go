@@ -105,11 +105,9 @@ func main() {
 	// One tracer covers the whole invocation: the learning run or
 	// snapshot load and the serving-index build record into it (lookups
 	// open no span).
-	// Raw spans are only retained when a -trace file will consume them;
-	// -tracesummary alone runs in constant memory off the aggregates.
 	var tracer *obs.Tracer
 	if *traceOut != "" || *traceSummary || *runtimeStats {
-		tracer = obs.New(obs.Options{RetainSpans: *traceOut != ""})
+		tracer = obs.New(obs.Options{})
 	}
 	// A CLI run lasts seconds, not hours: sample at 1s so a learning run
 	// yields a usable trajectory (the first sample is synchronous, so

@@ -365,7 +365,7 @@ func TestGoldenTraceDeterministic(t *testing.T) {
 	trace := func() []byte {
 		cfg := core.DefaultConfig()
 		cfg.Workers = 1
-		cfg.Tracer = obs.New(obs.Options{Clock: obs.FrozenClock, RetainSpans: true})
+		cfg.Tracer = obs.New(obs.Options{Clock: obs.FrozenClock})
 		if _, err := core.Run(in, cfg); err != nil {
 			t.Fatal(err)
 		}

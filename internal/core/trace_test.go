@@ -18,7 +18,7 @@ func TestTracedRunParallel(t *testing.T) {
 	w := testWorld(t)
 	cfg := core.DefaultConfig()
 	cfg.Workers = 8
-	cfg.Tracer = obs.New(obs.Options{RetainSpans: true})
+	cfg.Tracer = obs.New(obs.Options{})
 	if _, err := core.Run(w.Inputs(), cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -116,8 +116,7 @@ func (s *shard) link(i int32) {
 }
 
 // fnv32a is the 32-bit FNV-1a hash, inlined to avoid per-key allocation
-// through hash/fnv's interface. The cache picks shards by it and the
-// snapshot assigns suffixes to sections by it (shardOf).
+// through hash/fnv's interface. The cache picks shards by it.
 func fnv32a(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {

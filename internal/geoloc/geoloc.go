@@ -79,9 +79,12 @@ type Index struct {
 	unmatched   atomic.Uint64
 }
 
-// New compiles a result's conventions into an Index. Every regex builds
-// its matcher here — a convention with a regex that cannot build fails
-// the build rather than silently never matching.
+// New compiles a result's conventions into an Index, and is the one
+// place an index is checked, whatever its source and whether at boot,
+// at reload, in geosnap -verify or in hoiho. It refuses, naming the
+// suffix, a convention that could never apply: one whose regex cannot
+// build its matcher, and one whose suffix a hostname under it does not
+// dispatch to, such as a public suffix like co.uk.
 func New(res *core.Result, opts Options) (*Index, error) {
 	if res == nil {
 		return nil, fmt.Errorf("geoloc: nil result")
@@ -106,6 +109,10 @@ func New(res *core.Result, opts Options) (*Index, error) {
 	for suffix, nc := range res.NCs {
 		if nc == nil || (opts.UsableOnly && !nc.Class.Usable()) {
 			continue
+		}
+		probe := "probe." + suffix
+		if got := ix.Suffix(probe); got != suffix {
+			return nil, fmt.Errorf("geoloc: suffix %s: unreachable: hostname %s dispatches to %s", suffix, probe, got)
 		}
 		for _, r := range nc.Regexes {
 			if err := r.Prepare(); err != nil {

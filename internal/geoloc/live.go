@@ -18,10 +18,6 @@ import (
 	"time"
 )
 
-// spotCheckSamples is how many suffixes a reload validates against the
-// outgoing index before the swap.
-const spotCheckSamples = 16
-
 // Live is an atomically swappable reference to the serving Index.
 // Its methods are safe for concurrent use from any number of
 // goroutines.
@@ -86,9 +82,8 @@ func (l *Live) Stats() Stats {
 }
 
 // ReloadStatus describes one successful Reload. BuildUS covers
-// resolving and compiling the replacement; SwapUS covers the spot check
-// plus the swap, the window in which the replacement exists but is not
-// yet serving. Lookups proceed normally throughout.
+// resolving and compiling the replacement, which New checks; SwapUS
+// covers the swap. Lookups proceed normally throughout.
 type ReloadStatus struct {
 	Generation uint64 `json:"generation"`
 	Suffixes   int    `json:"suffixes"`
@@ -97,18 +92,18 @@ type ReloadStatus struct {
 }
 
 // Reload builds a replacement index from src with opts (the files src
-// names are re-read), validates it against the serving one with
-// SpotCheck, and swaps it in. Reloads serialize; lookups are never
-// blocked. A failed reload leaves the serving index in place and
-// counts a failure.
+// names are re-read, and New checks them as it did at boot), refuses
+// one with no conventions, and swaps it in. Reloads serialize; lookups
+// are never blocked. A failed reload leaves the serving index in place
+// and counts a failure.
 func (l *Live) Reload(src *Source, opts Options) (ReloadStatus, error) {
 	l.reloadMu.Lock()
 	defer l.reloadMu.Unlock()
 	t0 := time.Now()
 	resolved, err := src.Resolve(opts)
 	t1 := time.Now()
-	if err == nil {
-		err = SpotCheck(l.Index(), resolved.Index, spotCheckSamples)
+	if err == nil && resolved.Index.Len() == 0 {
+		err = fmt.Errorf("geoloc: reload: %s has no conventions to serve", src.Describe())
 	}
 	if err != nil {
 		l.failures.Add(1)
@@ -146,47 +141,4 @@ func (l *Live) ReloadStats() ReloadStats {
 		LastBuildUS: l.lastBuildUS.Load(),
 		LastSwapUS:  l.lastSwapUS.Load(),
 	}
-}
-
-// SpotCheck validates a replacement index before it is swapped in: the
-// replacement must be non-nil and non-empty, probe lookups over a
-// deterministic sample of its suffixes must complete (exercising
-// normalization, PSL dispatch, and the compiled matchers), and for
-// sampled suffixes the old and new index must agree on dispatch — a
-// probe hostname under a shared suffix must route to the same
-// registrable domain in both, which catches a PSL or normalization skew
-// between build and serve. old may be nil (boot); samples <= 0 checks
-// every suffix.
-//
-// The probes take the uncached lookup path: they run the same dispatch
-// and core.Decide walk as a client lookup, but touch neither the new
-// index's cache nor its counters, so a reload adds no traffic to the
-// exported lookup, cache and unmatched totals. The probes' outcomes
-// are deliberately not asserted — whether a probe matches depends on
-// the learned regexes, which a reload is allowed to change.
-func SpotCheck(old, next *Index, samples int) error {
-	if next == nil {
-		return fmt.Errorf("geoloc: spot-check: replacement index is nil")
-	}
-	if next.Len() == 0 {
-		return fmt.Errorf("geoloc: spot-check: replacement index is empty")
-	}
-	suffixes := next.Suffixes()
-	if samples > 0 && len(suffixes) > samples {
-		suffixes = suffixes[:samples]
-	}
-	for _, suffix := range suffixes {
-		probe := "spotcheck." + suffix
-		next.locate(normalize(probe)) // must complete: dispatch + matcher walk, no panic
-		if got := next.Suffix(probe); got != suffix {
-			return fmt.Errorf("geoloc: spot-check: probe %q dispatches to %q, want %q", probe, got, suffix)
-		}
-		if old != nil && old.Convention(suffix) != nil {
-			if oldGot := old.Suffix(probe); oldGot != suffix {
-				return fmt.Errorf("geoloc: spot-check: dispatch skew on %s: old index routes %q to %q",
-					suffix, probe, oldGot)
-			}
-		}
-	}
-	return nil
 }

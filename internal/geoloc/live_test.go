@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -83,53 +84,12 @@ func TestLiveConcurrentSwaps(t *testing.T) {
 		if i%2 == 1 {
 			next = ixA
 		}
-		if err := SpotCheck(live.Index(), next, 8); err != nil {
-			t.Errorf("swap %d: spot check failed: %v", i, err)
-		}
 		live.Swap(next)
 	}
 	close(stop)
 	wg.Wait()
 	if live.Generation() != 51 {
 		t.Fatalf("generation = %d after 50 swaps, want 51", live.Generation())
-	}
-}
-
-func TestSpotCheckRejectsBadReplacements(t *testing.T) {
-	ix := newTestIndex(t, Options{CacheSize: -1})
-	if err := SpotCheck(ix, nil, 0); err == nil {
-		t.Error("nil replacement should fail the spot check")
-	}
-	empty, err := New(&core.Result{NCs: map[string]*core.NamingConvention{}},
-		Options{Dict: ix.dict, PSL: ix.list})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SpotCheck(ix, empty, 0); err == nil {
-		t.Error("empty replacement should fail the spot check")
-	}
-	if err := SpotCheck(nil, ix, 0); err != nil {
-		t.Errorf("boot spot check (no old index) failed: %v", err)
-	}
-	if err := SpotCheck(ix, ix, 2); err != nil {
-		t.Errorf("self spot check failed: %v", err)
-	}
-}
-
-// TestSpotCheckCountsNoLookups: the spot check's probes are not client
-// lookups, so they leave the replacement's counters at zero and its
-// cache empty.
-func TestSpotCheckCountsNoLookups(t *testing.T) {
-	ix := newTestIndex(t, Options{})
-	next := newTestIndex(t, Options{})
-	if err := SpotCheck(ix, next, spotCheckSamples); err != nil {
-		t.Fatal(err)
-	}
-	if st := next.Stats(); !reflect.DeepEqual(st, Stats{ByClass: map[string]uint64{}, BySuffix: map[string]uint64{}}) {
-		t.Errorf("stats after spot check = %+v, want zero", st)
-	}
-	if n := next.cache.len(); n != 0 {
-		t.Errorf("spot check left %d cache entries", n)
 	}
 }
 
@@ -168,8 +128,9 @@ func TestLiveStatsSurviveSwap(t *testing.T) {
 
 // TestLiveReload: a successful reload swaps in a fresh index as the
 // next generation, records its build and swap latencies and leaves the
-// lookup counters as they were; a failed one counts a failure and
-// leaves the serving index in place.
+// lookup counters as they were; a failed one, of a corrupt snapshot or
+// of one with no conventions, counts a failure and leaves the serving
+// index in place.
 func TestLiveReload(t *testing.T) {
 	res, dict, list := learnFixture(t)
 	var buf bytes.Buffer
@@ -207,14 +168,55 @@ func TestLiveReload(t *testing.T) {
 		t.Errorf("reload stats = %+v after %+v", rs, st)
 	}
 
-	if err := os.WriteFile(src.Snapshot, []byte("garbage"), 0o644); err != nil {
+	var empty bytes.Buffer
+	if err := Save(&empty, &core.Result{NCs: map[string]*core.NamingConvention{}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	serving := live.Index()
-	if _, err := live.Reload(src, opts); err == nil {
-		t.Fatal("reload of a corrupt snapshot succeeded")
+	for i, bad := range []struct {
+		name string
+		data []byte
+	}{{"corrupt snapshot", []byte("garbage")}, {"no conventions", empty.Bytes()}} {
+		t.Run(bad.name, func(t *testing.T) {
+			if err := os.WriteFile(src.Snapshot, bad.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := live.Reload(src, opts); err == nil {
+				t.Fatal("reload succeeded")
+			}
+			if rs := live.ReloadStats(); live.Index() != serving || rs.Generation != 2 || rs.Failures != int64(i+1) || rs.Reloads != 1 {
+				t.Errorf("after the failed reload: stats %+v, serving index replaced: %v", rs, live.Index() != serving)
+			}
+		})
 	}
-	if rs := live.ReloadStats(); live.Index() != serving || rs.Generation != 2 || rs.Failures != 1 || rs.Reloads != 1 {
-		t.Errorf("after a failed reload: stats %+v, serving index replaced: %v", rs, live.Index() != serving)
+}
+
+// TestUnreachableSuffixRefused: a conventions file holding a co.uk
+// convention, which no hostname dispatches to (a hostname under co.uk
+// dispatches to its own registrable domain), beside a valid he.net
+// one. Boot and reload build the index through the same geoloc.New and
+// refuse the file with the same error, naming co.uk; the failed reload
+// keeps the serving index and counts one failure.
+func TestUnreachableSuffixRefused(t *testing.T) {
+	src := &Source{NC: filepath.Join("..", "..", "testdata", "couk.conventions.txt")}
+	_, bootErr := src.Resolve(Options{})
+	if bootErr == nil || !strings.Contains(bootErr.Error(), "suffix co.uk: unreachable") {
+		t.Fatalf("Resolve = %v, want co.uk refused as unreachable", bootErr)
+	}
+	res, err := LoadConventions(src.NC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(res.NCs, "co.uk")
+	serving, err := New(res, Options{})
+	if err != nil {
+		t.Fatalf("he.net alone: %v", err)
+	}
+	live := NewLive(serving)
+	if _, err := live.Reload(src, Options{}); err == nil || err.Error() != bootErr.Error() {
+		t.Errorf("Reload = %v, want the boot error %v", err, bootErr)
+	}
+	if rs := live.ReloadStats(); live.Index() != serving || rs.Generation != 1 || rs.Failures != 1 || rs.Reloads != 0 {
+		t.Errorf("after the refused reload: stats %+v, serving index replaced: %v", rs, live.Index() != serving)
 	}
 }

@@ -7,23 +7,17 @@ package geoloc
 //
 // Layout, all integers little-endian:
 //
-//	magic   [8]byte  "HOIHOSNP"
-//	version uint32   SnapshotVersion
-//	metaLen uint32   length of the JSON metadata header
-//	meta    []byte   {"conventions":N,"shards":K,...}
-//	shards  uint32   section count K
-//	K sections:
-//	    payloadLen uint32
-//	    payloadCRC uint32   IEEE CRC-32 of the payload bytes
-//	    payload    []byte   published-conventions text for the shard
-//	trailer uint32   IEEE CRC-32 of every preceding byte
+//	magic      [8]byte  "HOIHOSNP"
+//	version    uint32   SnapshotVersion
+//	metaLen    uint32   length of the JSON metadata header
+//	meta       []byte   {"conventions":N,...}
+//	payloadLen uint32   length of the payload
+//	payload    []byte   the published conventions text
+//	trailer    uint32   IEEE CRC-32 of every preceding byte
 //
-// Conventions are sharded by FNV-1a suffix hash so ReadSnapshot can
-// parse sections concurrently; within a shard the payload is the same
-// line format core.WriteConventions publishes, which keeps the snapshot
-// debuggable with `strings` and reuses the battle-tested parser. The
-// per-section CRC localizes corruption to a shard; the trailer CRC
-// additionally covers the header and framing.
+// The payload is byte for byte what core.WriteConventions writes, the
+// file hoiho -write-nc publishes, so a snapshot stays debuggable with
+// `strings` and is read by the one conventions parser.
 
 import (
 	"bytes"
@@ -33,7 +27,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 
 	"hoiho/internal/core"
 	"hoiho/internal/obs"
@@ -42,16 +35,9 @@ import (
 // SnapshotVersion is the format version this build writes and the only
 // version it reads. Bump on any incompatible layout change; readers
 // reject other versions with ErrSnapshotVersion rather than guessing.
-const SnapshotVersion = 1
-
-// snapshotShards is the section count written by Save. Readers take the
-// count from the file, so this can change without a version bump.
-const snapshotShards = 8
-
-// maxSnapshotSections caps the section count ReadSnapshot accepts. Each
-// section is parsed on its own goroutine, so the count is bounded far
-// above what Save writes rather than taken on trust.
-const maxSnapshotSections = 256
+// A version 1 file is refused: rebuild it with geosnap from its
+// conventions file or corpus.
+const SnapshotVersion = 2
 
 var snapshotMagic = [8]byte{'H', 'O', 'I', 'H', 'O', 'S', 'N', 'P'}
 
@@ -68,10 +54,8 @@ var (
 	ErrSnapshotVersion = errors.New("geoloc: snapshot: unsupported format version")
 	// ErrSnapshotTruncated reports an input that ends mid-structure.
 	ErrSnapshotTruncated = errors.New("geoloc: snapshot: truncated")
-	// ErrSnapshotChecksum reports a section or trailer CRC mismatch.
+	// ErrSnapshotChecksum reports a trailer CRC mismatch.
 	ErrSnapshotChecksum = errors.New("geoloc: snapshot: checksum mismatch")
-	// ErrSnapshotSections reports a section count above the reader's cap.
-	ErrSnapshotSections = errors.New("geoloc: snapshot: too many sections")
 )
 
 // snapshotMeta is the JSON metadata header. The Result-level totals ride
@@ -79,17 +63,16 @@ var (
 // snapshot consumer does not have.
 type snapshotMeta struct {
 	Conventions         int `json:"conventions"`
-	Shards              int `json:"shards"`
 	SuffixesWithGeohint int `json:"suffixes_with_geohint,omitempty"`
 	RoutersWithGeohint  int `json:"routers_with_geohint,omitempty"`
 	RoutersGeolocated   int `json:"routers_geolocated,omitempty"`
 }
 
 // Save writes res as a compiled-index snapshot. The output is
-// deterministic for a given Result (no timestamps; shard payloads are
-// sorted), so identical conventions produce byte-identical snapshots.
-// tracer may be nil; when set, a "snapshot-save" span records convention
-// and byte counts.
+// deterministic for a given Result (no timestamps; the payload is
+// sorted by suffix), so identical conventions produce byte-identical
+// snapshots. tracer may be nil; when set, a "snapshot-save" span
+// records convention and byte counts.
 func Save(w io.Writer, res *core.Result, tracer *obs.Tracer) error {
 	if res == nil {
 		return fmt.Errorf("geoloc: snapshot: nil result")
@@ -97,20 +80,8 @@ func Save(w io.Writer, res *core.Result, tracer *obs.Tracer) error {
 	sp := tracer.Start("snapshot-save")
 	defer sp.End()
 
-	shards := make([]*core.Result, snapshotShards)
-	for i := range shards {
-		shards[i] = &core.Result{NCs: make(map[string]*core.NamingConvention)}
-	}
-	for suffix, nc := range res.NCs {
-		shards[shardOf(suffix)].NCs[suffix] = nc
-	}
-
-	var out bytes.Buffer
-	out.Write(snapshotMagic[:])
-	writeU32(&out, SnapshotVersion)
 	meta, err := json.Marshal(snapshotMeta{
 		Conventions:         len(res.NCs),
-		Shards:              snapshotShards,
 		SuffixesWithGeohint: res.SuffixesWithGeohint,
 		RoutersWithGeohint:  res.RoutersWithGeohint,
 		RoutersGeolocated:   res.RoutersGeolocated,
@@ -118,35 +89,31 @@ func Save(w io.Writer, res *core.Result, tracer *obs.Tracer) error {
 	if err != nil {
 		return err
 	}
-	writeU32(&out, uint32(len(meta)))
-	out.Write(meta)
-	writeU32(&out, snapshotShards)
-	for _, shard := range shards {
-		var payload bytes.Buffer
-		if err := core.WriteConventions(&payload, shard); err != nil {
-			return err
-		}
-		writeU32(&out, uint32(payload.Len()))
-		writeU32(&out, crc32.ChecksumIEEE(payload.Bytes()))
-		out.Write(payload.Bytes())
+	var payload bytes.Buffer
+	if err := core.WriteConventions(&payload, res); err != nil {
+		return err
 	}
-	writeU32(&out, crc32.ChecksumIEEE(out.Bytes()))
+	le := binary.LittleEndian
+	out := append([]byte(nil), snapshotMagic[:]...)
+	out = le.AppendUint32(out, SnapshotVersion)
+	out = append(le.AppendUint32(out, uint32(len(meta))), meta...)
+	out = append(le.AppendUint32(out, uint32(payload.Len())), payload.Bytes()...)
+	out = le.AppendUint32(out, crc32.ChecksumIEEE(out))
 
 	sp.Count("conventions", int64(len(res.NCs)))
-	sp.Count("shards", snapshotShards)
-	sp.Count("bytes", int64(out.Len()))
-	_, err = w.Write(out.Bytes())
+	sp.Count("bytes", int64(len(out)))
+	_, err = w.Write(out)
 	return err
 }
 
-// ReadSnapshot parses a snapshot back into a Result, verifying the
-// framing, every section CRC, and the trailer CRC, and decoding the
-// suffix shards concurrently. The declared lengths and counts are
-// untrusted until the checksums pass: a length is read as its bytes
-// arrive, so a short input fails having allocated about what it holds,
-// and a section count above maxSnapshotSections is refused. tracer may
-// be nil; when set, a "snapshot-load" span records section, convention,
-// and byte counts.
+// ReadSnapshot parses a snapshot back into a Result. It verifies the
+// framing and the trailer CRC before it parses anything, then parses
+// the payload once with core.ReadConventions and checks the metadata
+// header's convention count against it. The declared lengths are
+// untrusted until the checksum passes: a length is read as its bytes
+// arrive, so a short input fails having allocated about what it holds.
+// tracer may be nil; when set, a "snapshot-load" span records
+// convention and byte counts.
 func ReadSnapshot(r io.Reader, tracer *obs.Tracer) (*core.Result, error) {
 	sp := tracer.Start("snapshot-load")
 	defer sp.End()
@@ -170,45 +137,13 @@ func ReadSnapshot(r io.Reader, tracer *obs.Tracer) (*core.Result, error) {
 		return nil, fmt.Errorf("%w: file has v%d, this build reads v%d",
 			ErrSnapshotVersion, version, SnapshotVersion)
 	}
-	metaLen, err := readU32(cr)
+	metaBytes, err := readField(cr)
 	if err != nil {
 		return nil, ErrSnapshotTruncated
 	}
-	metaBytes, err := readBytes(cr, metaLen)
+	payload, err := readField(cr)
 	if err != nil {
 		return nil, ErrSnapshotTruncated
-	}
-	var meta snapshotMeta
-	if err := json.Unmarshal(metaBytes, &meta); err != nil {
-		return nil, fmt.Errorf("geoloc: snapshot: bad metadata header: %w", err)
-	}
-	nShards, err := readU32(cr)
-	if err != nil {
-		return nil, ErrSnapshotTruncated
-	}
-	if nShards > maxSnapshotSections {
-		return nil, fmt.Errorf("%w: header declares %d, this build reads at most %d",
-			ErrSnapshotSections, nShards, maxSnapshotSections)
-	}
-
-	payloads := make([][]byte, nShards)
-	for i := range payloads {
-		payloadLen, err := readU32(cr)
-		if err != nil {
-			return nil, ErrSnapshotTruncated
-		}
-		wantCRC, err := readU32(cr)
-		if err != nil {
-			return nil, ErrSnapshotTruncated
-		}
-		payload, err := readBytes(cr, payloadLen)
-		if err != nil {
-			return nil, ErrSnapshotTruncated
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return nil, fmt.Errorf("%w: section %d", ErrSnapshotChecksum, i)
-		}
-		payloads[i] = payload
 	}
 	bodyCRC := cr.crc
 	trailer, err := readU32(r)
@@ -219,45 +154,21 @@ func ReadSnapshot(r io.Reader, tracer *obs.Tracer) (*core.Result, error) {
 		return nil, fmt.Errorf("%w: trailer", ErrSnapshotChecksum)
 	}
 
-	// Sections hold disjoint suffix sets, so each shard parses
-	// independently and the merge below is order-insensitive.
-	results := make([]*core.Result, len(payloads))
-	errs := make([]error, len(payloads))
-	var wg sync.WaitGroup
-	for i, payload := range payloads {
-		wg.Add(1)
-		go func(i int, payload []byte) {
-			defer wg.Done()
-			results[i], errs[i] = core.ReadConventions(bytes.NewReader(payload))
-		}(i, payload)
+	var meta snapshotMeta
+	if err := json.Unmarshal(metaBytes, &meta); err != nil {
+		return nil, fmt.Errorf("geoloc: snapshot: bad metadata header: %w", err)
 	}
-	wg.Wait()
-	conventions := 0
-	for i, shard := range results {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("geoloc: snapshot: section %d: %w", i, errs[i])
-		}
-		conventions += len(shard.NCs)
+	res, err := core.ReadConventions(bytes.NewReader(payload))
+	if err != nil {
+		return nil, fmt.Errorf("geoloc: snapshot: conventions: %w", err)
 	}
-	if conventions != meta.Conventions {
-		return nil, fmt.Errorf("geoloc: snapshot: metadata header promises %d conventions, sections hold %d",
-			meta.Conventions, conventions)
+	if len(res.NCs) != meta.Conventions {
+		return nil, fmt.Errorf("geoloc: snapshot: metadata header promises %d conventions, the payload holds %d",
+			meta.Conventions, len(res.NCs))
 	}
-	res := &core.Result{
-		NCs:                 make(map[string]*core.NamingConvention, conventions),
-		SuffixesWithGeohint: meta.SuffixesWithGeohint,
-		RoutersWithGeohint:  meta.RoutersWithGeohint,
-		RoutersGeolocated:   meta.RoutersGeolocated,
-	}
-	for i, shard := range results {
-		for suffix, nc := range shard.NCs {
-			if _, dup := res.NCs[suffix]; dup {
-				return nil, fmt.Errorf("geoloc: snapshot: section %d: duplicate suffix %s across sections", i, suffix)
-			}
-			res.NCs[suffix] = nc
-		}
-	}
-	sp.Count("sections", int64(nShards))
+	res.SuffixesWithGeohint = meta.SuffixesWithGeohint
+	res.RoutersWithGeohint = meta.RoutersWithGeohint
+	res.RoutersGeolocated = meta.RoutersGeolocated
 	sp.Count("conventions", int64(len(res.NCs)))
 	sp.Count("bytes", cr.n+4)
 	return res, nil
@@ -272,12 +183,6 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		return nil, err
 	}
 	return New(res, opts)
-}
-
-// shardOf assigns a suffix to a section: FNV-1a over the suffix bytes,
-// reduced mod the shard count.
-func shardOf(suffix string) int {
-	return int(fnv32a(suffix) % snapshotShards)
 }
 
 // crcReader tracks the running CRC-32 and byte count of everything read
@@ -295,16 +200,14 @@ func (c *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-func writeU32(w *bytes.Buffer, v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	w.Write(buf[:])
-}
-
-// readBytes reads exactly n bytes from r into a buffer that grows as
-// they arrive, so a length field promising more than r holds costs
-// about what r holds, not what the field declares.
-func readBytes(r io.Reader, n uint32) ([]byte, error) {
+// readField reads a length-prefixed field into a buffer that grows as
+// its bytes arrive, so a length promising more than r holds costs about
+// what r holds, not what the length declares.
+func readField(r io.Reader) ([]byte, error) {
+	n, err := readU32(r)
+	if err != nil {
+		return nil, err
+	}
 	var buf bytes.Buffer
 	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
 		return nil, err

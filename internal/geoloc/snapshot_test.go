@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"path/filepath"
 	"runtime"
@@ -165,7 +166,9 @@ type corruptSnapshot struct {
 }
 
 // corruptSnapshots derives the corruption table from a good snapshot:
-// truncations, a foreign file, version skew and flipped bytes.
+// truncations, a foreign file, version skew and flipped bytes. The
+// trailer is checked before the metadata or the payload is parsed, so
+// a flipped byte anywhere fails the checksum.
 func corruptSnapshots(t testing.TB, good []byte) []corruptSnapshot {
 	t.Helper()
 	flip := func(at int) []byte {
@@ -184,71 +187,108 @@ func corruptSnapshots(t testing.TB, good []byte) []corruptSnapshot {
 		{"short trailer", good[:len(good)-2], ErrSnapshotTruncated},
 		{"foreign file", []byte("#conventions v1: not a snapshot\n"), ErrSnapshotMagic},
 		{"wrong version", versioned, ErrSnapshotVersion},
+		{"flipped metadata byte", flip(17), ErrSnapshotChecksum},
 		{"flipped payload byte", flip(payloadByte(t, good)), ErrSnapshotChecksum},
 		{"flipped trailer byte", flip(len(good) - 1), ErrSnapshotChecksum},
-		{"section count over the cap", framedSnapshot(`{}`, maxSnapshotSections+1, nil), ErrSnapshotSections},
-		{"section count far over the cap", framedSnapshot(`{}`, 1<<20, nil), ErrSnapshotSections},
+		{"version 1 file", v1Snapshot(t, good), ErrSnapshotVersion},
 	}
 }
 
-// framedSnapshot frames a snapshot by hand: the magic, this build's
-// version, the metadata header, a declared section count, the given
-// sections (each with its length and CRC), and the trailer CRC. The
-// declared count need not match the sections given.
-func framedSnapshot(meta string, count uint32, sections [][]byte) []byte {
+// v1Snapshot frames good's metadata and payload the way format version
+// 1 did: a section count, then each section with its length and CRC,
+// here one section holding the whole payload, then the trailer CRC.
+func v1Snapshot(t testing.TB, good []byte) []byte {
+	t.Helper()
 	le := binary.LittleEndian
+	off := payloadByte(t, good)
+	payload := good[off : len(good)-4]
+	meta := good[16 : off-4]
 	b := append([]byte(nil), snapshotMagic[:]...)
-	b = le.AppendUint32(b, SnapshotVersion)
-	b = le.AppendUint32(b, uint32(len(meta)))
-	b = append(b, meta...)
-	b = le.AppendUint32(b, count)
-	for _, p := range sections {
-		b = le.AppendUint32(b, uint32(len(p)))
-		b = le.AppendUint32(b, crc32.ChecksumIEEE(p))
-		b = append(b, p...)
-	}
+	b = le.AppendUint32(b, 1)
+	b = append(le.AppendUint32(b, uint32(len(meta))), meta...)
+	b = le.AppendUint32(b, 1)
+	b = le.AppendUint32(b, uint32(len(payload)))
+	b = le.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	b = append(b, payload...)
 	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-// TestSnapshotDeclaredLengthUntrusted: a 16-byte file whose metadata
-// length field declares 1 GiB must fail as truncated having allocated
-// about what it holds, not what it declares.
+// TestSnapshotDeclaredLengthUntrusted: a short file whose metadata or
+// payload length field declares 1 GiB must fail as truncated having
+// allocated about what it holds, not what it declares.
 func TestSnapshotDeclaredLengthUntrusted(t *testing.T) {
-	data := append([]byte(nil), snapshotMagic[:]...)
-	data = binary.LittleEndian.AppendUint32(data, SnapshotVersion)
-	data = binary.LittleEndian.AppendUint32(data, 1<<30)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := ReadSnapshot(bytes.NewReader(data), nil)
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrSnapshotTruncated) {
-		t.Fatalf("got %v, want ErrSnapshotTruncated", err)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Fatalf("reading a %d-byte snapshot allocated %d bytes", len(data), got)
+	le := binary.LittleEndian
+	header := func() []byte { return le.AppendUint32(append([]byte(nil), snapshotMagic[:]...), SnapshotVersion) }
+	for _, tc := range []struct {
+		field string
+		data  []byte
+	}{
+		{"metaLen", le.AppendUint32(header(), 1<<30)},
+		{"payloadLen", le.AppendUint32(append(le.AppendUint32(header(), 2), "{}"...), 1<<30)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadSnapshot(bytes.NewReader(tc.data), nil)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrSnapshotTruncated) {
+			t.Fatalf("%s: got %v, want ErrSnapshotTruncated", tc.field, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("%s: reading a %d-byte snapshot allocated %d bytes", tc.field, len(tc.data), got)
+		}
 	}
 }
 
-// TestSnapshotSectionCap: a file with as many sections as the cap
-// allows still parses; TestSnapshotCorruption refuses one more.
-func TestSnapshotSectionCap(t *testing.T) {
-	sections := make([][]byte, maxSnapshotSections)
-	res, err := ReadSnapshot(bytes.NewReader(framedSnapshot(`{"conventions":0}`, maxSnapshotSections, sections)), nil)
-	if err != nil {
-		t.Fatalf("%d empty sections: %v", maxSnapshotSections, err)
+// TestSnapshotPayloadIsConventions: the payload Save writes is byte for
+// byte the published conventions file, what hoiho -write-nc writes.
+func TestSnapshotPayloadIsConventions(t *testing.T) {
+	res, _, _ := learnFixture(t)
+	var snap, nc bytes.Buffer
+	if err := Save(&snap, res, nil); err != nil {
+		t.Fatal(err)
 	}
-	if len(res.NCs) != 0 {
-		t.Fatalf("empty sections decoded to %d conventions", len(res.NCs))
+	if err := core.WriteConventions(&nc, res); err != nil {
+		t.Fatal(err)
+	}
+	good := snap.Bytes()
+	off := payloadByte(t, good)
+	if n := int(binary.LittleEndian.Uint32(good[off-4:])); n != nc.Len() || off+n+4 != len(good) {
+		t.Fatalf("payload of %d bytes at offset %d in a %d-byte snapshot; conventions are %d bytes",
+			n, off, len(good), nc.Len())
+	}
+	if payload := good[off : len(good)-4]; !bytes.Equal(payload, nc.Bytes()) {
+		t.Fatalf("payload differs from core.WriteConventions:\n%s\nwant:\n%s", payload, nc.Bytes())
+	}
+}
+
+// TestSnapshotMetadataCount: a snapshot whose checksum holds but whose
+// metadata header promises a convention more than its payload holds is
+// refused, naming the metadata.
+func TestSnapshotMetadataCount(t *testing.T) {
+	res, _, _ := learnFixture(t)
+	var nc bytes.Buffer
+	if err := core.WriteConventions(&nc, res); err != nil {
+		t.Fatal(err)
+	}
+	meta := fmt.Sprintf(`{"conventions":%d}`, len(res.NCs)+1)
+	le := binary.LittleEndian
+	b := le.AppendUint32(append([]byte(nil), snapshotMagic[:]...), SnapshotVersion)
+	b = append(le.AppendUint32(b, uint32(len(meta))), meta...)
+	b = append(le.AppendUint32(b, uint32(nc.Len())), nc.Bytes()...)
+	b = le.AppendUint32(b, crc32.ChecksumIEEE(b))
+	if got, err := ReadSnapshot(bytes.NewReader(b), nil); err == nil || !strings.Contains(err.Error(), "metadata") {
+		t.Fatalf("ReadSnapshot = %v, %v; want an error naming the metadata", got, err)
 	}
 }
 
 // snapshotSentinels are the errors.Is targets of a failed read.
 var snapshotSentinels = []error{ErrSnapshotEmpty, ErrSnapshotMagic, ErrSnapshotVersion,
-	ErrSnapshotTruncated, ErrSnapshotChecksum, ErrSnapshotSections}
+	ErrSnapshotTruncated, ErrSnapshotChecksum}
 
 // FuzzSnapshot: no input makes ReadSnapshot panic; every error matches a
-// snapshot sentinel or names the section or metadata it failed on; and
-// whatever it accepts reaches a fixpoint under Save, ReadSnapshot, Save.
+// snapshot sentinel or names the conventions or metadata it failed on;
+// and whatever it accepts reaches a fixpoint under Save, ReadSnapshot,
+// Save.
 func FuzzSnapshot(f *testing.F) {
 	golden, err := LoadConventions(filepath.Join("..", "..", "testdata", "golden", "conventions.txt"))
 	if err != nil {
@@ -275,8 +315,8 @@ func FuzzSnapshot(f *testing.F) {
 					return
 				}
 			}
-			if msg := err.Error(); !strings.Contains(msg, "section") && !strings.Contains(msg, "metadata") {
-				t.Fatalf("error matches no snapshot sentinel and names no section or metadata: %v", err)
+			if msg := err.Error(); !strings.Contains(msg, "conventions") && !strings.Contains(msg, "metadata") {
+				t.Fatalf("error matches no snapshot sentinel and names no conventions or metadata: %v", err)
 			}
 			return
 		}
@@ -297,25 +337,16 @@ func FuzzSnapshot(f *testing.F) {
 	})
 }
 
-// payloadByte locates the first byte inside a non-empty section payload,
-// so the flipped-byte case corrupts conventions text rather than framing.
+// payloadByte locates the first byte of the payload, so the
+// flipped-byte case corrupts conventions text rather than framing.
 func payloadByte(t testing.TB, snap []byte) int {
 	t.Helper()
-	le := binary.LittleEndian
 	off := 8 + 4 // magic + version
-	metaLen := int(le.Uint32(snap[off:]))
-	off += 4 + metaLen
-	sections := int(le.Uint32(snap[off:]))
-	off += 4
-	for i := 0; i < sections; i++ {
-		payloadLen := int(le.Uint32(snap[off:]))
-		off += 8 // length + CRC
-		if payloadLen > 0 {
-			return off
-		}
+	off += 4 + int(binary.LittleEndian.Uint32(snap[off:])) + 4
+	if off >= len(snap)-4 {
+		t.Fatal("snapshot has no payload to corrupt")
 	}
-	t.Fatal("snapshot has no non-empty section to corrupt")
-	return 0
+	return off
 }
 
 func TestSnapshotNilResult(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // New with the convention count and the build-time matcher count.
 // Lookups, single or batched, open none.
 func TestTracedIndex(t *testing.T) {
-	tr := obs.New(obs.Options{RetainSpans: true})
+	tr := obs.New(obs.Options{})
 	ix := newTestIndex(t, Options{Tracer: tr})
 	ix.LookupBatch(probeHosts)
 	ix.Lookup(probeHosts[0])
@@ -37,7 +37,7 @@ func TestTracedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldTr := obs.New(obs.Options{RetainSpans: true})
+	coldTr := obs.New(obs.Options{})
 	if _, err := New(cold, Options{Dict: dict, PSL: list, Tracer: coldTr}); err != nil {
 		t.Fatal(err)
 	}

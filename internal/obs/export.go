@@ -25,9 +25,8 @@ type TraceRecord struct {
 }
 
 // Export returns all finished spans in canonical order: by path (the
-// slash-joined name chain), then key, then start sequence. Requires a
-// tracer built with RetainSpans; a nil or aggregate-only tracer exports
-// nothing.
+// slash-joined name chain), then key, then start sequence. A nil tracer
+// exports nothing.
 func (t *Tracer) Export() []TraceRecord {
 	if t == nil {
 		return nil

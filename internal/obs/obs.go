@@ -23,9 +23,9 @@
 //
 // A Tracer is safe for concurrent use: spans may start and end on any
 // goroutine (each span itself belongs to one goroutine, matching the
-// worker-pool shape of the pipeline). A caller that only needs
-// aggregates leaves RetainSpans false, bounding memory regardless of
-// span volume while Summary keeps working.
+// worker-pool shape of the pipeline). It keeps every finished span in
+// one store, which Export and Summary both read; the tracers in use
+// record a few spans per suffix group, not one per request.
 package obs
 
 import (
@@ -40,11 +40,6 @@ type Options struct {
 	// timestamp to zero, which makes exported traces byte-identical
 	// across runs (the golden-test configuration).
 	Clock func() time.Duration
-
-	// RetainSpans keeps every finished span for WriteJSONL. When false
-	// only the running aggregates behind Summary are maintained —
-	// constant memory, the hoiho -tracesummary configuration.
-	RetainSpans bool
 }
 
 // FrozenClock is a Clock that always reports zero elapsed time,
@@ -54,14 +49,11 @@ func FrozenClock() time.Duration { return 0 }
 // Tracer records spans. The zero value is not usable; construct with
 // New. A nil *Tracer is valid everywhere and records nothing.
 type Tracer struct {
-	clock  func() time.Duration
-	retain bool
+	clock func() time.Duration
 
 	mu       sync.Mutex
 	seq      uint64
 	finished []spanRecord
-	agg      map[string]*aggregate // per span name
-	keyAgg   map[string]*aggregate // per span key (suffix, route, ...)
 
 	// Runtime-telemetry ring (see runtime.go). Guarded by its own mutex
 	// so a sampler tick never contends with span recording.
@@ -78,12 +70,7 @@ func New(opts Options) *Tracer {
 		start := time.Now()
 		clock = func() time.Duration { return time.Since(start) }
 	}
-	return &Tracer{
-		clock:  clock,
-		retain: opts.RetainSpans,
-		agg:    make(map[string]*aggregate),
-		keyAgg: make(map[string]*aggregate),
-	}
+	return &Tracer{clock: clock}
 }
 
 // Span is one timed unit of work. A span belongs to the goroutine that
@@ -173,9 +160,9 @@ func (s *Span) Count(name string, n int64) {
 	s.counts = append(s.counts, counterKV{name, n})
 }
 
-// End finishes the span, folding it into the tracer's aggregates and —
-// when the tracer retains spans — the export buffer. End must be called
-// exactly once per span; calling it on a nil *Span is a no-op.
+// End finishes the span, adding it to the tracer's finished spans. End
+// must be called exactly once per span; calling it on a nil *Span is a
+// no-op.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -210,45 +197,10 @@ type spanRecord struct {
 	counts    []counterKV
 }
 
-// aggregate is the running per-name (or per-key) rollup behind Summary.
-type aggregate struct {
-	count  int64
-	totalN int64 // total duration, ns
-	counts map[string]int64
-}
-
-func (a *aggregate) fold(rec spanRecord) {
-	a.count++
-	a.totalN += rec.durNS
-	for _, kv := range rec.counts {
-		a.counts[kv.name] += kv.n
-	}
-}
-
-func newAggregate() *aggregate {
-	return &aggregate{counts: make(map[string]int64)}
-}
-
 func (t *Tracer) record(rec spanRecord) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	a := t.agg[rec.name]
-	if a == nil {
-		a = newAggregate()
-		t.agg[rec.name] = a
-	}
-	a.fold(rec)
-	if rec.key != "" {
-		k := t.keyAgg[rec.key]
-		if k == nil {
-			k = newAggregate()
-			t.keyAgg[rec.key] = k
-		}
-		k.fold(rec)
-	}
-	if t.retain {
-		t.finished = append(t.finished, rec)
-	}
+	t.finished = append(t.finished, rec)
+	t.mu.Unlock()
 }
 
 // SpanCount returns how many spans have finished so far.
@@ -258,9 +210,5 @@ func (t *Tracer) SpanCount() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := int64(0)
-	for _, a := range t.agg {
-		n += a.count
-	}
-	return int(n)
+	return len(t.finished)
 }

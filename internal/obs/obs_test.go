@@ -78,7 +78,7 @@ func recordFixture(tr *Tracer) {
 func TestExportDeterministic(t *testing.T) {
 	var bufs [2]bytes.Buffer
 	for i := range bufs {
-		tr := New(Options{Clock: FrozenClock, RetainSpans: true})
+		tr := New(Options{Clock: FrozenClock})
 		recordFixture(tr)
 		if err := tr.WriteJSONL(&bufs[i]); err != nil {
 			t.Fatalf("WriteJSONL: %v", err)
@@ -95,7 +95,7 @@ func TestExportDeterministic(t *testing.T) {
 // TestExportCanonicalOrder checks the sort (path, key, seq), the id
 // renumbering, and parent-id remapping.
 func TestExportCanonicalOrder(t *testing.T) {
-	tr := New(Options{Clock: FrozenClock, RetainSpans: true})
+	tr := New(Options{Clock: FrozenClock})
 	recordFixture(tr)
 	recs := tr.Export()
 	if len(recs) != 5 {
@@ -130,13 +130,10 @@ func TestExportCanonicalOrder(t *testing.T) {
 }
 
 func TestSummaryAggregation(t *testing.T) {
-	tr := New(Options{Clock: FrozenClock}) // aggregate-only: no retention
+	tr := New(Options{Clock: FrozenClock})
 	recordFixture(tr)
 	if tr.SpanCount() != 5 {
 		t.Fatalf("SpanCount = %d, want 5", tr.SpanCount())
-	}
-	if recs := tr.Export(); len(recs) != 0 {
-		t.Fatalf("aggregate-only tracer exported %d spans, want 0", len(recs))
 	}
 	s := tr.Summary()
 	byName := map[string]SummaryRow{}
@@ -180,7 +177,7 @@ func TestSummaryFormat(t *testing.T) {
 // TestConcurrentSpans hammers one tracer from many goroutines; run
 // under -race this proves the tracer is safe beneath the worker pool.
 func TestConcurrentSpans(t *testing.T) {
-	tr := New(Options{RetainSpans: true})
+	tr := New(Options{})
 	const workers, perWorker = 8, 50
 	run := tr.Start("run")
 	var wg sync.WaitGroup

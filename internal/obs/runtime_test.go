@@ -113,7 +113,7 @@ func TestRuntimeSamplerFrozenClock(t *testing.T) {
 // the deterministic span export — the golden-trace contract is
 // untouched by the sampler.
 func TestRuntimeSamplesExcludedFromExport(t *testing.T) {
-	tr := New(Options{Clock: FrozenClock, RetainSpans: true})
+	tr := New(Options{Clock: FrozenClock})
 	stop := tr.StartRuntimeSampler(RuntimeOptions{Interval: time.Hour})
 	sp := tr.Start("run")
 	sp.End()

@@ -26,30 +26,52 @@ type Summary struct {
 	Keys   []SummaryRow `json:"keys,omitempty"`
 }
 
-// Summary snapshots the tracer's aggregates. Works on any tracer,
-// including aggregate-only ones; a nil tracer yields an empty summary.
+// Summary folds the finished spans so far into the two tables. A nil
+// tracer yields an empty summary.
 func (t *Tracer) Summary() Summary {
 	if t == nil {
 		return Summary{}
 	}
+	stages, keys := map[string]*aggregate{}, map[string]*aggregate{}
 	t.mu.Lock()
-	stages := rowsFrom(t.agg)
-	keys := rowsFrom(t.keyAgg)
+	for _, rec := range t.finished {
+		fold(stages, rec.name, rec)
+		if rec.key != "" {
+			fold(keys, rec.key, rec)
+		}
+	}
 	t.mu.Unlock()
-	return Summary{Stages: stages, Keys: keys}
+	return Summary{Stages: rowsFrom(stages), Keys: rowsFrom(keys)}
 }
 
-func rowsFrom(m map[string]*aggregate) []SummaryRow {
-	rows := make([]SummaryRow, 0, len(m))
-	for name, a := range m {
-		row := SummaryRow{Name: name, Count: a.count, TotalUS: a.totalN / 1000}
-		if len(a.counts) > 0 {
-			row.Counters = make(map[string]int64, len(a.counts))
-			for k, v := range a.counts {
-				row.Counters[k] = v
-			}
+// aggregate is one row of a table while the spans fold into it; the
+// total is kept in ns and rounded to µs once.
+type aggregate struct {
+	row     SummaryRow
+	totalNS int64
+}
+
+func fold(table map[string]*aggregate, name string, rec spanRecord) {
+	a := table[name]
+	if a == nil {
+		a = &aggregate{row: SummaryRow{Name: name}}
+		table[name] = a
+	}
+	a.row.Count++
+	a.totalNS += rec.durNS
+	for _, kv := range rec.counts {
+		if a.row.Counters == nil {
+			a.row.Counters = make(map[string]int64)
 		}
-		rows = append(rows, row)
+		a.row.Counters[kv.name] += kv.n
+	}
+}
+
+func rowsFrom(table map[string]*aggregate) []SummaryRow {
+	rows := make([]SummaryRow, 0, len(table))
+	for _, a := range table {
+		a.row.TotalUS = a.totalNS / 1000
+		rows = append(rows, a.row)
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].TotalUS != rows[j].TotalUS {

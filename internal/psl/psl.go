@@ -91,9 +91,6 @@ func (l *List) addRule(rule string) error {
 	return nil
 }
 
-// Len returns the number of rules in the list.
-func (l *List) Len() int { return len(l.rules) }
-
 // PublicSuffix returns the effective public suffix of domain per the PSL
 // algorithm. The domain must be a hostname without a trailing dot; the
 // result is always non-empty for a non-empty domain (the implicit "*"

@@ -93,8 +93,8 @@ com
 net  // trailing junk after whitespace is ignored
 
 `)
-	if l.Len() != 2 {
-		t.Errorf("Len() = %d, want 2", l.Len())
+	if len(l.rules) != 2 {
+		t.Errorf("parsed %d rules, want 2", len(l.rules))
 	}
 	if got := l.PublicSuffix("example.net"); got != "net" {
 		t.Errorf("PublicSuffix(example.net) = %q", got)
@@ -159,8 +159,8 @@ func TestTrailingDots(t *testing.T) {
 
 func TestDefaultListSize(t *testing.T) {
 	l := MustDefault()
-	if l.Len() < 150 {
-		t.Errorf("embedded list has %d rules, want >= 150", l.Len())
+	if len(l.rules) < 150 {
+		t.Errorf("embedded list has %d rules, want >= 150", len(l.rules))
 	}
 }
 

@@ -29,8 +29,9 @@ func TestMatrixRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.VPs()) != 2 || !got.VP("b").SpoofTCP {
-		t.Fatalf("VPs lost: %+v", got.VPs())
+	vps := got.VPs()
+	if len(vps) != 2 || vps[0].Name != "a" || vps[1].Name != "b" || !vps[1].SpoofTCP {
+		t.Fatalf("VPs lost: %+v", vps)
 	}
 	s, ok := got.Ping("N1", "b")
 	if !ok || s.Method != TCP || math.Abs(s.RTTms-99.25) > 1e-9 {
@@ -39,11 +40,10 @@ func TestMatrixRoundTrip(t *testing.T) {
 	if s, ok := got.Ping("N2", "a"); !ok || s.Method != UDP || s.RTTms != 3 {
 		t.Errorf("N2 ping lost: %+v %v", s, ok)
 	}
-	tr, ok := got.Trace("N1", "a")
-	if !ok || tr.RTTms != 80 {
-		t.Errorf("trace lost: %+v %v", tr, ok)
+	if tr := got.TraceMeasurements("N1"); len(tr) != 1 || tr[0].VP.Name != "a" || tr[0].Sample.RTTms != 80 {
+		t.Errorf("trace lost: %+v", tr)
 	}
-	if got.VP("a").Pos.Lat == 0 {
+	if vps[0].Pos.Lat == 0 {
 		t.Error("coordinates lost")
 	}
 }

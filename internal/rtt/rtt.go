@@ -131,14 +131,6 @@ func NewMatrix(vps []*VP) *Matrix {
 // VPs returns the matrix's vantage points.
 func (m *Matrix) VPs() []*VP { return m.vps }
 
-// VP returns the vantage point with the given name, or nil.
-func (m *Matrix) VP(name string) *VP {
-	if i, ok := m.vpIx[name]; ok {
-		return m.vps[i]
-	}
-	return nil
-}
-
 // SetPing records a followup ping sample; an existing larger sample is
 // replaced (minimum RTT filtering).
 func (m *Matrix) SetPing(router, vp string, s Sample) error {
@@ -196,20 +188,11 @@ func store[K string | []byte](t *table, router K, i int, s Sample) {
 
 // Ping returns the followup ping sample from vp to router.
 func (m *Matrix) Ping(router, vp string) (Sample, bool) {
-	return m.get(m.ping, router, vp)
-}
-
-// Trace returns the traceroute-observed sample from vp to router.
-func (m *Matrix) Trace(router, vp string) (Sample, bool) {
-	return m.get(m.trace, router, vp)
-}
-
-func (m *Matrix) get(t *table, router, vp string) (Sample, bool) {
 	i, ok := m.vpIx[vp]
 	if !ok {
 		return Sample{}, false
 	}
-	r, ok := t.rows[router]
+	r, ok := m.ping.rows[router]
 	if !ok || math.IsNaN(r.rtt[i]) {
 		return Sample{}, false
 	}

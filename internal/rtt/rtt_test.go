@@ -172,11 +172,7 @@ func TestTraceSeparateFromPing(t *testing.T) {
 	if m.HasPing("N1") {
 		t.Error("trace sample should not count as ping")
 	}
-	tr, ok := m.Trace("N1", "nyc-us")
-	if !ok || tr.RTTms != 40 {
-		t.Errorf("Trace = %+v, %v", tr, ok)
-	}
-	if ms := m.TraceMeasurements("N1"); len(ms) != 1 || ms[0].Sample.RTTms != 40 {
+	if ms := m.TraceMeasurements("N1"); len(ms) != 1 || ms[0].VP.Name != "nyc-us" || ms[0].Sample.RTTms != 40 {
 		t.Errorf("TraceMeasurements = %+v", ms)
 	}
 }
@@ -338,13 +334,14 @@ func TestMethodString(t *testing.T) {
 
 func TestVPLookup(t *testing.T) {
 	m := newTestMatrix()
-	if vp := m.VP("lon-gb"); vp == nil || vp.City != "london" {
-		t.Errorf("VP(lon-gb) = %+v", vp)
+	vps := m.VPs()
+	if len(vps) != 3 {
+		t.Fatal("VPs() wrong length")
 	}
-	if m.VP("nope") != nil {
-		t.Error("unknown VP should be nil")
+	if vps[0].Name != "lon-gb" || vps[0].City != "london" {
+		t.Errorf("VPs()[0] = %+v", vps[0])
 	}
-	if len(m.VPs()) != 3 {
-		t.Error("VPs() wrong length")
+	if _, ok := m.Ping("N1", "nope"); ok {
+		t.Error("an unknown VP should have no sample")
 	}
 }

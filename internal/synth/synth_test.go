@@ -176,8 +176,12 @@ func TestSpooferDetection(t *testing.T) {
 		t.Error("spoofing VPs should be detected")
 	}
 	// The flagged VPs must be the configured spoofers.
+	spoofs := make(map[string]bool)
+	for _, vp := range w.Matrix.VPs() {
+		spoofs[vp.Name] = vp.SpoofTCP
+	}
 	for _, name := range spoofers {
-		if vp := w.Matrix.VP(name); vp == nil || !vp.SpoofTCP {
+		if !spoofs[name] {
 			t.Errorf("flagged VP %s is not a spoofer", name)
 		}
 	}
