@@ -62,8 +62,6 @@ func (m dnsMetrics) limiter(pw *promexp.Writer) {
 
 // edns renders the negotiated UDP response-size histogram.
 func (m dnsMetrics) edns(pw *promexp.Writer) {
-	bounds, counts, sum := m.s.EDNSSizes()
-	pw.Histogram("geodns_edns_udp_size_bytes",
-		"Negotiated UDP response size limit per query (EDNS).",
-		bounds, counts, float64(sum))
+	m.s.UDPSizes().Write(pw, "geodns_edns_udp_size_bytes",
+		"Negotiated UDP response size limit per query (EDNS).")
 }

@@ -166,9 +166,9 @@ func (w *nopWriter) WriteHeader(int)             {}
 
 // TestGeolocateAllocs pins the allocations of a cached /v1/geolocate
 // request through ServeHTTP on the golden conventions. What remains is
-// per request (the body limit, the route's status writers, the reply
-// headers and the batch's result slice) plus one string per hostname,
-// which the result cache may keep as a key.
+// per request (the body limit, the status writer, the reply headers and
+// the batch's result slice) plus one string per hostname, which the
+// result cache may keep as a key.
 func TestGeolocateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts at random under -race")
@@ -180,8 +180,8 @@ func TestGeolocateAllocs(t *testing.T) {
 		body string
 		max  float64
 	}{
-		{"single", mustMarshal(t, lookupRequest{Hostname: hosts[0]}), 7},
-		{"batch of 100", mustMarshal(t, lookupRequest{Hostnames: hosts}), 108},
+		{"single", mustMarshal(t, lookupRequest{Hostname: hosts[0]}), 6},
+		{"batch of 100", mustMarshal(t, lookupRequest{Hostnames: hosts}), 107},
 	} {
 		rd := strings.NewReader(tc.body)
 		body := io.NopCloser(rd)

@@ -28,7 +28,9 @@
 //	                        across reloads), reload lifecycle, per-route
 //	                        counters with status classes, Go runtime
 //	                        gauges read at scrape time
-//	GET  /metrics           the same counters as one JSON document
+//	GET  /metrics           the index lookup counters alone, as
+//	                        {"index":{...}}; perfbench's traced run
+//	                        reads its cache counters here
 //	GET  /debug/pprof/      net/http/pprof profiling (heap, profile, trace, ...)
 //
 // Reloads are zero-downtime: SIGHUP or POST /v1/admin/reload re-resolves

@@ -23,19 +23,10 @@ func (s *server) promTotals(pw *promexp.Writer) {
 		float64(s.hostnames.Load()))
 }
 
-// promLatency renders the request-duration histogram from its per-band
-// counts, the shape promexp.Writer.Histogram cumulates from.
+// promLatency renders the /v1/geolocate request-duration histogram.
 func (s *server) promLatency(pw *promexp.Writer) {
-	bounds := make([]float64, len(latencyBuckets))
-	counts := make([]int64, len(s.latency))
-	for i, b := range latencyBuckets {
-		bounds[i] = b.le.Seconds()
-	}
-	for i := range s.latency {
-		counts[i] = s.latency[i].Load()
-	}
-	pw.Histogram("geoserve_request_duration_seconds", "Latency of /v1/geolocate requests.",
-		bounds, counts, float64(s.latSumUS.Load())/1e6)
+	s.latency.Write(pw, "geoserve_request_duration_seconds",
+		"Latency of /v1/geolocate requests.")
 }
 
 // promRoutes renders the per-route counters of every route that has

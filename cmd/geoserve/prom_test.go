@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"regexp"
@@ -79,34 +78,11 @@ func leLabel(t *testing.T, line string) string {
 	return m[1]
 }
 
-// TestLatencyBucketOrder pins the numeric bucket order in both
-// renderings — sorting the bucket names lexically would put "inf"
-// first and "10ms" before "1ms".
+// TestLatencyBucketOrder pins the numeric bucket order of the latency
+// histogram: sorting the bounds as text would put "0.01" before
+// "0.001" and "+Inf" first.
 func TestLatencyBucketOrder(t *testing.T) {
 	s := promServer(t)
-
-	body := get(t, s, "/metrics").Body.String()
-	want := []string{`"le_100us"`, `"le_1ms"`, `"le_10ms"`, `"le_100ms"`, `"inf"`}
-	last := -1
-	for _, key := range want {
-		idx := strings.Index(body, key)
-		if idx < 0 {
-			t.Fatalf("JSON metrics missing bucket %s:\n%s", key, body)
-		}
-		if idx < last {
-			t.Errorf("JSON bucket %s out of numeric order", key)
-		}
-		last = idx
-	}
-	var m struct {
-		Latency map[string]int64 `json:"latency_us"`
-	}
-	if err := json.Unmarshal([]byte(body), &m); err != nil {
-		t.Fatalf("ordered latency object is not valid JSON: %v", err)
-	}
-	if len(m.Latency) != len(latencyBuckets)+1 {
-		t.Errorf("latency histogram has %d keys, want %d", len(m.Latency), len(latencyBuckets)+1)
-	}
 
 	prom := get(t, s, "/metrics/prom").Body.String()
 	var les []string
@@ -121,23 +97,9 @@ func TestLatencyBucketOrder(t *testing.T) {
 }
 
 // TestRouteStatusClasses: the status-capturing writer attributes
-// response classes per route in both renderings.
+// response classes per route.
 func TestRouteStatusClasses(t *testing.T) {
 	s := promServer(t) // 2 OK + 1 bad on /v1/geolocate, 1 OK on /healthz
-
-	var m struct {
-		Routes map[string]routeJSON `json:"routes"`
-	}
-	if err := json.Unmarshal(get(t, s, "/metrics").Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	geo := m.Routes["POST /v1/geolocate"]
-	if geo.Status["2xx"] != 2 || geo.Status["4xx"] != 1 {
-		t.Errorf("geolocate status counters = %v, want 2xx=2 4xx=1", geo.Status)
-	}
-	if m.Routes["GET /healthz"].Status["2xx"] != 1 {
-		t.Errorf("healthz status counters = %v", m.Routes["GET /healthz"].Status)
-	}
 
 	prom := get(t, s, "/metrics/prom").Body.String()
 	for _, want := range []string{

@@ -149,20 +149,15 @@ func TestReloadSwapsGenerations(t *testing.T) {
 		t.Errorf("post-reload lookup = %+v", res)
 	}
 
-	// The reload lifecycle lands in /metrics (JSON and Prometheus).
-	var m struct {
-		Reload geoloc.ReloadStats `json:"reload"`
-	}
-	if err := json.Unmarshal(get(t, s, "/metrics").Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Reload.Generation != 4 || m.Reload.Reloads != 3 || m.Reload.Failures != 0 {
-		t.Errorf("reload metrics = %+v", m.Reload)
-	}
+	// The reload lifecycle lands in /metrics/prom.
 	prom := get(t, s, "/metrics/prom").Body.String()
-	for _, want := range []string{"geoserve_index_generation 4", "geoserve_reloads_total 3"} {
-		if !strings.Contains(prom, want) {
-			t.Errorf("prometheus exposition missing %q", want)
+	for _, want := range []string{
+		"geoserve_index_generation 4",
+		"geoserve_reloads_total 3",
+		"geoserve_reload_failures_total 0",
+	} {
+		if !strings.Contains(prom, want+"\n") {
+			t.Errorf("prometheus exposition missing %q\n%s", want, prom)
 		}
 	}
 }

@@ -37,7 +37,7 @@ const maxBodyBytes = int64(maxBatch*(maxNameLen+len(`"",`)) + 1<<10)
 // load the pointer once, the swap is a single atomic store, and the old
 // index drains as in-flight requests finish (see DESIGN.md §10).
 // Request counters are atomics on the server and its routes, the one
-// store both /metrics renderings read.
+// store /metrics/prom renders.
 type server struct {
 	plane  daemon.Plane   // live index, query log, /healthz, shared collectors
 	src    *geoloc.Source // reload input; nil disables /v1/admin/reload
@@ -49,10 +49,7 @@ type server struct {
 	requests    atomic.Int64
 	badRequests atomic.Int64
 	hostnames   atomic.Int64
-	// /v1/geolocate latency: requests per band of latencyBuckets (the
-	// last slot is +Inf) and their summed duration.
-	latency  [len(latencyBuckets) + 1]atomic.Int64
-	latSumUS atomic.Int64
+	latency     *promexp.Histogram // /v1/geolocate handler time, ns
 }
 
 // routeCounters are one registered endpoint's request counters.
@@ -61,6 +58,7 @@ type routeCounters struct {
 	requests atomic.Int64
 	ns       atomic.Int64                     // cumulative handler time
 	status   [len(statusClasses)]atomic.Int64 // responses per status class
+	latency  *promexp.Histogram               // observes each handler time, if set
 }
 
 func newServer(ix *geoloc.Index) *server {
@@ -68,10 +66,12 @@ func newServer(ix *geoloc.Index) *server {
 		plane: daemon.Plane{Name: "geoserve", Live: geoloc.NewLive(ix), Start: time.Now()},
 		mux:   http.NewServeMux(),
 		prom:  promexp.NewRegistry(),
+		latency: promexp.NewHistogram(float64(time.Second), int64(100*time.Microsecond),
+			int64(time.Millisecond), int64(10*time.Millisecond), int64(100*time.Millisecond)),
 	}
 	s.prom.Register(s.promTotals, s.promLatency, s.plane.IndexMetrics, s.plane.ReloadMetrics,
 		s.promRoutes, s.plane.QlogMetrics, s.plane.RuntimeMetrics)
-	s.route("POST /v1/geolocate", s.handleGeolocate)
+	s.route("POST /v1/geolocate", s.handleGeolocate).latency = s.latency
 	s.route("GET /v1/explain", s.handleExplain)
 	s.route("POST /v1/explain", s.handleExplain)
 	s.route("POST /v1/admin/reload", s.handleReload)
@@ -97,9 +97,9 @@ func (s *server) enableQlog(l *qlog.Logger) {
 
 // route registers a handler that counts its requests, handler time and
 // response status classes (captured by a statusWriter) under the route
-// pattern. Profiling routes stay unwrapped — a 30-second CPU profile
-// would dominate every latency aggregate.
-func (s *server) route(pattern string, h http.HandlerFunc) {
+// pattern, and returns those counters. Profiling routes stay unwrapped
+// — a 30-second CPU profile would dominate every latency aggregate.
+func (s *server) route(pattern string, h http.HandlerFunc) *routeCounters {
 	rt := &routeCounters{pattern: pattern}
 	s.routes = append(s.routes, rt)
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
@@ -108,13 +108,19 @@ func (s *server) route(pattern string, h http.HandlerFunc) {
 		// returns "" and nothing allocates.
 		id := s.plane.Qlog.NextID()
 		t0 := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		sw, ok := w.(*statusWriter) // ServeHTTP wraps every /v1 request
+		if !ok {
+			sw = &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		}
 		h(sw, r)
 		d := time.Since(t0)
 		class := statusClass(sw.code)
 		rt.requests.Add(1)
 		rt.ns.Add(int64(d))
 		rt.status[class].Add(1)
+		if rt.latency != nil {
+			rt.latency.Observe(int64(d))
+		}
 		if id == "" {
 			return
 		}
@@ -130,16 +136,22 @@ func (s *server) route(pattern string, h http.HandlerFunc) {
 			Generation: s.plane.Live.Generation(),
 		})
 	})
+	return rt
 }
 
 // statusWriter captures the status code a handler writes (200 when the
 // handler never calls WriteHeader explicitly) and carries the looked-up
 // hostname back out to the query-log record for single-hostname ops
-// (set via logHostname; batch requests leave it empty).
+// (set via logHostname; batch requests leave it empty). On a /v1
+// request it also rewrites the mux's built-in plain-text errors
+// (unknown path → 404, wrong method → 405) into the envelope, keeping
+// the status code and any Allow header the mux set.
 type statusWriter struct {
 	http.ResponseWriter
 	code     int
 	hostname string
+	v1       *server // set on /v1 requests, whose 404s and 405s it rewrites
+	rewrote  bool    // the envelope replaced the mux's error body
 }
 
 // logHostname records the hostname a single-lookup handler served, so
@@ -154,7 +166,25 @@ func logHostname(w http.ResponseWriter, hostname string) {
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.code = code
-	w.ResponseWriter.WriteHeader(code)
+	switch {
+	case w.v1 != nil && code == http.StatusNotFound:
+		w.rewrote = true
+		w.v1.writeError(w.ResponseWriter, code, "not_found", "no such endpoint")
+	case w.v1 != nil && code == http.StatusMethodNotAllowed:
+		w.rewrote = true
+		w.v1.writeError(w.ResponseWriter, code, "method_not_allowed", "method not allowed for this endpoint")
+	default:
+		w.ResponseWriter.WriteHeader(code)
+	}
+}
+
+// Write swallows the mux's plain-text body once the envelope has been
+// written in its place.
+func (w *statusWriter) Write(p []byte) (int, error) {
+	if w.rewrote {
+		return len(p), nil
+	}
+	return w.ResponseWriter.Write(p)
 }
 
 // statusClasses name the buckets statusClass sorts status codes into.
@@ -177,8 +207,9 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		// The mux's own 404/405 responses are plain text; under /v1 they
 		// are rewritten into the JSON error envelope so every API error
-		// has one shape.
-		w = &v1ErrorWriter{ResponseWriter: w, srv: s}
+		// has one shape. route() counts the request through the same
+		// writer.
+		w = &statusWriter{ResponseWriter: w, code: http.StatusOK, v1: s}
 	}
 	s.mux.ServeHTTP(w, r)
 }
@@ -204,44 +235,6 @@ func (s *server) writeError(w http.ResponseWriter, status int, code, msg string)
 	writeJSON(w, status, apiError{apiErrorDetail{Code: code, Message: msg}})
 }
 
-// v1ErrorWriter rewrites the mux's built-in plain-text error responses
-// (unknown /v1 path → 404, wrong method → 405) into the envelope,
-// preserving the status code and any Allow header the mux set.
-type v1ErrorWriter struct {
-	http.ResponseWriter
-	srv         *server
-	intercepted bool
-}
-
-func (w *v1ErrorWriter) WriteHeader(status int) {
-	if status != http.StatusNotFound && status != http.StatusMethodNotAllowed {
-		w.ResponseWriter.WriteHeader(status)
-		return
-	}
-	w.intercepted = true
-	w.srv.badRequests.Add(1)
-	code, msg := "not_found", "no such endpoint"
-	if status == http.StatusMethodNotAllowed {
-		code, msg = "method_not_allowed", "method not allowed for this endpoint"
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	w.ResponseWriter.WriteHeader(status)
-	enc := json.NewEncoder(w.ResponseWriter)
-	enc.SetEscapeHTML(false)
-	//lint:ignore droppederr an Encode failure here means the client disconnected; the response is already committed
-	enc.Encode(apiError{apiErrorDetail{Code: code, Message: msg}})
-}
-
-// Write swallows the original plain-text body once the envelope has
-// been written in its place.
-func (w *v1ErrorWriter) Write(p []byte) (int, error) {
-	if w.intercepted {
-		return len(p), nil
-	}
-	return w.ResponseWriter.Write(p)
-}
-
 // lookupRequest is the /v1/geolocate body: exactly one of hostname
 // (single) or hostnames (batch).
 type lookupRequest struct {
@@ -250,7 +243,6 @@ type lookupRequest struct {
 }
 
 func (s *server) handleGeolocate(w http.ResponseWriter, r *http.Request) {
-	defer s.observeLatency(time.Now())
 	// One pointer load per request: the whole request is served by a
 	// single index generation even if a swap lands mid-flight.
 	ix := s.plane.Live.Index()
@@ -373,97 +365,14 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, reloadStatus{"ok", st})
 }
 
-// metricsJSON is the JSON /metrics document.
-type metricsJSON struct {
-	Server    totalsJSON           `json:"server"`
-	LatencyUS json.RawMessage      `json:"latency_us"`
-	Index     geoloc.Stats         `json:"index"`
-	Reload    geoloc.ReloadStats   `json:"reload"`
-	Routes    map[string]routeJSON `json:"routes"`
-}
-
-type totalsJSON struct {
-	Requests    int64 `json:"requests"`
-	BadRequests int64 `json:"bad_requests"`
-	Hostnames   int64 `json:"hostnames"`
-}
-
-// routeJSON is one route's row: requests, handler time, and responses
-// per status class.
-type routeJSON struct {
-	Requests int64            `json:"requests"`
-	TotalUS  int64            `json:"total_us"`
-	Status   map[string]int64 `json:"status"`
-}
-
-// handleMetrics emits one JSON document rendered from the same counters
-// as /metrics/prom: request totals, the /v1/geolocate latency
-// histogram, the index's lookup counters, the reload lifecycle, and
-// the routes that have served requests.
+// handleMetrics serves the index's lookup counters as one JSON object,
+// {"index":{...}}. Every counter is also on /metrics/prom; this route
+// stays only while perfbench's traced run reads its cache counters
+// here.
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	routes := make(map[string]routeJSON, len(s.routes))
-	for _, rt := range s.routes {
-		n := rt.requests.Load()
-		if n == 0 {
-			continue
-		}
-		row := routeJSON{Requests: n, TotalUS: rt.ns.Load() / 1e3, Status: map[string]int64{}}
-		for c := range rt.status {
-			if n := rt.status[c].Load(); n > 0 {
-				row.Status[statusClasses[c]] = n
-			}
-		}
-		routes[rt.pattern] = row
-	}
-	writeJSON(w, http.StatusOK, metricsJSON{
-		Server:    totalsJSON{s.requests.Load(), s.badRequests.Load(), s.hostnames.Load()},
-		LatencyUS: json.RawMessage(s.latencyJSON()),
-		Index:     s.plane.Live.Stats(),
-		Reload:    s.plane.Live.ReloadStats(),
-		Routes:    routes,
-	})
-}
-
-// latencyJSON renders the latency histogram with buckets in numeric
-// order, assembled by hand from the canonical bucket list because
-// encoding/json sorts map keys lexically, which would put "inf" first
-// and "le_10ms" before "le_1ms".
-func (s *server) latencyJSON() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, bucket := range latencyBuckets {
-		fmt.Fprintf(&b, "%q: %d, ", bucket.name, s.latency[i].Load())
-	}
-	fmt.Fprintf(&b, "%q: %d}", bucketInf, s.latency[len(latencyBuckets)].Load())
-	return b.String()
-}
-
-// latencyBuckets are the upper bounds of the /v1/geolocate latency
-// histogram, in ascending order; requests above the last bound land in
-// bucketInf. Names carry units so the rendered order reads naturally.
-var latencyBuckets = [...]struct {
-	name string
-	le   time.Duration
-}{
-	{"le_100us", 100 * time.Microsecond},
-	{"le_1ms", time.Millisecond},
-	{"le_10ms", 10 * time.Millisecond},
-	{"le_100ms", 100 * time.Millisecond},
-}
-
-const bucketInf = "inf"
-
-func (s *server) observeLatency(start time.Time) {
-	d := time.Since(start)
-	s.latSumUS.Add(int64(d / time.Microsecond))
-	band := len(latencyBuckets)
-	for i, b := range latencyBuckets {
-		if d <= b.le {
-			band = i
-			break
-		}
-	}
-	s.latency[band].Add(1)
+	writeJSON(w, http.StatusOK, struct {
+		Index geoloc.Stats `json:"index"`
+	}{s.plane.Live.Stats()})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -12,6 +12,10 @@ import (
 	"hoiho/internal/psl"
 )
 
+// raceEnabled is set by race_test.go under -race, where sync.Pool drops
+// puts at random and allocation counts stop being exact.
+var raceEnabled bool
+
 // TestHandleAllocs pins the allocations of the serving path on cached
 // lookups. A query without an OPT record costs Unpack's three
 // (message, question list, name) and the reply's question list and
@@ -74,7 +78,9 @@ func TestHandleAllocsUncached(t *testing.T) {
 		s.HandlePacket(pkts[i%len(pkts)], testSrc, false)
 		i++
 	})
-	if a > 7 {
+	// Under -race a match may allocate the result that rex's sync.Pool
+	// dropped, so the bound is checked only without it.
+	if a > 7 && !raceEnabled {
 		t.Errorf("HandlePacket of an uncached located name: %v allocations, want at most 7", a)
 	}
 	if n := ix.Stats().CacheMisses - misses; n != uint64(i) {

@@ -15,6 +15,7 @@ import (
 	"hoiho/internal/dnswire"
 	"hoiho/internal/geoloc"
 	"hoiho/internal/obs"
+	"hoiho/internal/promexp"
 	"hoiho/internal/qlog"
 )
 
@@ -48,12 +49,6 @@ type Config struct {
 	// cost.
 	QueryLog *qlog.Logger
 }
-
-// ednsBounds are the histogram bands for negotiated UDP response
-// limits: the RFC 1035 floor, the unfragmented-path EDNS default, and
-// a large-advertisement band; sizes above fall in +Inf. An array, not
-// a slice, so the Server's counter block can size itself from it.
-var ednsBounds = [3]float64{512, 1232, 4096}
 
 // outcome is the verdict HandlePacket reaches for one packet, decided
 // once: it names the counter the packet increments, the query-log
@@ -109,10 +104,9 @@ type Server struct {
 	closeErrors atomic.Int64
 	tcpRefused  atomic.Int64
 
-	// Negotiated UDP response-size histogram: per-band observation
-	// counts over ednsBounds (last slot is +Inf) and a byte sum.
-	ednsCounts [len(ednsBounds) + 1]atomic.Int64
-	ednsSum    atomic.Int64
+	// udpSizes is the negotiated UDP response limit of each query, in
+	// bytes; TCP queries carry none and are not observed.
+	udpSizes *promexp.Histogram
 }
 
 // New builds a Server over the given index.
@@ -132,6 +126,9 @@ func New(ix *geoloc.Index, cfg Config) *Server {
 		limiter: newLimiter(cfg.Rate, cfg.Burst),
 		qlog:    cfg.QueryLog,
 		opt:     dnswire.EDNS{UDPSize: cfg.UDPSize},
+		// Bands at the RFC 1035 floor, the unfragmented-path EDNS
+		// default, and a large advertisement; sizes above fall in +Inf.
+		udpSizes: promexp.NewHistogram(1, minUDPSize, defaultUDPSize, 4096),
 	}
 }
 
@@ -162,30 +159,9 @@ func (s *Server) Stats() map[string]int64 {
 // when rate limiting is disabled.
 func (s *Server) LimiterEvictions() uint64 { return s.limiter.evictions() }
 
-// EDNSSizes snapshots the negotiated UDP response-size histogram:
-// per-band observation counts over bounds (one extra +Inf band at the
-// end) and the cumulative byte sum. TCP queries are not observed —
-// they carry no negotiated limit.
-func (s *Server) EDNSSizes() (bounds []float64, counts []int64, sumBytes int64) {
-	counts = make([]int64, len(s.ednsCounts))
-	for i := range s.ednsCounts {
-		counts[i] = s.ednsCounts[i].Load()
-	}
-	return ednsBounds[:], counts, s.ednsSum.Load()
-}
-
-// observeUDPLimit records one negotiated response limit.
-func (s *Server) observeUDPLimit(limit int) {
-	band := len(ednsBounds)
-	for i, b := range ednsBounds {
-		if float64(limit) <= b {
-			band = i
-			break
-		}
-	}
-	s.ednsCounts[band].Add(1)
-	s.ednsSum.Add(int64(limit))
-}
+// UDPSizes is the histogram of negotiated UDP response limits, in
+// bytes.
+func (s *Server) UDPSizes() *promexp.Histogram { return s.udpSizes }
 
 // HandlePacket answers one DNS message and returns the response frame,
 // or nil when the input merits no reply (a frame too short to echo, or
@@ -278,7 +254,7 @@ func (s *Server) handle(b, pkt []byte, src netip.Addr, tcp bool, qr *qlog.Record
 	limit := dnswire.MaxMessageLen
 	if !tcp {
 		limit = s.udpLimit(q)
-		s.observeUDPLimit(limit)
+		s.udpSizes.Observe(int64(limit))
 	}
 	out, err := r.AppendTruncated(b, limit)
 	if err != nil {

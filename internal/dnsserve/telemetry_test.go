@@ -10,12 +10,14 @@ import (
 	"time"
 
 	"hoiho/internal/dnswire"
+	"hoiho/internal/promexp"
 	"hoiho/internal/qlog"
 )
 
-// TestEDNSSizeHistogram pins the negotiated-limit accounting: each UDP
-// query lands in the band of its negotiated response limit, TCP
-// queries are never observed, and the byte sum tracks the limits.
+// TestEDNSSizeHistogram pins the negotiated-limit accounting as it
+// renders: each UDP query lands in the band of its negotiated response
+// limit, TCP queries are never observed, and the byte sum tracks the
+// limits.
 func TestEDNSSizeHistogram(t *testing.T) {
 	s := New(testIndex(t), Config{UDPSize: 8192})
 	send := func(udpSize uint16, tcp bool) {
@@ -40,15 +42,25 @@ func TestEDNSSizeHistogram(t *testing.T) {
 	send(0, false)    // no EDNS: the RFC 1035 512 → band 0
 	send(512, true)   // TCP: no negotiated limit, not observed
 
-	bounds, counts, sum := s.EDNSSizes()
-	if want := []float64{512, 1232, 4096}; fmt.Sprint(bounds) != fmt.Sprint(want) {
-		t.Errorf("bounds = %v, want %v", bounds, want)
+	var buf bytes.Buffer
+	pw := promexp.NewWriter(&buf)
+	s.UDPSizes().Write(pw, "edns_bytes", "Negotiated limits.")
+	if err := pw.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if want := []int64{2, 1, 1, 1}; fmt.Sprint(counts) != fmt.Sprint(want) {
-		t.Errorf("counts = %v, want %v", counts, want)
-	}
-	if want := int64(512 + 1232 + 4096 + 8192 + 512); sum != want {
-		t.Errorf("sum = %d, want %d", sum, want)
+	want := strings.Join([]string{
+		"# HELP edns_bytes Negotiated limits.",
+		"# TYPE edns_bytes histogram",
+		`edns_bytes_bucket{le="512"} 2`,
+		`edns_bytes_bucket{le="1232"} 3`,
+		`edns_bytes_bucket{le="4096"} 4`,
+		`edns_bytes_bucket{le="+Inf"} 5`,
+		fmt.Sprintf("edns_bytes_sum %d", 512+1232+4096+8192+512),
+		"edns_bytes_count 5",
+		"",
+	}, "\n")
+	if got := buf.String(); got != want {
+		t.Errorf("histogram:\n got: %q\nwant: %q", got, want)
 	}
 }
 

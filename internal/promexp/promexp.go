@@ -10,8 +10,9 @@
 // ascend to +Inf with _sum and _count rows. It deliberately implements
 // nothing else — no client_golang-style instrument registry with
 // lifecycle and gather locking, just a Writer that makes the format
-// hard to emit wrong and a Registry that turns collector functions
-// into an http.Handler.
+// hard to emit wrong, the one band Histogram both daemons observe
+// into, and a Registry that turns collector functions into an
+// http.Handler.
 //
 // Invariants the layer guarantees (and Conform enforces):
 //
@@ -32,6 +33,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // ContentType is the exposition content type all handlers serve.
@@ -131,6 +133,50 @@ func (p *Writer) Histogram(name, help string, bounds []float64, counts []int64, 
 // Flush drains the buffered output, surfacing the first write error.
 func (p *Writer) Flush() error {
 	return p.w.Flush()
+}
+
+// Histogram counts observations of an integer quantity in bands over
+// fixed ascending upper bounds and sums them, in atomics that any
+// goroutine may update while a scrape renders them.
+type Histogram struct {
+	bounds []int64
+	unit   float64        // bounds and sum are divided by it when rendered
+	counts []atomic.Int64 // per band; the last is the overflow band
+	sum    atomic.Int64
+}
+
+// NewHistogram returns a histogram over the ascending bounds. The
+// bounds and the sum render divided by unit, so a histogram observing
+// nanoseconds renders seconds with unit 1e9.
+func NewHistogram(unit float64, bounds ...int64) *Histogram {
+	return &Histogram{bounds: bounds, unit: unit, counts: make([]atomic.Int64, len(bounds)+1)}
+}
+
+// Observe counts v in the first band whose bound is at least v and
+// adds it to the sum.
+func (h *Histogram) Observe(v int64) {
+	band := len(h.bounds)
+	for i, b := range h.bounds {
+		if v <= b {
+			band = i
+			break
+		}
+	}
+	h.counts[band].Add(1)
+	h.sum.Add(v)
+}
+
+// Write renders h through the Writer as the histogram family name.
+func (h *Histogram) Write(pw *Writer, name, help string) {
+	bounds := make([]float64, len(h.bounds))
+	for i, b := range h.bounds {
+		bounds[i] = float64(b) / h.unit
+	}
+	counts := make([]int64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+	}
+	pw.Histogram(name, help, bounds, counts, float64(h.sum.Load())/h.unit)
 }
 
 // Collector renders one section of an exposition document.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -77,6 +78,43 @@ func TestHistogramShapePanics(t *testing.T) {
 		}
 	}()
 	NewWriter(&bytes.Buffer{}).Histogram("t_h", "h", []float64{1}, []int64{1}, 0)
+}
+
+// TestHistogramObserve: each value lands in the first band whose bound
+// is at least it, concurrent observers lose no count, and the bounds
+// and the sum render divided by the unit.
+func TestHistogramObserve(t *testing.T) {
+	h := NewHistogram(1e9, 100e3, 1e6) // nanoseconds, rendered in seconds
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, v := range []int64{0, 100e3, 100e3 + 1, 1e6, 2e6} {
+				h.Observe(v)
+			}
+		}()
+	}
+	wg.Wait()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	h.Write(w, "t_seconds", "Time.")
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Join([]string{
+		"# HELP t_seconds Time.",
+		"# TYPE t_seconds histogram",
+		`t_seconds_bucket{le="0.0001"} 8`,
+		`t_seconds_bucket{le="0.001"} 16`,
+		`t_seconds_bucket{le="+Inf"} 20`,
+		"t_seconds_sum 0.012800004",
+		"t_seconds_count 20",
+		"",
+	}, "\n")
+	if got := buf.String(); got != want {
+		t.Errorf("histogram:\n got: %q\nwant: %q", got, want)
+	}
 }
 
 // TestLabelsPanicsOnOddArgs: static call-site shapes only.
