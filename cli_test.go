@@ -3,6 +3,7 @@ package hoiho_bench
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -495,6 +496,32 @@ func TestGeosnapVerifyRefusesUnreachableSuffix(t *testing.T) {
 	}
 	if strings.Contains(stdout.String(), "ok:") {
 		t.Errorf("geosnap -verify passed the file:\n%s", stdout.Bytes())
+	}
+}
+
+// TestGeodnsRefusesWideWireFlag starts geodns with flag values wider
+// than the wire fields they fill: each must be a usage error (exit 2,
+// the flag named) before anything is served, not a value that wraps.
+// A geodns that serves anyway is killed after a minute and fails.
+func TestGeodnsRefusesWideWireFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binaries")
+	}
+	geodns := buildBinary(t, t.TempDir(), "geodns")
+	nc := filepath.Join(goldenDir, "conventions.txt")
+	for _, arg := range [][]string{{"-udp-size", "70000"}, {"-udp-size", "65536"}, {"-ttl", "4294967296"}} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		cmd := exec.CommandContext(ctx, geodns, append([]string{"-nc", nc, "-addr", "127.0.0.1:0"}, arg...)...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		cancel()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			t.Fatalf("geodns %s %s exited with %v, want exit status 2\n%s", arg[0], arg[1], err, stderr.Bytes())
+		}
+		if !strings.Contains(stderr.String(), arg[0]+" "+arg[1]) {
+			t.Errorf("stderr does not name %s %s:\n%s", arg[0], arg[1], stderr.Bytes())
+		}
 	}
 }
 

@@ -69,6 +69,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -104,9 +105,15 @@ func main() {
 		return
 	}
 	if _, err := src.Kind(); err != nil {
-		fmt.Fprintln(os.Stderr, "geodns:", err)
-		flag.Usage()
-		os.Exit(2)
+		usage(err)
+	}
+	// Each value goes into a fixed-width wire field; a wider one would
+	// wrap silently.
+	if *ttl > math.MaxUint32 {
+		usage(fmt.Errorf("-ttl %d does not fit the 32-bit TTL field", *ttl))
+	}
+	if *udpSize > math.MaxUint16 {
+		usage(fmt.Errorf("-udp-size %d does not fit the 16-bit EDNS payload size field", *udpSize))
 	}
 	if *burst == 0 {
 		*burst = 2 * *rate
@@ -226,6 +233,14 @@ func mustTCPAddr(addr string) *net.TCPAddr {
 		fatal(err)
 	}
 	return a
+}
+
+// usage reports a bad command line and exits 2, as the flag package
+// does.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "geodns:", err)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -93,6 +95,23 @@ func TestExplainErrors(t *testing.T) {
 		if err := json.Unmarshal([]byte(tc.body), &env); err != nil || env.Error.Code == "" {
 			t.Errorf("%s: response is not the error envelope: %s", tc.name, tc.body)
 		}
+	}
+	lookups := s.plane.Live.Stats().Lookups
+	for name, w := range map[string]*httptest.ResponseRecorder{
+		"254-byte name GET":  get(t, s, "/v1/explain?hostname="+longName(maxNameLen+1)),
+		"254-byte name POST": postJSON(t, s, "/v1/explain", fmt.Sprintf(`{"hostname":%q}`, longName(maxNameLen+1))),
+		"1 MB name GET":      get(t, s, "/v1/explain?hostname="+longName(1<<20)),
+		"1 MB name POST":     postJSON(t, s, "/v1/explain", fmt.Sprintf(`{"hostname":%q}`, longName(1<<20))),
+	} {
+		if code := errorCode(w); w.Code != http.StatusBadRequest || code != "hostname_too_long" {
+			t.Errorf("%s: status %d, code %q, want 400 hostname_too_long", name, w.Code, code)
+		}
+	}
+	if got := s.plane.Live.Stats().Lookups; got != lookups {
+		t.Errorf("refused names made %d lookups, want 0", got-lookups)
+	}
+	if w := get(t, s, "/v1/explain?hostname="+longName(maxNameLen)+"."); w.Code != http.StatusOK {
+		t.Errorf("253-byte name with root dot: status = %d, want 200", w.Code)
 	}
 }
 

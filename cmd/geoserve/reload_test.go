@@ -59,6 +59,8 @@ func TestErrorEnvelope(t *testing.T) {
 		{"unknown field", "POST", "/v1/geolocate", `{"host":"a.he.net"}`, 400, "malformed_request"},
 		{"neither field", "POST", "/v1/geolocate", `{}`, 400, "invalid_request"},
 		{"both fields", "POST", "/v1/geolocate", `{"hostname":"a","hostnames":["b"]}`, 400, "invalid_request"},
+		{"hostname too long", "POST", "/v1/geolocate",
+			`{"hostname":"` + strings.Repeat("a", maxNameLen+1) + `"}`, 400, "hostname_too_long"},
 		{"wrong method", "GET", "/v1/geolocate", "", 405, "method_not_allowed"},
 		{"unknown endpoint", "POST", "/v1/nope", `{}`, 404, "not_found"},
 		{"reload not configured", "POST", "/v1/admin/reload", "", 503, "reload_unavailable"},
@@ -98,8 +100,8 @@ func TestErrorEnvelope(t *testing.T) {
 		})
 	}
 	// Every 4xx envelope, the 413 included, counts as a bad request.
-	if got := s.badRequests.Load(); got != 7 {
-		t.Errorf("bad_requests = %d after the 4xx cases, want 7", got)
+	if got := s.badRequests.Load(); got != 8 {
+		t.Errorf("bad_requests = %d after the 4xx cases, want 8", got)
 	}
 }
 

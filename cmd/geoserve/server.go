@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -259,6 +260,9 @@ func (s *server) handleGeolocate(w http.ResponseWriter, r *http.Request) {
 	case batch && len(req.Hostnames) > maxBatch:
 		s.writeError(w, http.StatusBadRequest, "batch_too_large",
 			fmt.Sprintf("batch exceeds %d hostnames", maxBatch))
+	case tooLong(req.Hostname) || slices.ContainsFunc(req.Hostnames, tooLong):
+		s.writeError(w, http.StatusBadRequest, "hostname_too_long",
+			fmt.Sprintf("hostname exceeds %d bytes", maxNameLen))
 	case single:
 		s.hostnames.Add(1)
 		logHostname(w, req.Hostname)
@@ -283,6 +287,13 @@ func (s *server) handleGeolocate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// tooLong reports whether name is longer than a hostname can be, one
+// trailing root dot not counted. Such a name is refused before it
+// reaches the index, so it never becomes a result-cache key.
+func tooLong(name string) bool {
+	return len(strings.TrimSuffix(name, ".")) > maxNameLen
+}
+
 // explainRequest is the POST /v1/explain body; GET passes ?hostname=.
 type explainRequest struct {
 	Hostname string `json:"hostname"`
@@ -304,9 +315,14 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		}
 		hostname = req.Hostname
 	}
-	if hostname == "" {
+	switch {
+	case hostname == "":
 		s.writeError(w, http.StatusBadRequest, "invalid_request",
 			`"hostname" is required`)
+		return
+	case tooLong(hostname):
+		s.writeError(w, http.StatusBadRequest, "hostname_too_long",
+			fmt.Sprintf("hostname exceeds %d bytes", maxNameLen))
 		return
 	}
 	logHostname(w, hostname)

@@ -132,6 +132,44 @@ func TestGeolocateBadRequests(t *testing.T) {
 	if w := postJSON(t, s, "/v1/geolocate", string(body)); w.Code != http.StatusBadRequest {
 		t.Errorf("oversized batch: status = %d, want 400", w.Code)
 	}
+	// A name past maxNameLen is refused before any lookup, alone or as
+	// one member of a batch; one trailing root dot is not counted.
+	lookups := s.plane.Live.Stats().Lookups
+	for name, body := range map[string]string{
+		"254-byte name":        fmt.Sprintf(`{"hostname":%q}`, longName(maxNameLen+1)),
+		"1 MB name":            fmt.Sprintf(`{"hostname":%q}`, longName(1<<20)),
+		"batch with long name": fmt.Sprintf(`{"hostnames":["a.core1.lhr1.he.net",%q]}`, longName(1<<20)),
+	} {
+		w := postJSON(t, s, "/v1/geolocate", body)
+		if code := errorCode(w); w.Code != http.StatusBadRequest || code != "hostname_too_long" {
+			t.Errorf("%s: status %d, code %q, want 400 hostname_too_long", name, w.Code, code)
+		}
+	}
+	if got := s.plane.Live.Stats().Lookups; got != lookups {
+		t.Errorf("refused names made %d lookups, want 0", got-lookups)
+	}
+	for _, h := range []string{longName(maxNameLen), longName(maxNameLen) + "."} {
+		if w := postJSON(t, s, "/v1/geolocate", fmt.Sprintf(`{"hostname":%q}`, h)); w.Code != http.StatusOK {
+			t.Errorf("%d-byte name: status = %d, want 200", len(h), w.Code)
+		}
+	}
+}
+
+// longName returns an n-byte hostname under the test convention's
+// suffix.
+func longName(n int) string {
+	const tail = ".core1.lhr1.he.net"
+	return strings.Repeat("a", n-len(tail)) + tail
+}
+
+// errorCode returns the code of an error envelope, "" for any other
+// body.
+func errorCode(w *httptest.ResponseRecorder) string {
+	var env apiError
+	if json.Unmarshal(w.Body.Bytes(), &env) != nil {
+		return ""
+	}
+	return env.Error.Code
 }
 
 func TestGeolocateMethodNotAllowed(t *testing.T) {

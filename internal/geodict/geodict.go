@@ -7,9 +7,7 @@
 //
 // The embedded datasets are curated subsets of the public sources the
 // paper uses (OurAirports, GeoNames, UN/LOCODE, PeeringDB) plus a
-// rule-compatible substitute for the licensed iconectiv CLLI table. A
-// Builder allows programmatic extension, which the synthetic topology
-// generator uses to register additional codes.
+// rule-compatible substitute for the licensed iconectiv CLLI table.
 package geodict
 
 import (
@@ -124,14 +122,13 @@ type Dictionary struct {
 
 	// placeList is every place sorted by key, built by the first Places
 	// call, which learning workers may make at the same time, and reset
-	// by AddPlace.
+	// by addPlace.
 	placeMu   sync.Mutex
 	placeList []*Location
 }
 
-// NewDictionary returns an empty dictionary ready for population via a
-// Builder. Most callers want Default instead.
-func NewDictionary() *Dictionary {
+// newDictionary returns an empty dictionary for the loader to fill.
+func newDictionary() *Dictionary {
 	return &Dictionary{
 		iata:      make(map[string][]*Airport),
 		icao:      make(map[string]*Airport),

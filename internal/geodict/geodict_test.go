@@ -196,12 +196,12 @@ func TestPlacesSortedOnce(t *testing.T) {
 	}
 
 	added := Location{City: "middleton", Region: "wi", Country: "us"}
-	if err := (&Builder{d: d}).AddPlace(added); err != nil {
+	if err := d.addPlace(added); err != nil {
 		t.Fatal(err)
 	}
 	got := d.Places()
 	if len(got) != len(lists[0])+1 || !sorted(got) {
-		t.Fatalf("after AddPlace: %d places, sorted %v; want %d sorted", len(got), sorted(got), len(lists[0])+1)
+		t.Fatalf("after addPlace: %d places, sorted %v; want %d sorted", len(got), sorted(got), len(lists[0])+1)
 	}
 	found := false
 	for _, l := range got {
@@ -306,13 +306,13 @@ func TestLocations(t *testing.T) {
 	if d.Place("washington")[0] == nil {
 		t.Error("changing a returned place slice changed the dictionary")
 	}
-	b := NewBuilder()
+	fresh := newDictionary()
 	for _, city := range []string{"first", "second"} {
-		if err := b.AddAirport("xyz", "", Location{City: city, Country: "us"}); err != nil {
+		if err := fresh.addAirport("xyz", "", Location{City: city, Country: "us"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := b.Dictionary().Locations(HintIATA, "xyz"); len(got) != 2 || got[0].City != "first" || got[1].City != "second" {
+	if got := fresh.Locations(HintIATA, "xyz"); len(got) != 2 || got[0].City != "first" || got[1].City != "second" {
 		t.Errorf("Locations(iata, xyz) = %v, want both airports in registration order", got)
 	}
 	for _, ht := range []HintType{HintNone, HintCountry, HintState, HintType(99)} {
@@ -428,49 +428,49 @@ func TestLocationKeyUnique(t *testing.T) {
 }
 
 func TestBuilderValidation(t *testing.T) {
-	b := NewBuilder()
+	d := newDictionary()
 	loc := Location{City: "x", Country: "us", Pos: geo.LatLong{Lat: 1, Long: 2}}
-	if err := b.AddAirport("toolong", "", loc); err == nil {
-		t.Error("AddAirport should reject non-3-letter codes")
+	if err := d.addAirport("toolong", "", loc); err == nil {
+		t.Error("addAirport should reject non-3-letter codes")
 	}
-	if err := b.AddAirport("abc", "bad", loc); err == nil {
-		t.Error("AddAirport should reject non-4-letter ICAO")
+	if err := d.addAirport("abc", "bad", loc); err == nil {
+		t.Error("addAirport should reject non-4-letter ICAO")
 	}
-	if err := b.AddAirport("abc", "kabc", loc); err != nil {
-		t.Errorf("AddAirport: %v", err)
+	if err := d.addAirport("abc", "kabc", loc); err != nil {
+		t.Errorf("addAirport: %v", err)
 	}
-	if err := b.AddAirport("abc", "", loc); err == nil {
+	if err := d.addAirport("abc", "", loc); err == nil {
 		t.Error("duplicate airport should be rejected")
 	}
-	if err := b.AddLocode("usx", loc); err == nil {
-		t.Error("AddLocode should reject short codes")
+	if err := d.addLocode("usx", loc); err == nil {
+		t.Error("addLocode should reject short codes")
 	}
-	if err := b.AddLocode("frxyz", loc); err == nil {
-		t.Error("AddLocode should reject country mismatch")
+	if err := d.addLocode("frxyz", loc); err == nil {
+		t.Error("addLocode should reject country mismatch")
 	}
-	if err := b.AddLocode("usxyz", loc); err != nil {
-		t.Errorf("AddLocode: %v", err)
+	if err := d.addLocode("usxyz", loc); err != nil {
+		t.Errorf("addLocode: %v", err)
 	}
-	if err := b.AddLocode("usxyz", loc); err == nil {
+	if err := d.addLocode("usxyz", loc); err == nil {
 		t.Error("duplicate LOCODE should be rejected")
 	}
-	if err := b.AddCLLI("abcd", loc); err == nil {
-		t.Error("AddCLLI should reject non-6-letter prefixes")
+	if err := d.addCLLI("abcd", loc); err == nil {
+		t.Error("addCLLI should reject non-6-letter prefixes")
 	}
-	if err := b.AddCLLI("abcdef", loc); err != nil {
-		t.Errorf("AddCLLI: %v", err)
+	if err := d.addCLLI("abcdef", loc); err != nil {
+		t.Errorf("addCLLI: %v", err)
 	}
-	if err := b.AddCLLI("abcdef", loc); err == nil {
+	if err := d.addCLLI("abcdef", loc); err == nil {
 		t.Error("duplicate CLLI should be rejected")
 	}
-	if err := b.AddPlace(Location{}); err == nil {
-		t.Error("AddPlace should reject empty city")
+	if err := d.addPlace(Location{}); err == nil {
+		t.Error("addPlace should reject empty city")
 	}
-	if err := b.AddCountry("usa", "", "x"); err == nil {
-		t.Error("AddCountry should reject non-2-letter codes")
+	if err := d.addCountry("usa", "", "x"); err == nil {
+		t.Error("addCountry should reject non-2-letter codes")
 	}
-	if err := b.AddState("", "x", "y"); err == nil {
-		t.Error("AddState should reject empty country")
+	if err := d.addState("", "x", "y"); err == nil {
+		t.Error("addState should reject empty country")
 	}
 }
 

@@ -41,10 +41,10 @@ func MustDefault() *Dictionary {
 }
 
 func loadEmbedded() (*Dictionary, error) {
-	b := NewBuilder()
+	d := newDictionary()
 	steps := []struct {
 		file string
-		fn   func(*Builder, io.Reader) error
+		fn   func(*Dictionary, io.Reader) error
 	}{
 		{"data/countries.tsv", loadCountries},
 		{"data/states.tsv", loadStates},
@@ -59,13 +59,13 @@ func loadEmbedded() (*Dictionary, error) {
 		if err != nil {
 			return nil, fmt.Errorf("geodict: open %s: %w", s.file, err)
 		}
-		err = s.fn(b, f)
+		err = s.fn(d, f)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("geodict: load %s: %w", s.file, err)
 		}
 	}
-	return b.Dictionary(), nil
+	return d, nil
 }
 
 // forEachRecord streams non-comment, non-blank TSV lines to fn, reporting
@@ -111,21 +111,21 @@ func parseLatLong(latS, lonS string) (geo.LatLong, error) {
 }
 
 // LoadCountries parses "alpha2 \t alpha3 \t name" records.
-func loadCountries(b *Builder, r io.Reader) error {
+func loadCountries(d *Dictionary, r io.Reader) error {
 	return forEachRecord(r, 3, func(f []string) error {
-		return b.AddCountry(f[0], f[1], f[2])
+		return d.addCountry(f[0], f[1], f[2])
 	})
 }
 
 // LoadStates parses "country \t code \t name" records.
-func loadStates(b *Builder, r io.Reader) error {
+func loadStates(d *Dictionary, r io.Reader) error {
 	return forEachRecord(r, 3, func(f []string) error {
-		return b.AddState(f[0], f[1], f[2])
+		return d.addState(f[0], f[1], f[2])
 	})
 }
 
 // LoadCities parses "city \t region \t country \t lat \t long \t pop".
-func loadCities(b *Builder, r io.Reader) error {
+func loadCities(d *Dictionary, r io.Reader) error {
 	return forEachRecord(r, 6, func(f []string) error {
 		pos, err := parseLatLong(f[3], f[4])
 		if err != nil {
@@ -135,7 +135,7 @@ func loadCities(b *Builder, r io.Reader) error {
 		if err != nil {
 			return fmt.Errorf("bad population %q: %w", f[5], err)
 		}
-		return b.AddPlace(Location{
+		return d.addPlace(Location{
 			City: f[0], Region: f[1], Country: f[2], Pos: pos, Population: pop,
 		})
 	})
@@ -143,56 +143,193 @@ func loadCities(b *Builder, r io.Reader) error {
 
 // loadAirports parses "iata \t icao \t city \t region \t country \t lat \t long".
 // Population is joined from the place dictionary when the city is known.
-func loadAirports(b *Builder, r io.Reader) error {
+func loadAirports(d *Dictionary, r io.Reader) error {
 	return forEachRecord(r, 7, func(f []string) error {
 		pos, err := parseLatLong(f[5], f[6])
 		if err != nil {
 			return err
 		}
 		loc := Location{City: f[2], Region: f[3], Country: f[4], Pos: pos}
-		if p, ok := b.PlaceLocation(f[2], f[3], f[4]); ok {
+		if p, ok := d.placeLocation(f[2], f[3], f[4]); ok {
 			loc.Population = p.Population
 		}
-		return b.AddAirport(f[0], f[1], loc)
+		return d.addAirport(f[0], f[1], loc)
 	})
 }
 
 // loadLocodes parses "locode \t city \t region \t country \t lat \t long".
-func loadLocodes(b *Builder, r io.Reader) error {
+func loadLocodes(d *Dictionary, r io.Reader) error {
 	return forEachRecord(r, 6, func(f []string) error {
 		pos, err := parseLatLong(f[4], f[5])
 		if err != nil {
 			return err
 		}
 		loc := Location{City: f[1], Region: f[2], Country: f[3], Pos: pos}
-		if p, ok := b.PlaceLocation(f[1], f[2], f[3]); ok {
+		if p, ok := d.placeLocation(f[1], f[2], f[3]); ok {
 			loc.Population = p.Population
 		}
-		return b.AddLocode(f[0], loc)
+		return d.addLocode(f[0], loc)
 	})
 }
 
 // loadCLLI parses "prefix \t city \t region \t country"; coordinates are
 // joined from the place dictionary (the paper joins iconectiv city names
 // against GeoNames the same way).
-func loadCLLI(b *Builder, r io.Reader) error {
+func loadCLLI(d *Dictionary, r io.Reader) error {
 	return forEachRecord(r, 4, func(f []string) error {
-		p, ok := b.PlaceLocation(f[1], f[2], f[3])
+		p, ok := d.placeLocation(f[1], f[2], f[3])
 		if !ok {
 			return fmt.Errorf("CLLI %s: city %q (%s,%s) not in place dictionary", f[0], f[1], f[2], f[3])
 		}
-		return b.AddCLLI(f[0], *p)
+		return d.addCLLI(f[0], *p)
 	})
 }
 
 // loadFacilities parses "name \t address \t city \t region \t country \t lat \t long".
-func loadFacilities(b *Builder, r io.Reader) error {
+func loadFacilities(d *Dictionary, r io.Reader) error {
 	return forEachRecord(r, 7, func(f []string) error {
 		pos, err := parseLatLong(f[5], f[6])
 		if err != nil {
 			return err
 		}
 		loc := Location{City: f[2], Region: f[3], Country: f[4], Pos: pos}
-		return b.AddFacility(f[0], f[1], loc)
+		return d.addFacility(f[0], f[1], loc)
 	})
+}
+
+// addAirport registers an airport under its IATA (and, when non-empty,
+// ICAO) code. Multiple airports may share an IATA code only through
+// separate addAirport calls with distinct locations (used to model
+// metro codes); duplicate exact registrations are rejected.
+func (d *Dictionary) addAirport(iata, icao string, loc Location) error {
+	iata = strings.ToLower(iata)
+	icao = strings.ToLower(icao)
+	if len(iata) != 3 {
+		return fmt.Errorf("geodict: IATA code %q must be 3 letters", iata)
+	}
+	if icao != "" && len(icao) != 4 {
+		return fmt.Errorf("geodict: ICAO code %q must be 4 letters", icao)
+	}
+	a := &Airport{IATA: iata, ICAO: icao, Loc: loc}
+	for _, prev := range d.iata[iata] {
+		if prev.Loc.SameCity(&a.Loc) {
+			return fmt.Errorf("geodict: duplicate airport %s for %s", iata, loc.String())
+		}
+	}
+	d.iata[iata] = append(d.iata[iata], a)
+	if icao != "" {
+		if _, dup := d.icao[icao]; dup {
+			return fmt.Errorf("geodict: duplicate ICAO code %s", icao)
+		}
+		d.icao[icao] = a
+	}
+	return nil
+}
+
+// addLocode registers a 5-letter UN/LOCODE.
+func (d *Dictionary) addLocode(code string, loc Location) error {
+	code = strings.ToLower(code)
+	if len(code) != 5 {
+		return fmt.Errorf("geodict: LOCODE %q must be 5 letters", code)
+	}
+	if _, dup := d.locode[code]; dup {
+		return fmt.Errorf("geodict: duplicate LOCODE %s", code)
+	}
+	if loc.Country != "" && code[:2] != loc.Country {
+		return fmt.Errorf("geodict: LOCODE %s does not begin with country %s", code, loc.Country)
+	}
+	d.locode[code] = &Code{Code: code, Loc: loc}
+	return nil
+}
+
+// addCLLI registers a 6-letter CLLI prefix.
+func (d *Dictionary) addCLLI(prefix string, loc Location) error {
+	prefix = strings.ToLower(prefix)
+	if len(prefix) != 6 {
+		return fmt.Errorf("geodict: CLLI prefix %q must be 6 letters", prefix)
+	}
+	if _, dup := d.clli[prefix]; dup {
+		return fmt.Errorf("geodict: duplicate CLLI prefix %s", prefix)
+	}
+	d.clli[prefix] = &Code{Code: prefix, Loc: loc}
+	return nil
+}
+
+// addPlace registers a city or town name.
+func (d *Dictionary) addPlace(loc Location) error {
+	if loc.City == "" {
+		return fmt.Errorf("geodict: place with empty city name")
+	}
+	key := NormalizeName(loc.City)
+	l := loc
+	for _, prev := range d.places[key] {
+		if prev.SameCity(&l) {
+			return fmt.Errorf("geodict: duplicate place %s", loc.String())
+		}
+	}
+	d.places[key] = append(d.places[key], &l)
+	d.placeList = nil
+	return nil
+}
+
+// addFacility registers a colocation facility.
+func (d *Dictionary) addFacility(name, address string, loc Location) error {
+	if name == "" {
+		return fmt.Errorf("geodict: facility with empty name")
+	}
+	d.facilities = append(d.facilities, &Facility{
+		Name: strings.ToLower(name), Address: strings.ToLower(address), Loc: loc,
+		addrKey: NormalizeName(address),
+	})
+	return nil
+}
+
+// addCountry registers an ISO-3166 country.
+func (d *Dictionary) addCountry(alpha2, alpha3, name string) error {
+	alpha2 = strings.ToLower(alpha2)
+	alpha3 = strings.ToLower(alpha3)
+	if len(alpha2) != 2 {
+		return fmt.Errorf("geodict: country code %q must be 2 letters", alpha2)
+	}
+	if _, dup := d.countries[alpha2]; dup {
+		return fmt.Errorf("geodict: duplicate country %s", alpha2)
+	}
+	d.countries[alpha2] = name
+	if alpha3 != "" {
+		d.alpha3[alpha3] = alpha2
+	}
+	if name != "" {
+		d.countryIx[NormalizeName(name)] = alpha2
+	}
+	return nil
+}
+
+// addState registers a state/province code within a country.
+func (d *Dictionary) addState(country, code, name string) error {
+	country = strings.ToLower(country)
+	code = strings.ToLower(code)
+	if country == "" || code == "" {
+		return fmt.Errorf("geodict: state requires country and code")
+	}
+	m := d.states[country]
+	if m == nil {
+		m = make(map[string]string)
+		d.states[country] = m
+	}
+	if _, dup := m[code]; dup {
+		return fmt.Errorf("geodict: duplicate state %s-%s", country, code)
+	}
+	m[code] = name
+	return nil
+}
+
+// placeLocation finds the registered place exactly matching the triple,
+// used when joining other data sources against the place dictionary.
+func (d *Dictionary) placeLocation(city, region, country string) (*Location, bool) {
+	for _, l := range d.places[NormalizeName(city)] {
+		if l.City == city && l.Region == region && l.Country == country {
+			return l, true
+		}
+	}
+	return nil, false
 }

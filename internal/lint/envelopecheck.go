@@ -9,7 +9,7 @@ import (
 // Envelopecheck pins the /v1 error-envelope contract in cmd/geoserve:
 // every error response the daemon emits must be the uniform
 // {"error":{"code","message"}} JSON document, produced by the server's
-// writeError helper (or the v1ErrorWriter that rewrites the mux's own
+// writeError helper (or the statusWriter that rewrites the mux's own
 // 404/405s). A handler that calls http.Error or writes a non-2xx
 // status directly hands a client a plain-text body that breaks every
 // parser expecting the envelope — precisely the drift the contract
@@ -19,7 +19,7 @@ import (
 // The check is scoped to the serving package (envelopeDirs); inside it,
 // the only functions allowed to write an error status are the envelope
 // plumbing itself: writeError, writeJSON (writeError's transport), and
-// methods on v1ErrorWriter / statusWriter.
+// methods on statusWriter.
 func Envelopecheck() *Analyzer {
 	return &Analyzer{
 		Name: "envelopecheck",
@@ -40,8 +40,7 @@ var envelopeAllowedFuncs = map[string]bool{
 // envelopeAllowedRecvs are writer types whose methods implement the
 // envelope or capture statuses without emitting them.
 var envelopeAllowedRecvs = map[string]bool{
-	"v1ErrorWriter": true,
-	"statusWriter":  true,
+	"statusWriter": true,
 }
 
 func runEnvelopecheck(pass *Pass) {

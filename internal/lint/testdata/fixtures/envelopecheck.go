@@ -26,8 +26,8 @@ func handleOK(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK) // ok: success statuses are unrestricted
 }
 
-type v1ErrorWriter struct{ http.ResponseWriter }
+type statusWriter struct{ http.ResponseWriter }
 
-func (w *v1ErrorWriter) WriteHeader(status int) {
+func (w *statusWriter) WriteHeader(status int) {
 	w.ResponseWriter.WriteHeader(status) // ok: allowlisted receiver
 }

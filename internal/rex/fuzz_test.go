@@ -144,6 +144,9 @@ func FuzzRexmatchVsStdlib(f *testing.F) {
 	// `^([a-z]+)-([a-z]+)$` as a split-CLLI pair: the halves join.
 	f.Add([]byte{0x07, 0x03, 0x02, 0x00, 0x07, 0x05}, "abcd-ef")
 	f.Add([]byte{0x00, 0x0a, 0x01, 0x00, 0x00, 0x06}, ".alter.")
+	// `^([^-]+)([^\.]+)\.([a-z]{3})$`: the [^-]+ run gives back across
+	// 日, whose inner bytes no span may end on.
+	f.Add([]byte{0x05, 0x09, 0x04, 0x07, 0x01, 0x00, 0x06, 0x0b}, "aé日.xyz")
 	f.Add([]byte{}, "")
 	f.Fuzz(func(t *testing.T, data []byte, host string) {
 		r := decodeRegex(data)

@@ -15,20 +15,20 @@ package rex
 // the rendered pattern — a property the differential fuzz target
 // FuzzRexmatchVsStdlib enforces.
 //
-// The hot path scans bytes, which is equivalent to the stdlib's
-// rune-wise scanning whenever every repetition unit is one byte: the
-// positive classes ([a-z], \d, [a-z\d]) are pure ASCII, so programs
-// without negated classes take the byte path on every input, and any
-// program does on pure-ASCII input (the production case — router
-// hostnames are ASCII). Equivalence does NOT extend to negated
-// classes ([^\.], [^-], the newline-excluding .) over non-ASCII
-// input: those match multi-byte runes, and the stdlib counts each
-// rune as ONE repetition unit, so byte-wise counting would let
-// adjacent repetitions split a rune that the stdlib treats as
-// indivisible (found by the differential fuzz target: three adjacent
-// ([^\.]+) groups must not match a two-rune three-byte input). run
-// therefore routes negated-class programs over non-ASCII input
-// through a slower rune-counting variant of the same search.
+// The search scans bytes, while the stdlib counts repetition units in
+// runes (each invalid-UTF-8 byte its own U+FFFD unit). The two agree
+// whenever no span boundary falls inside a multi-byte unit, so for a
+// program with a negated class ([^\.], [^-], the newline-excluding .)
+// run first marks every (component, position) state inside such a
+// unit dead. That is exact because positive classes consume only
+// ASCII, every literal is ASCII or the "."+suffix tail that ends the
+// input, and a greedy negated run stops only at an excluded ASCII byte
+// or the end of the input: a give-back that lands inside a unit hits a
+// dead state and gives back again, so the search tries exactly the
+// rune-aligned assignments, in the stdlib's order. (The differential
+// fuzz target found the divergence this prevents: three adjacent
+// ([^\.]+) groups must not match a two-rune three-byte input by
+// splitting a rune.)
 //
 // compile refuses what Validate refuses component by component:
 // unknown kinds and fixed repeats outside 1-maxFixed. Scratch state
@@ -97,7 +97,7 @@ type prog struct {
 	maxLen int    // sum of maximum widths, -1 when any is unbounded
 	head   string // leading fixed text, "" when the program starts elsewhere
 	tail   string // trailing fixed text, "" when the program ends elsewhere
-	hasNeg bool   // any negated class: rune-counting needed on non-ASCII input
+	hasNeg bool   // any negated class: states inside a multi-byte rune are dead
 }
 
 // compile builds the matcher for a component sequence from the kind
@@ -199,30 +199,38 @@ func (p *prog) run(in string, res *result) bool {
 		return false
 	}
 	res.grow(len(p.specs), n)
-	// The byte-wise search is exact whenever every repetition unit is
-	// one byte; only negated classes can consume multi-byte runes, and
-	// the stdlib counts those as single units, so such programs take
-	// the rune-counting search on non-ASCII input.
-	var ok bool
-	if p.hasNeg && !isASCII(in) {
-		ok = p.matchRunes(in, res)
-	} else {
-		ok = p.match(in, res)
+	if p.hasNeg {
+		// ASCII input, the production case, has no rune to split and
+		// is scanned here without a call.
+		for i := 0; i < n; i++ {
+			if in[i] >= utf8.RuneSelf {
+				res.killInsideRunes(in, i)
+				break
+			}
+		}
 	}
+	ok := p.match(in, res)
 	res.in = in
 	return ok
 }
 
-// isASCII reports whether the input is free of multi-byte runes (and
-// of invalid UTF-8, which the stdlib also decodes one byte at a time
-// but as U+FFFD units).
-func isASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= utf8.RuneSelf {
-			return false
+// killInsideRunes marks dead every state whose position falls inside a
+// multi-byte unit of in, scanning from byte from, which begins a unit.
+// Units follow utf8.DecodeRuneInString's forward decomposition (an
+// invalid byte is a one-byte unit). A span boundary inside one would
+// split a rune the stdlib counts as one.
+func (r *result) killInsideRunes(in string, from int) {
+	stride := len(in) + 1
+	for i := from; i < len(in); {
+		_, size := utf8.DecodeRuneInString(in[i:])
+		for pos := i + 1; pos < i+size; pos++ {
+			for ci := range r.starts {
+				bit := ci*stride + pos
+				r.visited[bit>>6] |= 1 << (bit & 63)
+			}
 		}
+		i += size
 	}
-	return true
 }
 
 // match runs the memoized leftmost-first search. starts/lens in res
@@ -290,109 +298,4 @@ func (p *prog) match(in string, res *result) bool {
 			visited[bit>>6] |= 1 << (bit & 63)
 		}
 	}
-}
-
-// matchRunes is the rune-counting variant of match, used for programs
-// with negated classes on non-ASCII input. Positions and spans stay in
-// bytes (part slices the input), but repetition bounds count stdlib
-// units: one unit per rune, with each invalid-UTF-8 byte a one-byte
-// U+FFFD unit, exactly utf8.DecodeRuneInString's decomposition. The
-// unit decomposition from a given byte offset is deterministic, so the
-// memo bitset over (component, byte position) states stays sound, and
-// shrinking a repetition by one unit can rescan its already-matched
-// bytes instead of carrying per-width scratch.
-func (p *prog) matchRunes(in string, res *result) bool {
-	m := len(p.specs)
-	n := len(in)
-	starts, lens, visited := res.starts, res.lens, res.visited
-	stride := n + 1
-	ci, pos := 0, 0
-	for {
-		if ci == m {
-			if pos == n {
-				return true
-			}
-		} else if bit := ci*stride + pos; visited[bit>>6]&(1<<(bit&63)) == 0 {
-			sp := &p.specs[ci]
-			starts[ci] = int32(pos)
-			if sp.cls == clsLit {
-				if len(sp.lit) <= n-pos && in[pos:pos+len(sp.lit)] == sp.lit {
-					lens[ci] = int32(len(sp.lit))
-					pos += len(sp.lit)
-					ci++
-					continue
-				}
-				visited[bit>>6] |= 1 << (bit & 63)
-			} else {
-				tab := &classTabs[sp.cls]
-				// Positive classes (clsAlpha and later in the index
-				// order) are pure ASCII and never match a multi-byte
-				// rune; negated classes exclude one ASCII character,
-				// so every non-ASCII rune (and U+FFFD) matches.
-				neg := sp.cls < clsAlpha
-				blen, units := 0, 0
-				for pos+blen < n && (sp.max < 0 || units < int(sp.max)) {
-					if c := in[pos+blen]; c < utf8.RuneSelf {
-						if !tab[c] {
-							break
-						}
-						blen++
-					} else if neg {
-						_, size := utf8.DecodeRuneInString(in[pos+blen:])
-						blen += size
-					} else {
-						break
-					}
-					units++
-				}
-				if units >= int(sp.min) {
-					lens[ci] = int32(blen)
-					pos += blen
-					ci++
-					continue
-				}
-				visited[bit>>6] |= 1 << (bit & 63)
-			}
-		}
-		for {
-			ci--
-			if ci < 0 {
-				return false
-			}
-			sp := &p.specs[ci]
-			pos = int(starts[ci])
-			if sp.cls != clsLit && lens[ci] > 0 {
-				nl, nu := runeBack(in, pos, int(lens[ci]))
-				if nu >= int(sp.min) {
-					lens[ci] = int32(nl)
-					pos += nl
-					ci++
-					break
-				}
-			}
-			bit := ci*stride + pos
-			visited[bit>>6] |= 1 << (bit & 63)
-		}
-	}
-}
-
-// runeBack rescans a matched repetition of blen bytes starting at
-// start and returns the byte length and unit count of the run shrunk
-// by one unit. Rescanning forward reproduces the exact decomposition
-// the greedy scan used; decoding backwards would not (an invalid lead
-// byte followed by a continuation byte is two forward units but one
-// ambiguous backward step).
-func runeBack(in string, start, blen int) (newLen, newUnits int) {
-	prev, units, b := 0, 0, 0
-	for b < blen {
-		prev = b
-		if in[start+b] < utf8.RuneSelf {
-			b++
-		} else {
-			_, size := utf8.DecodeRuneInString(in[start+b:])
-			b += size
-		}
-		units++
-	}
-	return prev, units - 1
 }

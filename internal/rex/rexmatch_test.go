@@ -134,6 +134,8 @@ func TestRuneCountingAgainstStdlib(t *testing.T) {
 		"café.net",              // multi-byte rune mid-label
 		"0ی0ی",                  // alternating widths
 		strings.Repeat("é", 20), // give-back over many 2-byte units
+		"\xc3a",                 // lead byte then ASCII: two units
+		"x\xe6\x97a",            // truncated 3-byte sequence then ASCII
 	}
 	for _, comps := range [][]Component{threeNotDot, twoAny, mixed} {
 		for _, in := range inputs {
@@ -147,6 +149,22 @@ func TestRuneCountingAgainstStdlib(t *testing.T) {
 	}
 	for _, in := range []string{"héllo.net", "ی.net", "ی.nété", "日本.jpx"} {
 		diff(t, labeled, in)
+	}
+	// A negated class right before a literal dot or [a-z]{3}, with a
+	// multi-byte rune on the boundary the give-back crosses.
+	beforeDot := []Component{
+		{Kind: KindNotDash, Capture: true}, {Kind: KindNotDot, Capture: true}, {Kind: KindDot},
+		{Kind: KindAny, Capture: true},
+	}
+	beforeAlpha := []Component{
+		{Kind: KindNotDot, Capture: true}, {Kind: KindAlphaFixed, N: 3, Capture: true},
+	}
+	for _, in := range []string{
+		"aé日.xyz", "é.é", "日.本.語", "\xc3.x", "a\xe2.b\xe2", ".é", "éé.", "\xe6\x97.a",
+		"éabc", "aéxyz", "日abc", "abcé", "\xc3abc", "\xe2\x82abc", "ab\xc3", "é",
+	} {
+		diff(t, beforeDot, in)
+		diff(t, beforeAlpha, in)
 	}
 }
 
@@ -214,18 +232,21 @@ func TestResultReuse(t *testing.T) {
 func TestSteadyStateAllocs(t *testing.T) {
 	p, _ := compile(alterIATA().Comps)
 	var res result
-	host := "0.xe-1.gw1.sfo16.alter.net"
-	p.run(host, &res) // size the scratch
-	allocs := testing.AllocsPerRun(200, func() {
-		if !p.run(host, &res) {
-			t.Fatal("no match")
+	// The second host is non-ASCII, so run first marks the states
+	// inside its runes dead.
+	for _, host := range []string{"0.xe-1.gw1.sfo16.alter.net", "é.xe-1.gw日1.sfo16.alter.net"} {
+		p.run(host, &res) // size the scratch
+		allocs := testing.AllocsPerRun(200, func() {
+			if !p.run(host, &res) {
+				t.Fatal("no match")
+			}
+			if res.part(2) != "sfo" {
+				t.Fatal("bad capture")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state run on %q allocates %.1f/op, want 0", host, allocs)
 		}
-		if res.part(2) != "sfo" {
-			t.Fatal("bad capture")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state run allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -242,6 +263,10 @@ func TestPathologicalBacktracking(t *testing.T) {
 	in := strings.Repeat("ab.", 60) + "yy"
 	diff(t, comps, in) // no match, must terminate fast
 	diff(t, comps, strings.Repeat("ab.", 60)+"zz")
+	// The same over two-byte runes: every give-back first lands inside
+	// an é, a dead state.
+	diff(t, comps, strings.Repeat("é.", 60)+"yy")
+	diff(t, comps, strings.Repeat("é.", 60)+"zz")
 }
 
 // TestKinds pins the kinds table: every kind renders, ParsePattern
